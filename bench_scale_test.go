@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/georep/georep/internal/cluster"
 	"github.com/georep/georep/internal/replica"
 	"github.com/georep/georep/internal/vec"
 	"github.com/georep/georep/internal/workload"
@@ -174,6 +175,39 @@ func BenchmarkScaleIngest(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchScaleBatch), "ns/access")
 		})
+	}
+}
+
+// BenchmarkObserveM25 times Summarizer.Observe at the decision
+// workloads' budget (m=25, where the nearest-cluster scan and the
+// closest-pair merge dominate) on a stream that mixes absorptions with
+// new-cluster-then-merge steps: 40 hotspots, more than the budget holds.
+func BenchmarkObserveM25(b *testing.B) {
+	s, err := cluster.NewSummarizer(25, benchScaleDims)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(13))
+	hot := make([]vec.Vec, 40)
+	for i := range hot {
+		hot[i] = vec.Of(r.NormFloat64()*80, r.NormFloat64()*80, r.NormFloat64()*80)
+	}
+	pts := make([]vec.Vec, 4096)
+	for i := range pts {
+		h := hot[r.Intn(len(hot))]
+		pts[i] = vec.Of(h[0]+r.NormFloat64()*4, h[1]+r.NormFloat64()*4, h[2]+r.NormFloat64()*4)
+	}
+	for _, p := range pts {
+		if err := s.Observe(p, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Observe(pts[i%len(pts)], 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

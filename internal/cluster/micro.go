@@ -105,26 +105,6 @@ func (m *Micro) Absorb(p vec.Vec, weight float64) {
 	}
 }
 
-// dist2ToPoint returns the squared distance from the cluster centroid to
-// p without materializing the centroid — the allocation the old
-// Centroid().Dist2(p) call paid on every observation of the ingest hot
-// path. An empty cluster's centroid is the origin, matching Centroid.
-func (m *Micro) dist2ToPoint(p vec.Vec) float64 {
-	var s float64
-	if m.Count == 0 {
-		for d := range p {
-			s += p[d] * p[d]
-		}
-		return s
-	}
-	n := float64(m.Count)
-	for d := range p {
-		diff := m.Sum[d]/n - p[d]
-		s += diff * diff
-	}
-	return s
-}
-
 // centroidDist2 returns the squared distance between two clusters'
 // centroids without allocating. Empty clusters sit at the origin.
 func centroidDist2(a, b *Micro) float64 {
@@ -234,10 +214,15 @@ type Summarizer struct {
 	dims        int
 	opts        summarizerOptions
 	clusters    []Micro
-	observed    int64
-	// spare is a free list of retired Micro buffers. Once the summarizer
-	// has been at capacity, every new cluster is preceded by a merge that
-	// retires one, so the steady-state ingest path never allocates.
+	// cent caches the clusters' centroids, row i for clusters[i]; every
+	// mutation of a cluster refreshes its row (see centroidTable).
+	cent     centroidTable
+	observed int64
+	// spare is a free list of retired Micro buffers, sized by what has
+	// actually been retired (like the centroid table, not reserved up
+	// front). Once the summarizer has been at capacity, every new cluster
+	// is preceded by a merge that retires one, so the steady-state ingest
+	// path never allocates.
 	spare []Micro
 }
 
@@ -257,7 +242,7 @@ func NewSummarizer(maxClusters, dims int, opts ...SummarizerOption) (*Summarizer
 		// before merging, so the slice never grows past that and append
 		// never reallocates.
 		clusters: make([]Micro, 0, maxClusters+1),
-		spare:    make([]Micro, 0, maxClusters+1),
+		cent:     centroidTable{dims: dims},
 	}
 	for _, o := range opts {
 		o.apply(&s.opts)
@@ -285,13 +270,14 @@ func (s *Summarizer) Observe(p vec.Vec, weight float64) error {
 	s.observed++
 
 	if len(s.clusters) > 0 {
-		best, bestDist := s.nearest(p)
+		best, bestD2 := s.cent.nearest(len(s.clusters), p)
 		radius := s.clusters[best].StdDev()
 		if radius < s.opts.radiusFloor {
 			radius = s.opts.radiusFloor
 		}
-		if bestDist <= radius {
+		if math.Sqrt(bestD2) <= radius {
 			s.clusters[best].Absorb(p, weight)
+			s.cent.set(best, &s.clusters[best])
 			return nil
 		}
 	}
@@ -299,6 +285,7 @@ func (s *Summarizer) Observe(p vec.Vec, weight float64) error {
 	fresh := s.takeMicro()
 	fresh.Absorb(p, weight)
 	s.clusters = append(s.clusters, fresh)
+	s.cent.set(len(s.clusters)-1, &fresh)
 	if len(s.clusters) > s.maxClusters {
 		s.mergeClosestPair()
 	}
@@ -326,39 +313,19 @@ func (s *Summarizer) retireMicro(m Micro) {
 	s.spare = append(s.spare, m)
 }
 
-// nearest returns the index of the cluster whose centroid is closest to p
-// and the distance to it. It computes centroid distances in place — the
-// arithmetic is identical to Centroid().Dist2(p), just without the
-// intermediate vector.
-func (s *Summarizer) nearest(p vec.Vec) (int, float64) {
-	best, bestD2 := 0, math.Inf(1)
-	for i := range s.clusters {
-		d2 := s.clusters[i].dist2ToPoint(p)
-		if d2 < bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	return best, math.Sqrt(bestD2)
-}
-
 // mergeClosestPair merges the two clusters with the closest centroids,
 // retiring the vacated buffers to the free list.
 func (s *Summarizer) mergeClosestPair() {
 	if len(s.clusters) < 2 {
 		return
 	}
-	bi, bj, bestD2 := 0, 1, math.Inf(1)
-	for i := 0; i < len(s.clusters); i++ {
-		for j := i + 1; j < len(s.clusters); j++ {
-			if d2 := centroidDist2(&s.clusters[i], &s.clusters[j]); d2 < bestD2 {
-				bi, bj, bestD2 = i, j, d2
-			}
-		}
-	}
+	bi, bj := s.cent.closestPair(len(s.clusters))
 	absorbMicro(&s.clusters[bi], &s.clusters[bj])
+	s.cent.set(bi, &s.clusters[bi])
 	s.retireMicro(s.clusters[bj])
 	last := len(s.clusters) - 1
 	s.clusters[bj] = s.clusters[last]
+	s.cent.move(bj, last)
 	s.clusters[last] = Micro{}
 	s.clusters = s.clusters[:last]
 }
@@ -428,6 +395,7 @@ func (s *Summarizer) Decay(factor float64) error {
 		c.Sum.ScaleInPlace(ratio)
 		c.Sum2.ScaleInPlace(ratio)
 		kept = append(kept, *c)
+		s.cent.set(len(kept)-1, c)
 	}
 	// Zero the trimmed tail so retired buffers are only reachable via the
 	// free list.

@@ -87,6 +87,7 @@ type WindowedSummarizer struct {
 	dims        int
 	opts        summarizerOptions
 	clusters    []trackedMicro
+	cent        centroidTable // row i: clusters[i]'s centroid, as in Summarizer
 	nextID      uint64
 	snapshots   []snapshotRec
 	snapSeq     uint64
@@ -107,6 +108,7 @@ func NewWindowedSummarizer(maxClusters, dims int, opts ...SummarizerOption) (*Wi
 	w := &WindowedSummarizer{
 		maxClusters:       maxClusters,
 		dims:              dims,
+		cent:              centroidTable{dims: dims},
 		snapshotsPerOrder: 2, // CluStream's α=2, l=2 gives 2 per order
 	}
 	for _, o := range opts {
@@ -132,18 +134,14 @@ func (w *WindowedSummarizer) Observe(p vec.Vec, weight float64) error {
 	}
 
 	if len(w.clusters) > 0 {
-		best, bestD2 := 0, math.Inf(1)
-		for i := range w.clusters {
-			if d2 := w.clusters[i].Centroid().Dist2(p); d2 < bestD2 {
-				best, bestD2 = i, d2
-			}
-		}
+		best, bestD2 := w.cent.nearest(len(w.clusters), p)
 		radius := w.clusters[best].StdDev()
 		if radius < w.opts.radiusFloor {
 			radius = w.opts.radiusFloor
 		}
 		if math.Sqrt(bestD2) <= radius {
 			w.clusters[best].Absorb(p, weight)
+			w.cent.set(best, &w.clusters[best].Micro)
 			return nil
 		}
 	}
@@ -152,6 +150,7 @@ func (w *WindowedSummarizer) Observe(p vec.Vec, weight float64) error {
 	fresh := trackedMicro{Micro: NewMicro(w.dims), ids: idSet{w.nextID}}
 	fresh.Absorb(p, weight)
 	w.clusters = append(w.clusters, fresh)
+	w.cent.set(len(w.clusters)-1, &fresh.Micro)
 	if len(w.clusters) > w.maxClusters {
 		w.mergeClosestPair()
 	}
@@ -162,28 +161,15 @@ func (w *WindowedSummarizer) mergeClosestPair() {
 	if len(w.clusters) < 2 {
 		return
 	}
-	centroids := make([]vec.Vec, len(w.clusters))
-	for i := range w.clusters {
-		centroids[i] = w.clusters[i].Centroid()
-	}
-	bi, bj, bestD2 := 0, 1, math.Inf(1)
-	for i := 0; i < len(w.clusters); i++ {
-		for j := i + 1; j < len(w.clusters); j++ {
-			if d2 := centroids[i].Dist2(centroids[j]); d2 < bestD2 {
-				bi, bj, bestD2 = i, j, d2
-			}
-		}
-	}
-	merged, err := MergeMicro(w.clusters[bi].Micro, w.clusters[bj].Micro)
-	if err != nil {
-		return // unreachable: dims are uniform by construction
-	}
-	w.clusters[bi] = trackedMicro{
-		Micro: merged,
-		ids:   w.clusters[bi].ids.union(w.clusters[bj].ids),
-	}
-	w.clusters[bj] = w.clusters[len(w.clusters)-1]
-	w.clusters = w.clusters[:len(w.clusters)-1]
+	bi, bj := w.cent.closestPair(len(w.clusters))
+	absorbMicro(&w.clusters[bi].Micro, &w.clusters[bj].Micro)
+	w.clusters[bi].ids = w.clusters[bi].ids.union(w.clusters[bj].ids)
+	w.cent.set(bi, &w.clusters[bi].Micro)
+	last := len(w.clusters) - 1
+	w.clusters[bj] = w.clusters[last]
+	w.cent.move(bj, last)
+	w.clusters[last] = trackedMicro{}
+	w.clusters = w.clusters[:last]
 }
 
 // Clusters returns copies of the current micro-clusters (full history).

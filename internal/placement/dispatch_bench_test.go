@@ -65,7 +65,7 @@ func dispatchService(tb testing.TB, n int) *Service {
 // allocation contract: once groups have converged, a dispatch round
 // (grouping + drift-skipped solveGroups) allocates nothing — per-object
 // signature buffers, the leader list, and k-means scratch are all
-// reused, and the per-group rand is only constructed past the skip
+// reused, and the solve generator is only reseeded past the skip
 // check. scripts/bench_multiobject.sh gates on this test.
 func TestGroupDispatchSteadyStateAllocs(t *testing.T) {
 	svc := dispatchService(t, 60)
@@ -137,5 +137,19 @@ func BenchmarkGroupDispatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns_object")
 		})
+	}
+}
+
+// BenchmarkRefineK4 times one branch-and-bound refinement at the
+// decide_k4 shape (16 candidates, k=4, 80 micros), bound cache off so
+// that every solve searches from the proposal rather than from its own
+// cached optimum.
+func BenchmarkRefineK4(b *testing.B) {
+	svc, leader, micros, proposed := refineK4Fixture(b)
+	svc.bounds = nil
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc.refineMicros(leader, micros, proposed)
 	}
 }

@@ -114,6 +114,26 @@ func (c ServiceConfig) Validate() error {
 	if len(c.Candidates) == 0 {
 		return fmt.Errorf("placement: no candidate data centers")
 	}
+	// The signature and refine kernels index Coords by candidate id and
+	// assume finite, non-negative delays (see refineScratch), so a bad
+	// candidate is rejected here rather than met in the hot path.
+	seen := make(map[int]bool, len(c.Candidates))
+	for i, cand := range c.Candidates {
+		if cand < 0 || cand >= len(c.Coords) {
+			return fmt.Errorf("placement: candidate %d (node %d) outside the %d coordinates", i, cand, len(c.Coords))
+		}
+		if seen[cand] {
+			return fmt.Errorf("placement: candidate node %d listed twice", cand)
+		}
+		seen[cand] = true
+		co := c.Coords[cand]
+		if !co.IsValid() {
+			return fmt.Errorf("placement: candidate node %d has an invalid coordinate %v", cand, co)
+		}
+		if co.Pos.Dim() != obj.Dims {
+			return fmt.Errorf("placement: candidate node %d has %d dimensions, objects have %d", cand, co.Pos.Dim(), obj.Dims)
+		}
+	}
 	if c.GroupEpsilon < 0 || c.DriftThreshold < 0 {
 		return fmt.Errorf("placement: negative epsilon/threshold")
 	}
@@ -189,6 +209,8 @@ type Service struct {
 	candIdx   map[int]int
 	kmScratch cluster.KMeansScratch
 	bounds    *boundCache
+	ref       refineScratch
+	rng       *rand.Rand // reseeded per group solve
 
 	stats EpochStats
 	met   serviceMetrics
@@ -240,6 +262,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		byID:    make(map[string]*Object),
 		cent:    vec.New(cfg.Object.Dims),
 		candIdx: make(map[int]int, len(cfg.Candidates)),
+		rng:     rand.New(rand.NewSource(0)),
 	}
 	for i, c := range cfg.Candidates {
 		s.candIdx[c] = i
@@ -569,7 +592,9 @@ func (s *Service) solveGroups() error {
 			leader.driftSkipped = true
 			continue // converged group: cached placement stands
 		}
-		r := rand.New(rand.NewSource(s.cfg.Seed + int64(s.epoch)*epochSeedStride + int64(leader.idx)))
+		// Reseeding restarts exactly the stream a fresh source would give.
+		r := s.rng
+		r.Seed(s.cfg.Seed + int64(s.epoch)*epochSeedStride + int64(leader.idx))
 		var warm []vec.Vec
 		if s.cfg.WarmStart {
 			warm = leader.warm

@@ -3,6 +3,7 @@ package placement
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -557,6 +558,35 @@ func TestServiceValidation(t *testing.T) {
 	negEps.GroupEpsilon = -1
 	if _, err := NewService(negEps); err == nil {
 		t.Error("negative epsilon accepted")
+	}
+	// Candidates index Coords in the signature and refine kernels, which
+	// also assume finite non-negative delays: each bad candidate must be
+	// refused at construction, not panic in (or quietly skew) an epoch.
+	badCandidates := []struct {
+		name string
+		mut  func(*ServiceConfig)
+	}{
+		{"out of range", func(c *ServiceConfig) { c.Candidates[4] = 5 }},
+		{"negative id", func(c *ServiceConfig) { c.Candidates[0] = -1 }},
+		{"duplicate", func(c *ServiceConfig) { c.Candidates[3] = 1 }},
+		{"NaN position", func(c *ServiceConfig) { c.Coords[2].Pos[1] = math.NaN() }},
+		{"infinite position", func(c *ServiceConfig) { c.Coords[2].Pos[0] = math.Inf(1) }},
+		{"negative height", func(c *ServiceConfig) { c.Coords[4].Height = -1 }},
+		{"NaN height", func(c *ServiceConfig) { c.Coords[0].Height = math.NaN() }},
+		{"wrong dimension", func(c *ServiceConfig) { c.Coords[1].Pos = vec.Of(50, 0, 0) }},
+	}
+	for _, tc := range badCandidates {
+		cfg := svcConfig(2)
+		tc.mut(&cfg)
+		if _, err := NewService(cfg); err == nil {
+			t.Errorf("candidate with %s accepted", tc.name)
+		}
+	}
+	// A node that is not a candidate is not the service's to judge.
+	spare := svcConfig(2)
+	spare.Coords = append(spare.Coords, coord.Coordinate{Pos: vec.Of(math.NaN(), 0)})
+	if _, err := NewService(spare); err != nil {
+		t.Errorf("invalid non-candidate node rejected: %v", err)
 	}
 	svc, err := NewService(svcConfig(2))
 	if err != nil {
