@@ -110,17 +110,11 @@ func (c *Client) Micros() ([]cluster.Micro, int, error) {
 }
 
 // MicrosCtx is Micros with trace propagation, so the per-replica
-// summary-collection RPCs of a traced epoch show their daemon legs.
+// summary-collection RPCs of a traced epoch show their daemon legs. It
+// sends an explicit empty MicrosRequest: an empty body is how a
+// gob-era caller asks, and is answered in gob.
 func (c *Client) MicrosCtx(ctx context.Context) ([]cluster.Micro, int, error) {
-	var resp MicrosResponse
-	if _, err := c.c.CallContext(ctx, MethodMicros, nil, &resp); err != nil {
-		return nil, 0, fmt.Errorf("daemon: micros from %s: %w", c.addr, err)
-	}
-	ms, err := cluster.DecodeMicros(resp.Encoded)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ms, len(resp.Encoded), nil
+	return c.MicrosObjectCtx(ctx, "")
 }
 
 // MicrosObject fetches one object's summary from a node running with
@@ -129,10 +123,14 @@ func (c *Client) MicrosObject(object string) ([]cluster.Micro, int, error) {
 	return c.MicrosObjectCtx(context.Background(), object)
 }
 
-// MicrosObjectCtx is MicrosObject with trace propagation.
+// MicrosObjectCtx is MicrosObject with trace propagation; an empty
+// object asks for the node-wide summary.
 func (c *Client) MicrosObjectCtx(ctx context.Context, object string) ([]cluster.Micro, int, error) {
 	var resp MicrosResponse
 	if _, err := c.c.CallContext(ctx, MethodMicros, MicrosRequest{Object: object}, &resp); err != nil {
+		if object == "" {
+			return nil, 0, fmt.Errorf("daemon: micros from %s: %w", c.addr, err)
+		}
 		return nil, 0, fmt.Errorf("daemon: micros(%s) from %s: %w", object, c.addr, err)
 	}
 	ms, err := cluster.DecodeMicros(resp.Encoded)

@@ -32,6 +32,8 @@ import (
 // Protocol bodies. All requests that model a client read carry the
 // client's identity and coordinate: real deployments know both (the
 // coordinate system is decentralized, every node has its own coordinate).
+// The steady-state types (get, put, delete, decay, micros, replicate)
+// travel in the binary body codec of wire.go; the rest in gob.
 type (
 	// GetRequest reads an object on behalf of a client.
 	GetRequest struct {
@@ -59,11 +61,12 @@ type (
 	// MicrosRequest optionally narrows the summary export to one
 	// object's accesses (multi-object placement). The micros method
 	// accepts an empty body for backward compatibility — old
-	// coordinators keep getting the node-wide summary.
+	// coordinators keep getting the node-wide summary, gob-encoded.
 	MicrosRequest struct {
 		Object string
 	}
-	// MicrosResponse carries the gob-encoded micro-cluster summary.
+	// MicrosResponse carries the micro-cluster summary in the fixed-width
+	// micros codec (cluster.EncodeMicros / DecodeMicros).
 	MicrosResponse struct {
 		Encoded []byte
 	}
@@ -282,6 +285,7 @@ type Node struct {
 	store  *store.Store
 	server *transport.Server
 	reg    *metrics.Registry
+	met    nodeMetrics
 	log    *slog.Logger
 
 	mu       sync.Mutex
@@ -296,7 +300,24 @@ type Node struct {
 	sloEng  *slo.Engine
 	sloStop chan struct{}
 	sloWG   sync.WaitGroup
-	repLag  *metrics.Histogram // follower lag served by replicate
+}
+
+// nodeMetrics are the handlers' metric handles, resolved once so the
+// per-request path does no registry lookups. The replog handles stay nil
+// (no-ops, and absent from the registry) on a node without a write log.
+type nodeMetrics struct {
+	summarizedAccesses *metrics.Counter
+	summarizedWeight   *metrics.Gauge
+	summaryBytesTotal  *metrics.Counter
+	summaryBytes       *metrics.Histogram
+
+	appends            *metrics.Counter
+	logBytes           *metrics.Counter
+	compactions        *metrics.Counter
+	lastSeq            *metrics.Gauge
+	replicateBytes     *metrics.Counter
+	replicateSnapshots *metrics.Counter
+	repLag             *metrics.Histogram // follower lag served by replicate
 }
 
 // objSummary is one object's dedicated summarizer, created lazily on
@@ -330,6 +351,12 @@ func NewNode(cfg Config) (*Node, error) {
 		store: store.New(),
 		reg:   reg,
 		log:   logging.Or(cfg.Logger),
+		met: nodeMetrics{
+			summarizedAccesses: reg.Counter("daemon_summarized_accesses_total"),
+			summarizedWeight:   reg.Gauge("daemon_summarized_weight_total"),
+			summaryBytesTotal:  reg.Counter("daemon_summary_bytes_total"),
+			summaryBytes:       reg.Histogram("daemon_summary_bytes", metrics.SizeBuckets()),
+		},
 	}
 	srvOpts := []transport.ServerOption{transport.WithMetrics(reg)}
 	if cfg.Faults != nil {
@@ -366,22 +393,25 @@ func NewNode(cfg Config) (*Node, error) {
 			n.wretain = defaultWriteLogRetain
 		}
 		reg.Gauge("daemon_write_ratio").Set(cfg.WriteRatio)
-		// Pre-register the whole replog family at zero so /metrics,
+		// The whole replog family registers at zero so /metrics,
 		// /metrics.json, and Prometheus scrapes expose consistent
 		// series from the first scrape — not only after the first
 		// append/fence/failover event happens to create them.
+		n.met.appends = reg.Counter("replog_appends_total")
+		n.met.logBytes = reg.Counter("replog_log_bytes_total")
+		n.met.compactions = reg.Counter("replog_compactions_total")
+		n.met.replicateBytes = reg.Counter("replog_replicate_bytes_total")
+		n.met.replicateSnapshots = reg.Counter("replog_replicate_snapshots_total")
 		for _, c := range []string{
-			"replog_appends_total", "replog_log_bytes_total",
-			"replog_compactions_total", "replog_replicate_bytes_total",
-			"replog_replicate_snapshots_total", "replog_reads_total",
+			"replog_reads_total",
 			"replog_appends_fenced_total", "replog_failovers_total",
 			"replog_ryw_violations_total", "replog_monotonic_violations_total",
 			"replog_stale_reads_degraded_total",
 		} {
 			reg.Counter(c)
 		}
-		reg.Gauge("replog_last_seq")
-		n.repLag = reg.Histogram("replog_replication_lag_entries",
+		n.met.lastSeq = reg.Gauge("replog_last_seq")
+		n.met.repLag = reg.Histogram("replog_replication_lag_entries",
 			[]float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	}
 	if cfg.SLOSpec != "" {
@@ -669,10 +699,10 @@ func (n *Node) handleGet(body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.reg.Counter("daemon_summarized_accesses_total").Inc()
-		n.reg.Gauge("daemon_summarized_weight_total").Add(weight)
+		n.met.summarizedAccesses.Inc()
+		n.met.summarizedWeight.Add(weight)
 	}
-	return transport.Marshal(GetResponse{Data: obj.Data, Version: obj.Version})
+	return transport.MarshalReply(body, GetResponse{Data: obj.Data, Version: obj.Version})
 }
 
 func (n *Node) handlePut(body []byte) ([]byte, error) {
@@ -725,11 +755,11 @@ func (n *Node) appendWrite(req PutRequest) error {
 	}
 	last := n.wlog.Last()
 	n.mu.Unlock()
-	n.reg.Counter("replog_appends_total").Inc()
-	n.reg.Counter("replog_log_bytes_total").Add(replog.FrameLen)
-	n.reg.Gauge("replog_last_seq").Set(float64(last))
+	n.met.appends.Inc()
+	n.met.logBytes.Add(replog.FrameLen)
+	n.met.lastSeq.Set(float64(last))
 	if compacted {
-		n.reg.Counter("replog_compactions_total").Inc()
+		n.met.compactions.Inc()
 	}
 	return nil
 }
@@ -774,7 +804,7 @@ func (n *Node) handleReplicate(body []byte) ([]byte, error) {
 		resp.SnapTerm, _ = n.wlog.TermAt(n.wlog.SnapSeq())
 	} else {
 		// EntriesFrom aliases log storage: frame while still holding
-		// the lock so a concurrent compaction cannot shift it under us.
+		// the lock so no concurrent put can touch it under us.
 		resp.Frames = replog.EncodeBatch(es)
 	}
 	n.mu.Unlock()
@@ -782,13 +812,13 @@ func (n *Node) handleReplicate(body []byte) ([]byte, error) {
 	// is the replication lag this catch-up call observed — the live
 	// counterpart of the simulator's per-round lag sampling.
 	if resp.Last >= req.From {
-		n.repLag.Observe(float64(resp.Last - req.From))
+		n.met.repLag.Observe(float64(resp.Last - req.From))
 	}
-	n.reg.Counter("replog_replicate_bytes_total").Add(int64(len(resp.Frames)))
+	n.met.replicateBytes.Add(int64(len(resp.Frames)))
 	if resp.Snapshot {
-		n.reg.Counter("replog_replicate_snapshots_total").Inc()
+		n.met.replicateSnapshots.Inc()
 	}
-	return transport.Marshal(resp)
+	return transport.MarshalReply(body, resp)
 }
 
 func (n *Node) handleDelete(body []byte) ([]byte, error) {
@@ -801,7 +831,8 @@ func (n *Node) handleDelete(body []byte) ([]byte, error) {
 }
 
 func (n *Node) handleMicros(body []byte) ([]byte, error) {
-	// An empty body is the v1 protocol: export the node-wide summary.
+	// An empty body is the v1 protocol: export the node-wide summary
+	// (and, being a gob-era caller, get it back in gob).
 	var req MicrosRequest
 	if len(body) > 0 {
 		if err := transport.Unmarshal(body, &req); err != nil {
@@ -842,9 +873,9 @@ func (n *Node) handleMicros(body []byte) ([]byte, error) {
 	// The exported summary is the online algorithm's entire bandwidth
 	// cost; its cumulative wire size is the paper's O(k·m) claim made
 	// observable.
-	n.reg.Counter("daemon_summary_bytes_total").Add(int64(len(enc)))
-	n.reg.Histogram("daemon_summary_bytes", metrics.SizeBuckets()).Observe(float64(len(enc)))
-	return transport.Marshal(MicrosResponse{Encoded: enc})
+	n.met.summaryBytesTotal.Add(int64(len(enc)))
+	n.met.summaryBytes.Observe(float64(len(enc)))
+	return transport.MarshalReply(body, MicrosResponse{Encoded: enc})
 }
 
 func (n *Node) handleDecay(body []byte) ([]byte, error) {

@@ -6,6 +6,11 @@ import "fmt"
 // of entries plus a snapshot boundary. Everything at or below SnapSeq
 // has been compacted into the snapshot; entries[0], when present, has
 // sequence SnapSeq+1.
+//
+// Compaction advances the head of entries by reslicing, so a log that
+// compacts on every append (the daemon's bounded tail) pays for the
+// retained tail only when append runs out of capacity and reallocates —
+// once per O(retained) appends, amortised O(1) each.
 type Log struct {
 	snapSeq  uint64
 	snapTerm uint64
@@ -104,8 +109,7 @@ func (l *Log) CompactTo(seq uint64) error {
 		return fmt.Errorf("replog: compact to %d beyond tail %d", seq, l.Last())
 	}
 	term, _ := l.TermAt(seq)
-	keep := l.entries[seq-l.snapSeq-1+1:]
-	l.entries = append(l.entries[:0], keep...)
+	l.entries = l.entries[seq-l.snapSeq:]
 	l.snapSeq, l.snapTerm = seq, term
 	return nil
 }

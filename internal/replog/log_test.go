@@ -82,3 +82,67 @@ func TestLogTruncateFrom(t *testing.T) {
 		t.Fatalf("TruncateFrom beyond tail dropped %d", n)
 	}
 }
+
+// TestLogCompactEveryAppend runs the daemon's bounded-tail policy — one
+// compaction per append once the tail is full — through several
+// reallocations of the entry storage and checks the log's whole surface
+// after each step.
+func TestLogCompactEveryAppend(t *testing.T) {
+	const retain = 64
+	l := NewLog()
+	for s := uint64(1); s <= 40*retain; s++ {
+		mustAppend(t, l, s, 1+s/1000)
+		if l.Len() > retain {
+			if err := l.CompactTo(l.Last() - retain); err != nil {
+				t.Fatalf("CompactTo at %d: %v", s, err)
+			}
+		}
+		if s <= retain {
+			continue
+		}
+		if l.Len() != retain || l.SnapSeq() != s-retain || l.Last() != s {
+			t.Fatalf("at %d: len=%d snap=%d last=%d", s, l.Len(), l.SnapSeq(), l.Last())
+		}
+		es, ok := l.EntriesFrom(l.SnapSeq()+1, 0)
+		if !ok || len(es) != retain || es[0].Seq != s-retain+1 || es[retain-1].Seq != s {
+			t.Fatalf("at %d: tail = %d entries, ok=%v", s, len(es), ok)
+		}
+		if term, ok := l.TermAt(s - retain); !ok || term != 1+(s-retain)/1000 {
+			t.Fatalf("at %d: snapshot term = %d,%v", s, term, ok)
+		}
+		if _, ok := l.EntriesFrom(s-retain, 0); ok {
+			t.Fatalf("at %d: compacted seq still served", s)
+		}
+	}
+	// Truncation and re-append work on a resliced tail.
+	last := l.Last()
+	if n := l.TruncateFrom(last - 9); n != 10 {
+		t.Fatalf("TruncateFrom dropped %d, want 10", n)
+	}
+	mustAppend(t, l, last-9, 99)
+	if term, ok := l.TermAt(last - 9); !ok || term != 99 {
+		t.Fatalf("re-appended entry term = %d,%v", term, ok)
+	}
+	if err := l.CompactTo(l.Last()); err != nil || l.Len() != 0 {
+		t.Fatalf("compact to the tail: len=%d, %v", l.Len(), err)
+	}
+	mustAppend(t, l, l.Last()+1, 99)
+}
+
+// BenchmarkAppendCompact is one put's work on a full daemon log: append,
+// then compact the tail back to the default 1024 retained entries.
+func BenchmarkAppendCompact(b *testing.B) {
+	const retain = 1024
+	l := NewLog()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := l.Append(Entry{Seq: l.Last() + 1, Term: 1}); err != nil {
+			b.Fatal(err)
+		}
+		if l.Len() > retain {
+			if err := l.CompactTo(l.Last() - retain); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

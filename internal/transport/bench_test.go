@@ -6,9 +6,11 @@ import (
 	"time"
 )
 
-// BenchmarkCall measures the end-to-end cost of one RPC over loopback:
-// gob encode, TCP round trip, gob decode. This bounds how often a
-// coordinator can poll daemons.
+// BenchmarkCall measures the end-to-end cost of one RPC over loopback
+// with a gob body: gob encode, TCP round trip, gob decode. This bounds
+// how often a coordinator can poll daemons for the methods that have no
+// binary body codec (internal/daemon's BenchmarkGetLoopback is the same
+// trip with one).
 func BenchmarkCall(b *testing.B) {
 	s := NewServer()
 	if err := s.Handle("echo", func(body []byte) ([]byte, error) {
@@ -46,7 +48,8 @@ func BenchmarkCall(b *testing.B) {
 	}
 }
 
-// BenchmarkMarshal measures body encoding alone.
+// BenchmarkMarshal measures gob body encoding alone; BenchmarkMarshalGet
+// in bench_get_test.go is the binary codec on the real get types.
 func BenchmarkMarshal(b *testing.B) {
 	type payload struct {
 		Coord  []float64

@@ -1,0 +1,191 @@
+package transport
+
+import (
+	"bytes"
+	"errors"
+	"sync"
+	"testing"
+	"time"
+)
+
+// binBody is a minimal type with a binary body codec: marker 0x80, then
+// the payload. DecodeBody keeps the slice it is given, as the daemon's
+// decoders do.
+type binBody struct{ P []byte }
+
+const binMarker = 0x80
+
+func (v binBody) AppendBody(dst []byte) ([]byte, error) {
+	if len(v.P) > 1<<20 {
+		return dst, errors.New("binBody: too long")
+	}
+	return append(append(dst, binMarker), v.P...), nil
+}
+
+func (v *binBody) DecodeBody(b []byte) error {
+	if len(b) == 0 || b[0] != binMarker {
+		return errors.New("binBody: bad marker")
+	}
+	v.P = b[1:]
+	return nil
+}
+
+func TestMarshalDispatch(t *testing.T) {
+	b, err := Marshal(binBody{P: []byte("hi")})
+	if err != nil || !bytes.Equal(b, []byte{binMarker, 'h', 'i'}) {
+		t.Fatalf("Marshal(binary type) = %x, %v", b, err)
+	}
+	var back binBody
+	if err := Unmarshal(b, &back); err != nil || string(back.P) != "hi" {
+		t.Fatalf("Unmarshal(binary body) = %+v, %v", back, err)
+	}
+	if _, err := Marshal(binBody{P: make([]byte, 1<<20+1)}); err == nil {
+		t.Error("an AppendBody error was swallowed")
+	}
+
+	// A gob body into the same type: what a gob-era peer sent.
+	g, err := gobEncode(binBody{P: []byte("old")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if IsBinaryBody(g) {
+		t.Fatalf("gob body starts with %#x", g[0])
+	}
+	back = binBody{}
+	if err := Unmarshal(g, &back); err != nil || string(back.P) != "old" {
+		t.Fatalf("Unmarshal(gob body) = %+v, %v", back, err)
+	}
+
+	// Reply in kind.
+	if r, err := MarshalReply(b, binBody{P: []byte("r")}); err != nil || !IsBinaryBody(r) {
+		t.Errorf("reply to a binary request = %x, %v", r, err)
+	}
+	for _, req := range [][]byte{g, nil, {}} {
+		r, err := MarshalReply(req, binBody{P: []byte("r")})
+		if err != nil || IsBinaryBody(r) {
+			t.Errorf("reply to gob/empty request %x = %x, %v", req, r, err)
+		}
+		back = binBody{}
+		if err := Unmarshal(r, &back); err != nil || string(back.P) != "r" {
+			t.Errorf("gob reply decodes to %+v, %v", back, err)
+		}
+	}
+
+	// A binary body into a type without a decoder is an error, not a
+	// misread.
+	var plain echoReq
+	if err := Unmarshal(b, &plain); err == nil {
+		t.Error("a binary body gob-decoded into a plain struct")
+	}
+}
+
+// TestGobNeverStartsWithAMarker walks gob's length prefix through its
+// one-, two-, three- and four-byte forms: the first byte of a gob stream
+// is a length below 0x80 or a negated byte count of 0xF8 and above,
+// never a marker.
+func TestGobNeverStartsWithAMarker(t *testing.T) {
+	for _, b := range []byte{0x00, 0x7F, 0xF8, 0xFF} {
+		if IsBinaryBody([]byte{b}) {
+			t.Errorf("%#x counts as a marker", b)
+		}
+	}
+	for _, b := range []byte{0x80, 0x81, 0xF7} {
+		if !IsBinaryBody([]byte{b}) {
+			t.Errorf("%#x does not count as a marker", b)
+		}
+	}
+	sizes := []int{0, 1, 50, 100, 126, 127, 128, 200, 255, 256, 1000, 65_535, 65_536, 1 << 20, 1<<24 + 1}
+	for _, n := range sizes {
+		g, err := gobEncode(make([]byte, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if IsBinaryBody(g) {
+			t.Errorf("gob stream of a %d-byte value starts with %#x", n, g[0])
+		}
+		// The type-descriptor message comes first for a struct.
+		g, err = gobEncode(echoReq{Text: string(make([]byte, n))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if IsBinaryBody(g) {
+			t.Errorf("gob stream of a struct with %d bytes starts with %#x", n, g[0])
+		}
+	}
+}
+
+// TestBodyBuffersArePerMessage proves what BodyDecoder promises: a body
+// handed to a handler or to a response decoder is not written to again,
+// so decoders may alias it. The handler and the client both retain every
+// body they were given across later calls on the same connection.
+func TestBodyBuffersArePerMessage(t *testing.T) {
+	s, addr := startServer(t)
+	var (
+		mu   sync.Mutex
+		seen [][]byte // requests on one connection are served in order
+	)
+	if err := s.Handle("keep", func(body []byte) ([]byte, error) {
+		mu.Lock()
+		seen = append(seen, body)
+		mu.Unlock()
+		return body, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const calls = 16
+	var got [calls]binBody
+	for i := range got {
+		req := binBody{P: bytes.Repeat([]byte{byte('a' + i)}, 300)}
+		if _, err := c.Call("keep", req, &got[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := range got {
+		want := bytes.Repeat([]byte{byte('a' + i)}, 300)
+		if !bytes.Equal(got[i].P, want) {
+			t.Errorf("response %d was overwritten by a later call: %.8q...", i, got[i].P)
+		}
+		if !bytes.Equal(seen[i][1:], want) {
+			t.Errorf("request body %d was overwritten by a later call: %.8q...", i, seen[i][1:])
+		}
+	}
+}
+
+// TestRequestBufferReuse: the client encodes binary requests into one
+// buffer, call after call, and lets go of a buffer a large body grew.
+func TestRequestBufferReuse(t *testing.T) {
+	s, addr := startServer(t)
+	if err := s.Handle("len", func(body []byte) ([]byte, error) {
+		return Marshal(len(body))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, n := range []int{10, 4096, 3, maxKeptReqBuf + 1, 7} {
+		var got int
+		if _, err := c.Call("len", binBody{P: make([]byte, n)}, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got != n+1 {
+			t.Fatalf("server saw %d body bytes, want %d", got, n+1)
+		}
+		if cap(c.reqBuf) > maxKeptReqBuf {
+			t.Fatalf("client kept a %d-byte request buffer", cap(c.reqBuf))
+		}
+	}
+	if cap(c.reqBuf) == 0 {
+		t.Fatal("client kept no request buffer")
+	}
+}

@@ -102,6 +102,32 @@ func TestDefaultCallTimeoutInstalled(t *testing.T) {
 	}
 }
 
+// TestIdleGapLongerThanCallTimeout: the per-attempt deadline is left
+// armed when a call returns, so it expires while the connection sits
+// idle. That must not fail the next call, which re-arms it before any
+// I/O — and must not cost a redial either.
+func TestIdleGapLongerThanCallTimeout(t *testing.T) {
+	s := startFaultServer(t)
+	reg := metrics.NewRegistry()
+	const timeout = 50 * time.Millisecond
+	c, err := Dial(s.Addr().String(), time.Second, WithCallTimeout(timeout), WithClientMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		var out []byte
+		if _, err := c.Call("echo", []byte("ping"), &out); err != nil {
+			t.Fatalf("call %d after an idle gap: %v", i, err)
+		}
+		time.Sleep(3 * timeout)
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counters["transport_client_redials_total"] + snap.Counters["transport_client_timeouts_total"]; n != 0 {
+		t.Fatalf("idle gaps caused %d redials/timeouts", n)
+	}
+}
+
 // TestRetryAfterServerDrops exercises the whole resilient path: the
 // server silently drops the first two requests, the client's deadline
 // fires, and retries on fresh connections succeed.

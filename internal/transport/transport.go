@@ -1,10 +1,12 @@
-// Package transport is a minimal stdlib-only RPC layer (TCP + gob) so the
+// Package transport is a minimal stdlib-only RPC layer so the
 // replica-placement system also runs as real networked processes, not
-// only inside the discrete-event simulator. Servers can inject artificial
-// per-request delays, which lets the examples reproduce wide-area RTTs
-// between processes on one machine; clients measure the observed RTT of
-// every call, which is exactly the measurement stream the coordinate
-// system consumes.
+// only inside the discrete-event simulator: TCP, one gob stream per
+// connection for the request/response envelope, and bodies that are
+// either fixed-width binary (the hot daemon methods) or nested gob (see
+// body.go). Servers can inject artificial per-request delays, which lets
+// the examples reproduce wide-area RTTs between processes on one
+// machine; clients measure the observed RTT of every call, which is
+// exactly the measurement stream the coordinate system consumes.
 package transport
 
 import (
@@ -23,7 +25,8 @@ import (
 	"github.com/georep/georep/internal/trace"
 )
 
-// request and response are the wire frames; bodies are nested gob.
+// request and response are the wire frames. Their types are compiled
+// once per connection; Body is opaque here (see body.go).
 //
 // The trace fields are optional W3C-style span propagation: TraceID is
 // the 16-byte hex trace, SpanID the caller-side span the server should
@@ -53,16 +56,6 @@ type response struct {
 
 // Handler serves one method: raw request body in, raw response body out.
 type Handler func(body []byte) ([]byte, error)
-
-// Marshal gob-encodes a value for use as a request or response body.
-func Marshal(v any) ([]byte, error) {
-	return gobEncode(v)
-}
-
-// Unmarshal gob-decodes a body produced by Marshal.
-func Unmarshal(b []byte, v any) error {
-	return gobDecode(b, v)
-}
 
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("transport: server closed")
@@ -266,6 +259,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {
+		// A fresh frame per message: gob allocates req.Body anew, so a
+		// handler's decoded request may alias it (see BodyDecoder).
 		var req request
 		if err := dec.Decode(&req); err != nil {
 			return // connection closed or corrupt; drop it
@@ -355,6 +350,10 @@ func (s *Server) Close() error {
 	return err
 }
 
+// maxKeptReqBuf caps the request-body buffer a client keeps between
+// calls, so one large put does not pin its size for the client's life.
+const maxKeptReqBuf = 64 << 10
+
 // DefaultCallTimeout bounds each call attempt unless WithCallTimeout
 // overrides it. A stalled server can therefore never hang a client
 // forever: the deadline fires, the connection is declared broken, and
@@ -366,8 +365,8 @@ const DefaultCallTimeout = 10 * time.Second
 // from any goroutine, including concurrently with an in-flight Call,
 // which then returns ErrClientClosed.
 //
-// Each call attempt is bounded by the call timeout via read/write
-// deadlines. With a RetryPolicy installed, idempotent methods (marked
+// Each call attempt is bounded by the call timeout via a connection
+// deadline. With a RetryPolicy installed, idempotent methods (marked
 // via WithIdempotent) are retried on transport-level failures with
 // exponential backoff, re-dialing broken connections; with a Breaker
 // installed, repeated failures open a circuit that fails fast instead
@@ -394,6 +393,9 @@ type Client struct {
 	retriesLeft int // remaining retry budget; -1 = unlimited
 	consecFails int
 	openUntil   time.Time
+	// reqBuf holds the binary request body of the call in flight and is
+	// reused by the next one.
+	reqBuf []byte
 
 	// connMu guards the connection so Close never has to wait for an
 	// in-flight call: closing the conn unblocks any pending I/O.
@@ -550,11 +552,12 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote %s: %s", e.Method, e.Message)
 }
 
-// Call invokes a method: req is gob-encoded, resp (if non-nil) decoded
-// from the reply. It returns the measured round-trip time, the signal the
-// coordinate system feeds on. With a retry policy installed, the RTT is
-// that of the successful (or final) attempt. Call is never traced; use
-// CallContext with a span-carrying context to propagate a trace.
+// Call invokes a method: req is encoded as Marshal encodes it, resp (if
+// non-nil) decoded from the reply as Unmarshal decodes it. It returns
+// the measured round-trip time, the signal the coordinate system feeds
+// on. With a retry policy installed, the RTT is that of the successful
+// (or final) attempt. Call is never traced; use CallContext with a
+// span-carrying context to propagate a trace.
 func (c *Client) Call(method string, req, resp any) (time.Duration, error) {
 	return c.CallContext(context.Background(), method, req, resp)
 }
@@ -568,8 +571,23 @@ func (c *Client) Call(method string, req, resp any) (time.Duration, error) {
 // deadlines already bound every call (see WithCallTimeout).
 func (c *Client) CallContext(ctx context.Context, method string, req, resp any) (time.Duration, error) {
 	c.met.calls.Inc()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	encStart := time.Now()
-	body, err := gobEncode(req)
+	var (
+		body []byte
+		err  error
+	)
+	if a, ok := req.(BodyAppender); ok {
+		// The envelope encoder copies the body out before the next call
+		// can reuse the buffer.
+		body, err = a.AppendBody(c.reqBuf[:0])
+		if cap(body) <= maxKeptReqBuf {
+			c.reqBuf = body
+		}
+	} else {
+		body, err = gobEncode(req)
+	}
 	if err != nil {
 		c.met.errors.Inc()
 		return 0, fmt.Errorf("transport: encode %s request: %w", method, err)
@@ -579,8 +597,6 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 	span := c.tracer.Start(trace.FromContext(ctx), "rpc."+method, trace.KindClient)
 	span.SetAttr("target", c.addr)
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	maxAttempts := c.retry.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -668,24 +684,22 @@ func (c *Client) attempt(method string, body []byte, resp any, wire trace.SpanCo
 
 	start := time.Now()
 	if c.callTimeout > 0 {
-		if err := conn.SetWriteDeadline(start.Add(c.callTimeout)); err != nil {
+		// One deadline covers the send and the receive. It is left armed
+		// when the call returns: an expired deadline on an idle
+		// connection does nothing, and the next attempt re-arms it before
+		// any I/O.
+		if err := conn.SetDeadline(start.Add(c.callTimeout)); err != nil {
 			return 0, c.breakConn(fmt.Errorf("transport: deadline %s: %w", method, err))
 		}
 	}
 	if err := enc.Encode(frame); err != nil {
 		return 0, c.breakConn(fmt.Errorf("transport: send %s: %w", method, err))
 	}
-	if c.callTimeout > 0 {
-		if err := conn.SetReadDeadline(start.Add(c.callTimeout)); err != nil {
-			return 0, c.breakConn(fmt.Errorf("transport: deadline %s: %w", method, err))
-		}
-	}
+	// A fresh frame per message: gob allocates r.Body anew, so the
+	// decoded response may alias it (see BodyDecoder).
 	var r response
 	if err := dec.Decode(&r); err != nil {
 		return 0, c.breakConn(fmt.Errorf("transport: receive %s: %w", method, err))
-	}
-	if c.callTimeout > 0 {
-		_ = conn.SetDeadline(time.Time{})
 	}
 	rtt := time.Since(start)
 	c.met.rttMs.Observe(float64(rtt) / float64(time.Millisecond))
@@ -699,7 +713,7 @@ func (c *Client) attempt(method string, body []byte, resp any, wire trace.SpanCo
 	}
 	if resp != nil {
 		decStart := time.Now()
-		if err := gobDecode(r.Body, resp); err != nil {
+		if err := Unmarshal(r.Body, resp); err != nil {
 			return rtt, fmt.Errorf("transport: decode %s response: %w", method, err)
 		}
 		c.met.decodeMs.Observe(float64(time.Since(decStart)) / float64(time.Millisecond))
