@@ -29,6 +29,19 @@ func benchNode(b *testing.B, cfg Config) *Client {
 	return c
 }
 
+// BenchmarkPingLoopback is the wire alone: an empty body each way, no
+// store, no summarizer. What a get costs above it is the daemon's.
+func BenchmarkPingLoopback(b *testing.B) {
+	c := benchNode(b, Config{ID: 1, MicroClusters: 10, Dims: 3})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Ping(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkGetLoopback(b *testing.B) {
 	for _, size := range benchPayloads {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {

@@ -503,26 +503,25 @@ func (n *Node) registerHandlers() error {
 		MethodExplain:   n.handleExplain,
 	}
 	for name, h := range handlers {
-		if err := n.server.Handle(name, n.instrument(name, h)); err != nil {
+		if err := n.instrument(name, h); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// instrument wraps a handler with per-method counters and a latency
-// histogram (inclusive of any emulated WAN delay — the latency a client
-// of this method actually experiences server-side).
-func (n *Node) instrument(method string, h transport.Handler) transport.Handler {
+// instrument registers a handler wrapped with per-method counters, and a
+// latency histogram (inclusive of any emulated WAN delay — the latency a
+// client of this method actually experiences server-side) that the
+// transport server fills from the handler interval it times anyway.
+func (n *Node) instrument(method string, h transport.Handler) error {
 	reqs := n.reg.Counter("daemon_rpc_" + method + "_total")
 	errs := n.reg.Counter("daemon_rpc_" + method + "_errors_total")
 	lat := n.reg.Histogram("daemon_rpc_"+method+"_ms", metrics.LatencyBuckets())
 	total := n.reg.Counter("daemon_rpc_total")
 	totalErrs := n.reg.Counter("daemon_rpc_errors_total")
-	return func(body []byte) ([]byte, error) {
-		start := time.Now()
+	return n.server.HandleTimed(method, func(body []byte) ([]byte, error) {
 		out, err := h(body)
-		lat.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		reqs.Inc()
 		total.Inc()
 		if err != nil {
@@ -530,7 +529,24 @@ func (n *Node) instrument(method string, h transport.Handler) transport.Handler 
 			totalErrs.Inc()
 		}
 		return out, err
+	}, lat)
+}
+
+// decodeRequest decodes a request body into req. binary is req's own
+// DecodeBody, called directly so that a binary body leaves req on the
+// handler's stack; transport.Unmarshal takes its target as an interface,
+// which moves it to the heap, so a gob body (a gob-era caller) is decoded
+// into a copy and only that path pays for it.
+func decodeRequest[T any](body []byte, req *T, binary func([]byte) error) error {
+	if transport.IsBinaryBody(body) {
+		return binary(body)
 	}
+	v := new(T)
+	if err := transport.Unmarshal(body, v); err != nil {
+		return err
+	}
+	*req = *v
+	return nil
 }
 
 // faultAction consults the injector for one incoming request. The node
@@ -653,7 +669,7 @@ func (n *Node) Close() error {
 
 func (n *Node) handleGet(body []byte) ([]byte, error) {
 	var req GetRequest
-	if err := transport.Unmarshal(body, &req); err != nil {
+	if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
 		return nil, err
 	}
 	if n.cfg.Delay != nil {
@@ -707,7 +723,7 @@ func (n *Node) handleGet(body []byte) ([]byte, error) {
 
 func (n *Node) handlePut(body []byte) ([]byte, error) {
 	var req PutRequest
-	if err := transport.Unmarshal(body, &req); err != nil {
+	if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
 		return nil, err
 	}
 	err := n.store.Put(store.Object{
@@ -787,7 +803,7 @@ func (n *Node) handleReplicate(body []byte) ([]byte, error) {
 	}
 	var req ReplicateRequest
 	if len(body) > 0 {
-		if err := transport.Unmarshal(body, &req); err != nil {
+		if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
 			return nil, err
 		}
 	}
@@ -823,7 +839,7 @@ func (n *Node) handleReplicate(body []byte) ([]byte, error) {
 
 func (n *Node) handleDelete(body []byte) ([]byte, error) {
 	var req DeleteRequest
-	if err := transport.Unmarshal(body, &req); err != nil {
+	if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
 		return nil, err
 	}
 	n.store.Delete(store.ObjectID(req.Object))
@@ -835,7 +851,7 @@ func (n *Node) handleMicros(body []byte) ([]byte, error) {
 	// (and, being a gob-era caller, get it back in gob).
 	var req MicrosRequest
 	if len(body) > 0 {
-		if err := transport.Unmarshal(body, &req); err != nil {
+		if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
 			return nil, err
 		}
 	}
@@ -880,7 +896,7 @@ func (n *Node) handleMicros(body []byte) ([]byte, error) {
 
 func (n *Node) handleDecay(body []byte) ([]byte, error) {
 	var req DecayRequest
-	if err := transport.Unmarshal(body, &req); err != nil {
+	if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
 		return nil, err
 	}
 	// Epoch decay is fleet-wide: the node-wide summary and every

@@ -251,6 +251,42 @@ func TestWireAllocs(t *testing.T) {
 	}
 }
 
+// TestLoopbackGetAllocs is the absolute gate on the whole live get: a
+// 128 B get over loopback TCP, client and node together, on a connection
+// that has switched to frames. Nine today: the request and the response
+// boxed for CallContext (2), the two frame buffers (2), the decoded
+// coordinate and object name (2), the store's copy of the object (1),
+// the reply boxed and encoded (2).
+func TestLoopbackGetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	n, c := startNode(t, Config{ID: 1, MicroClusters: 10, Dims: 3})
+	if err := c.Put("obj", make([]byte, 128), 1); err != nil {
+		t.Fatal(err)
+	}
+	coord := []float64{1.5, -2.5, 40}
+	get := func() {
+		if resp, _, err := c.Get(7, coord, "obj"); err != nil || len(resp.Data) != 128 {
+			t.Fatalf("get: %d bytes, %v", len(resp.Data), err)
+		}
+	}
+	get() // the put was the connection's gob exchange; this one is framed
+	before := n.Snapshot().Counters["transport_server_frames_total"]
+	if per := testing.AllocsPerRun(500, get); per > 12 {
+		t.Errorf("loopback get, both ends: %v allocs, want <= 12", per)
+	}
+	snap := n.Snapshot()
+	if got := snap.Counters["transport_server_frames_total"] - before; got != 501 {
+		t.Errorf("%d of 501 measured gets arrived framed", got)
+	}
+	// The node's per-method histogram is fed by the server's clock reads:
+	// one observation per get, as before.
+	if h, gets := snap.Histograms["daemon_rpc_get_ms"], snap.Counters["daemon_rpc_get_total"]; h.Count != gets || gets != 502 {
+		t.Errorf("daemon_rpc_get_ms has %d observations for %d gets", h.Count, gets)
+	}
+}
+
 // TestWireAliasing pins the decoders' half of the aliasing contract:
 // decoded payloads point into the body (so the body must be per-message,
 // which the transport's TestBodyBuffersArePerMessage proves), and

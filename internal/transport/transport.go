@@ -1,7 +1,7 @@
 // Package transport is a minimal stdlib-only RPC layer so the
 // replica-placement system also runs as real networked processes, not
-// only inside the discrete-event simulator: TCP, one gob stream per
-// connection for the request/response envelope, and bodies that are
+// only inside the discrete-event simulator: TCP, fixed-width frames (one
+// gob stream with a gob-era peer, see frame.go) as envelope, and bodies that are
 // either fixed-width binary (the hot daemon methods) or nested gob (see
 // body.go). Servers can inject artificial per-request delays, which lets
 // the examples reproduce wide-area RTTs between processes on one
@@ -11,7 +11,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -52,6 +51,9 @@ type response struct {
 	Body    []byte
 	TraceID string
 	SpanID  string
+	// Frames is set on every gob reply of a server that reads frames. A
+	// gob-era client ignores it and a gob-era server never sends it.
+	Frames bool
 }
 
 // Handler serves one method: raw request body in, raw response body out.
@@ -84,6 +86,8 @@ type serverMetrics struct {
 	bytesIn  *metrics.Counter
 	bytesOut *metrics.Counter
 	dropped  *metrics.Counter
+	frames   *metrics.Counter // requests that arrived framed / in gob: the
+	gobs     *metrics.Counter // second stops moving once gob-era clients are gone
 	handleMs *metrics.Histogram
 }
 
@@ -94,6 +98,8 @@ func newServerMetrics(r *metrics.Registry) serverMetrics {
 		bytesIn:  r.Counter("transport_server_bytes_in_total"),
 		bytesOut: r.Counter("transport_server_bytes_out_total"),
 		dropped:  r.Counter("transport_server_dropped_total"),
+		frames:   r.Counter("transport_server_frames_total"),
+		gobs:     r.Counter("transport_server_gob_frames_total"),
 		handleMs: r.Histogram("transport_server_handle_ms", metrics.LatencyBuckets()),
 	}
 }
@@ -153,7 +159,7 @@ func WithServerLogger(log *slog.Logger) ServerOption { return serverLoggerOption
 // connection is served by one goroutine, requests on it in order.
 type Server struct {
 	mu       sync.RWMutex
-	handlers map[string]Handler
+	handlers map[string]handlerEntry
 	delay    DelayFunc
 	faults   ServerFaultFunc
 	met      serverMetrics
@@ -165,10 +171,18 @@ type Server struct {
 	closed   bool
 }
 
+// handlerEntry keeps the method's own string, so a framed request names
+// its method without allocating, and the caller's latency histogram.
+type handlerEntry struct {
+	name string
+	fn   Handler
+	lat  *metrics.Histogram
+}
+
 // NewServer returns a server with no handlers registered.
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]handlerEntry),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	for _, o := range opts {
@@ -180,6 +194,13 @@ func NewServer(opts ...ServerOption) *Server {
 // Handle registers a method handler. Registering after Serve started is
 // allowed; re-registering a name replaces the handler.
 func (s *Server) Handle(method string, h Handler) error {
+	return s.HandleTimed(method, h, nil)
+}
+
+// HandleTimed is Handle with a histogram that also receives, in
+// milliseconds, the handler interval behind transport_server_handle_ms:
+// a caller's per-method latency without a second pair of clock reads.
+func (s *Server) HandleTimed(method string, h Handler, lat *metrics.Histogram) error {
 	if method == "" {
 		return errors.New("transport: empty method name")
 	}
@@ -188,7 +209,7 @@ func (s *Server) Handle(method string, h Handler) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[method] = h
+	s.handlers[method] = handlerEntry{name: method, fn: h, lat: lat}
 	return nil
 }
 
@@ -256,19 +277,37 @@ func (s *Server) Serve() error {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	w := newWire(conn)
+	w.out = make([]byte, headroom, 2*headroom)
 	for {
-		// A fresh frame per message: gob allocates req.Body anew, so a
+		// A fresh frame per message: req.Body is allocated anew, so a
 		// handler's decoded request may alias it (see BodyDecoder).
 		var req request
-		if err := dec.Decode(&req); err != nil {
-			return // connection closed or corrupt; drop it
+		method, framed, err := w.readRequest(&req)
+		if err != nil {
+			return // connection closed, corrupt or truncated; drop it
 		}
+		// A framed method arrives as bytes and takes its string from the
+		// handler table: only an unknown one allocates its name.
+		var ent handlerEntry
+		s.mu.RLock()
+		if framed {
+			if ent = s.handlers[string(method)]; ent.fn == nil {
+				ent.name = string(method)
+			}
+			req.Method = ent.name
+			s.met.frames.Inc()
+		} else {
+			ent = s.handlers[req.Method]
+			s.met.gobs.Inc()
+		}
+		s.mu.RUnlock()
 		// A traced frame opens a server span parented under the caller's
 		// wire span; an untraced frame (old peer, tracing off) does not.
-		sp := s.tracer.Start(trace.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID},
-			"serve."+req.Method, trace.KindServer)
+		var sp *trace.ActiveSpan
+		if parent := (trace.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID}); s.tracer != nil && parent.Valid() {
+			sp = s.tracer.Start(parent, "serve."+req.Method, trace.KindServer)
+		}
 		if s.faults != nil {
 			switch act := s.faults(req.Method); {
 			case act.Drop:
@@ -290,29 +329,28 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.delay != nil {
 			time.Sleep(s.delay(req.Method))
 		}
-		s.mu.RLock()
-		h := s.handlers[req.Method]
-		s.mu.RUnlock()
 
 		s.met.requests.Inc()
 		s.met.bytesIn.Add(int64(len(req.Body)))
 
-		resp := response{ID: req.ID, TraceID: req.TraceID}
+		resp := response{ID: req.ID, TraceID: req.TraceID, Frames: true}
 		if sp != nil {
 			resp.SpanID = sp.Context().SpanID
 		}
 		start := time.Now()
-		if h == nil {
+		if ent.fn == nil {
 			resp.Err = fmt.Sprintf("transport: unknown method %q", req.Method)
 			if s.log != nil {
 				s.log.Warn("unknown method", "method", req.Method)
 			}
-		} else if body, err := h(req.Body); err != nil {
+		} else if body, err := ent.fn(req.Body); err != nil {
 			resp.Err = err.Error()
 		} else {
 			resp.Body = body
 		}
-		s.met.handleMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+		ms := float64(time.Since(start)) / float64(time.Millisecond)
+		s.met.handleMs.Observe(ms)
+		ent.lat.Observe(ms)
 		if resp.Err != "" {
 			s.met.errors.Inc()
 			if s.log != nil {
@@ -322,7 +360,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.met.bytesOut.Add(int64(len(resp.Body)))
 		sp.SetErrString(resp.Err)
 		sp.End()
-		if err := enc.Encode(resp); err != nil {
+		if err := w.writeResponse(framed, &resp); err != nil {
 			return
 		}
 	}
@@ -350,8 +388,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// maxKeptReqBuf caps the request-body buffer a client keeps between
-// calls, so one large put does not pin its size for the client's life.
+// maxKeptReqBuf caps the request buffer a client (and the reply buffer a
+// server connection) keeps between calls, so one large put does not pin
+// its size for the client's life.
 const maxKeptReqBuf = 64 << 10
 
 // DefaultCallTimeout bounds each call attempt unless WithCallTimeout
@@ -393,17 +432,15 @@ type Client struct {
 	retriesLeft int // remaining retry budget; -1 = unlimited
 	consecFails int
 	openUntil   time.Time
-	// reqBuf holds the binary request body of the call in flight and is
-	// reused by the next one.
+	// reqBuf holds the request of the call in flight — headroom for a
+	// frame head, then the body — and is reused by the next one.
 	reqBuf []byte
 
 	// connMu guards the connection so Close never has to wait for an
 	// in-flight call: closing the conn unblocks any pending I/O.
 	connMu sync.Mutex
-	conn   net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
-	broken bool // conn must be re-dialed before reuse
+	w      *wire
+	broken bool // w must be re-dialed before reuse
 	closed bool
 }
 
@@ -514,6 +551,7 @@ func Dial(addr string, timeout time.Duration, opts ...ClientOption) (*Client, er
 		now:         time.Now,
 		sleep:       time.Sleep,
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
+		reqBuf:      make([]byte, headroom, 2*headroom),
 	}
 	for _, o := range opts {
 		o.applyClient(c)
@@ -535,9 +573,7 @@ func Dial(addr string, timeout time.Duration, opts ...ClientOption) (*Client, er
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
-	c.dec = gob.NewDecoder(conn)
+	c.w = newWire(conn)
 	return c, nil
 }
 
@@ -579,22 +615,28 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 		err  error
 	)
 	if a, ok := req.(BodyAppender); ok {
-		// The envelope encoder copies the body out before the next call
-		// can reuse the buffer.
-		body, err = a.AppendBody(c.reqBuf[:0])
-		if cap(body) <= maxKeptReqBuf {
+		// Encoded in place behind the frame's headroom; the body is on the
+		// wire (or copied out by gob) before the next call reuses the buffer.
+		body, err = a.AppendBody(c.reqBuf[:headroom])
+		if err == nil && cap(body) <= maxKeptReqBuf {
 			c.reqBuf = body
 		}
-	} else {
-		body, err = gobEncode(req)
+	} else if body, err = gobEncode(req); err == nil {
+		body = append(c.reqBuf[:headroom], body...)
 	}
 	if err != nil {
 		c.met.errors.Inc()
 		return 0, fmt.Errorf("transport: encode %s request: %w", method, err)
 	}
-	c.met.encodeMs.Observe(float64(time.Since(encStart)) / float64(time.Millisecond))
+	// The end of the encode is the start of the first attempt's send.
+	sendStart := time.Now()
+	c.met.encodeMs.Observe(float64(sendStart.Sub(encStart)) / float64(time.Millisecond))
 
-	span := c.tracer.Start(trace.FromContext(ctx), "rpc."+method, trace.KindClient)
+	// Span names are built only for a call that is traced.
+	var span, att *trace.ActiveSpan
+	if parent := trace.FromContext(ctx); c.tracer != nil && parent.Valid() {
+		span = c.tracer.Start(parent, "rpc."+method, trace.KindClient)
+	}
 	span.SetAttr("target", c.addr)
 
 	maxAttempts := c.retry.MaxAttempts
@@ -614,8 +656,11 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 			span.End()
 			return 0, err
 		}
-		att := c.tracer.Start(span.Context(), fmt.Sprintf("attempt %d", attempt), trace.KindAttempt)
-		rtt, err := c.attempt(method, body, resp, att.Context(), span.Context().SpanID)
+		if span != nil {
+			att = c.tracer.Start(span.Context(), fmt.Sprintf("attempt %d", attempt), trace.KindAttempt)
+		}
+		rtt, err := c.attempt(method, body, resp, att.Context(), span.Context().SpanID, sendStart)
+		sendStart = time.Time{} // a retry reads its own clock
 		att.SetErr(err)
 		att.End()
 		if err == nil {
@@ -667,38 +712,42 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 // the connection is broken. Transport-level failures mark the
 // connection broken: a response to a timed-out request must never be
 // mistaken for the answer to its retry, so retries always run on a
-// fresh gob stream.
-func (c *Client) attempt(method string, body []byte, resp any, wire trace.SpanContext, parentID string) (time.Duration, error) {
-	conn, enc, dec, err := c.liveConn()
+// fresh connection, which starts in gob again. buf is the request body
+// behind its headroom; start, unless zero or a re-dial came after it, is
+// the clock the caller just read.
+func (c *Client) attempt(method string, buf []byte, resp any, wire trace.SpanContext, parentID string, start time.Time) (time.Duration, error) {
+	w, fresh, err := c.liveConn()
 	if err != nil {
 		return 0, err
 	}
-	c.met.bytesOut.Add(int64(len(body)))
+	c.met.bytesOut.Add(int64(len(buf) - headroom))
 	c.nextID++
-	frame := request{ID: c.nextID, Method: method, Body: body}
+	frame := request{ID: c.nextID, Method: method, Body: buf[headroom:]}
 	if wire.Valid() {
 		frame.TraceID = wire.TraceID
 		frame.SpanID = wire.SpanID
 		frame.ParentID = parentID
 	}
 
-	start := time.Now()
+	if fresh || start.IsZero() {
+		start = time.Now()
+	}
 	if c.callTimeout > 0 {
 		// One deadline covers the send and the receive. It is left armed
 		// when the call returns: an expired deadline on an idle
 		// connection does nothing, and the next attempt re-arms it before
 		// any I/O.
-		if err := conn.SetDeadline(start.Add(c.callTimeout)); err != nil {
+		if err := w.conn.SetDeadline(start.Add(c.callTimeout)); err != nil {
 			return 0, c.breakConn(fmt.Errorf("transport: deadline %s: %w", method, err))
 		}
 	}
-	if err := enc.Encode(frame); err != nil {
+	if err := w.writeRequest(buf, &frame); err != nil {
 		return 0, c.breakConn(fmt.Errorf("transport: send %s: %w", method, err))
 	}
-	// A fresh frame per message: gob allocates r.Body anew, so the
+	// A fresh frame per message: r.Body is allocated anew, so the
 	// decoded response may alias it (see BodyDecoder).
 	var r response
-	if err := dec.Decode(&r); err != nil {
+	if err := w.readResponse(&r); err != nil {
 		return 0, c.breakConn(fmt.Errorf("transport: receive %s: %w", method, err))
 	}
 	rtt := time.Since(start)
@@ -712,11 +761,11 @@ func (c *Client) attempt(method string, body []byte, resp any, wire trace.SpanCo
 		return rtt, &RemoteError{Method: method, Message: r.Err}
 	}
 	if resp != nil {
-		decStart := time.Now()
 		if err := Unmarshal(r.Body, resp); err != nil {
 			return rtt, fmt.Errorf("transport: decode %s response: %w", method, err)
 		}
-		c.met.decodeMs.Observe(float64(time.Since(decStart)) / float64(time.Millisecond))
+		// The decode began where the round trip ended.
+		c.met.decodeMs.Observe(float64(time.Since(start)-rtt) / float64(time.Millisecond))
 	}
 	return rtt, nil
 }
@@ -725,39 +774,35 @@ func (c *Client) attempt(method string, body []byte, resp any, wire trace.SpanCo
 // broke. Only Call (serialized by mu) mutates the connection; Close may
 // close it concurrently, which pending I/O surfaces as an error that
 // breakConn then maps to ErrClientClosed.
-func (c *Client) liveConn() (net.Conn, *gob.Encoder, *gob.Decoder, error) {
+func (c *Client) liveConn() (w *wire, fresh bool, err error) {
 	c.connMu.Lock()
 	if c.closed {
 		c.connMu.Unlock()
-		return nil, nil, nil, ErrClientClosed
+		return nil, false, ErrClientClosed
 	}
 	if !c.broken {
-		conn, enc, dec := c.conn, c.enc, c.dec
+		w = c.w
 		c.connMu.Unlock()
-		return conn, enc, dec, nil
+		return w, false, nil
 	}
 	c.connMu.Unlock()
 
 	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("transport: redial %s: %w", c.addr, err)
+		return nil, false, fmt.Errorf("transport: redial %s: %w", c.addr, err)
 	}
 	c.connMu.Lock()
 	if c.closed {
 		c.connMu.Unlock()
 		conn.Close()
-		return nil, nil, nil, ErrClientClosed
+		return nil, false, ErrClientClosed
 	}
-	if c.conn != nil {
-		c.conn.Close()
-	}
-	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
-	c.dec = gob.NewDecoder(conn)
+	c.w.conn.Close()
+	c.w = newWire(conn)
 	c.broken = false
 	c.connMu.Unlock()
 	c.met.redials.Inc()
-	return conn, c.enc, c.dec, nil
+	return c.w, true, nil
 }
 
 // breakConn marks the connection unusable and classifies the error: a
@@ -788,10 +833,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	conn := c.conn
+	conn := c.w.conn
 	c.connMu.Unlock()
-	if conn != nil {
-		return conn.Close()
-	}
-	return nil
+	return conn.Close()
 }
