@@ -17,8 +17,8 @@ import (
 // estimator — exactly what every capture-enabled epoch does. The
 // record's backing arrays are reused across epochs, so after warm-up
 // the enabled side must stay within a few percent of disabled;
-// scripts/bench_provenance.sh turns that into a gate and records both
-// numbers in BENCH_provenance.json.
+// scripts/bench_overhead.sh provenance turns that into a gate and
+// records both numbers in BENCH_provenance.json.
 func BenchmarkProvenanceOverhead(b *testing.B) {
 	ws := worlds(b)
 	w := ws[0]

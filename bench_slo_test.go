@@ -20,8 +20,8 @@ import (
 // the experiment harnesses do once per tick. Sampling is a snapshot
 // into a preallocated ring and evaluation is a handful of windowed
 // delta queries, so the enabled side must stay within a few percent;
-// scripts/bench_slo.sh turns that into a gate and records both numbers
-// in BENCH_slo.json.
+// scripts/bench_overhead.sh slo turns that into a gate and records both
+// numbers in BENCH_slo.json.
 func BenchmarkSLOOverhead(b *testing.B) {
 	ws := worlds(b)
 	w := ws[0]

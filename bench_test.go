@@ -323,26 +323,8 @@ func benchWeightedKMeans(b *testing.B, parallelism int) {
 
 // BenchmarkOptimalSearch measures the exhaustive baseline the paper
 // calls impractical: C(candidates, k) placements evaluated against all
-// clients. Parallelism 0 uses every core.
+// clients.
 func BenchmarkOptimalSearch(b *testing.B) {
-	benchOptimalSearch(b, 0)
-}
-
-// BenchmarkOptimalSearchSerial pins the search to one worker, isolating
-// the win from delay memoization and branch-and-bound pruning alone —
-// compare against BenchmarkOptimalSearch for the parallel speedup on top.
-func BenchmarkOptimalSearchSerial(b *testing.B) {
-	benchOptimalSearch(b, 1)
-}
-
-// BenchmarkOptimalSearchParallel makes the all-cores configuration
-// explicit (identical to BenchmarkOptimalSearch today; kept as a stable
-// name for scripts/bench.sh).
-func BenchmarkOptimalSearchParallel(b *testing.B) {
-	benchOptimalSearch(b, 0)
-}
-
-func benchOptimalSearch(b *testing.B, parallelism int) {
 	ws := worlds(b)
 	w := ws[0]
 	for _, k := range []int{2, 3, 4} {
@@ -353,7 +335,7 @@ func benchOptimalSearch(b *testing.B, parallelism int) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (placement.Optimal{Parallelism: parallelism}).Place(nil, in); err != nil {
+				if _, err := (placement.Optimal{}).Place(nil, in); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,9 +13,9 @@ import (
 // manager epoch — 100 recorded accesses plus the collection/decision
 // cycle — with the flight recorder off (nil tracer, every span call a
 // no-op) and on. Tracing is per-epoch, not per-access, so the enabled
-// run should stay within a few percent of disabled; scripts/
-// bench_trace.sh turns that expectation into a gate and records both
-// numbers in BENCH_trace.json.
+// run should stay within a few percent of disabled;
+// scripts/bench_overhead.sh trace turns that expectation into a gate and
+// records both numbers in BENCH_trace.json.
 func BenchmarkTraceOverhead(b *testing.B) {
 	ws := worlds(b)
 	w := ws[0]

@@ -13,8 +13,8 @@ import (
 // accesses plus the collection/decision cycle. Leader election and
 // write-fanout costing run once per epoch, not per access, so the
 // enabled run must stay within a few percent of disabled;
-// scripts/bench_writepath.sh turns that expectation into a gate and
-// records both numbers in BENCH_writepath.json.
+// scripts/bench_overhead.sh writepath turns that expectation into a gate
+// and records both numbers in BENCH_writepath.json.
 func BenchmarkWritePathOverhead(b *testing.B) {
 	ws := worlds(b)
 	w := ws[0]

@@ -4,20 +4,18 @@
 // workers only place results at their own indices and every
 // floating-point reduction happens serially in index order, so a run at
 // GOMAXPROCS=8 with eight workers must be indistinguishable from the
-// serial path — these tests pin that property for the three kernels the
-// experiment harness depends on: the exhaustive optimal search, weighted
-// k-means, and whole experiment cells.
+// serial path — these tests pin that property for the kernels that ride
+// the pool: weighted k-means and whole experiment cells. (The exhaustive
+// optimal search is serial and has no row here.)
 package georep_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"github.com/georep/georep/internal/cluster"
-	"github.com/georep/georep/internal/coord"
 	"github.com/georep/georep/internal/experiment"
 	"github.com/georep/georep/internal/placement"
 	"github.com/georep/georep/internal/vec"
@@ -48,64 +46,6 @@ func runModes(t *testing.T, name string, fp func(parallelism int) string) {
 			t.Fatalf("%s: GOMAXPROCS=%d parallelism=%d diverged from serial run:\n got  %s\n want %s",
 				name, m.procs, m.par, got, want)
 		}
-	}
-}
-
-// deterministicInstance builds a placement instance over a synthetic
-// symmetric RTT matrix with 0.5ms-quantized delays so value ties between
-// placements actually occur and the tie-break order is exercised.
-func deterministicInstance(seed int64, nodes, numCand, k int) *placement.Instance {
-	r := rand.New(rand.NewSource(seed))
-	m := make([][]float64, nodes)
-	for i := range m {
-		m[i] = make([]float64, nodes)
-	}
-	for i := 0; i < nodes; i++ {
-		for j := i + 1; j < nodes; j++ {
-			d := math.Round(r.Float64()*200*2) / 2
-			m[i][j], m[j][i] = d, d
-		}
-	}
-	coords := make([]coord.Coordinate, nodes)
-	for i := range coords {
-		coords[i] = coord.Coordinate{Pos: vec.Of(r.NormFloat64(), r.NormFloat64()), Height: 0}
-	}
-	perm := r.Perm(nodes)
-	return &placement.Instance{
-		NumNodes:   nodes,
-		RTT:        func(i, j int) float64 { return m[i][j] },
-		Coords:     coords,
-		Candidates: append([]int(nil), perm[:numCand]...),
-		Clients:    append([]int(nil), perm[numCand:]...),
-		K:          k,
-	}
-}
-
-func TestOptimalPlaceDeterministicAcrossParallelism(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		in := deterministicInstance(seed, 30, 10, 3)
-		runModes(t, fmt.Sprintf("optimal seed=%d", seed), func(par int) string {
-			reps, err := (placement.Optimal{Parallelism: par}).Place(nil, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Include the full-precision objective so a placement that
-			// merely ties in print format still fails.
-			return fmt.Sprintf("%v %.17g", reps, placement.MeanAccessDelay(in, reps))
-		})
-	}
-}
-
-func TestOptimalPercentileDeterministicAcrossParallelism(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		in := deterministicInstance(seed, 25, 8, 3)
-		runModes(t, fmt.Sprintf("optimal-p95 seed=%d", seed), func(par int) string {
-			reps, err := (placement.OptimalPercentile{P: 95, Parallelism: par}).Place(nil, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fmt.Sprintf("%v", reps)
-		})
 	}
 }
 

@@ -63,13 +63,12 @@ func fromInternal(c coord.Coordinate) Coordinate {
 // first option-parse failure so construction can report it instead of a
 // generic validation error.
 type options struct {
-	algorithm   coord.Algorithm
-	dims        int
-	rounds      int
-	noiseFrac   float64
-	nodes       int
-	parallelism int
-	err         error
+	algorithm coord.Algorithm
+	dims      int
+	rounds    int
+	noiseFrac float64
+	nodes     int
+	err       error
 }
 
 func defaultOptions() options {
@@ -130,22 +129,21 @@ func WithNodes(n int) Option {
 	return optionFunc(func(o *options) { o.nodes = n })
 }
 
-// WithParallelism caps the worker goroutines compute-heavy strategies
-// (the exhaustive optimal search, k-means assignment) may use: 0 (the
-// default) means GOMAXPROCS, 1 forces serial execution. Results are
-// byte-identical at any setting — parallelism only changes wall-clock
-// time, never placements.
-func WithParallelism(n int) Option {
-	return optionFunc(func(o *options) { o.parallelism = n })
+// WithParallelism has no effect. The one kernel it reached was the
+// exhaustive optimal search, which is serial now; results were
+// byte-identical at any setting, so callers see no difference.
+//
+// Deprecated: kept so existing callers compile.
+func WithParallelism(int) Option {
+	return optionFunc(func(*options) {})
 }
 
 // Deployment is a fixed set of nodes with ground-truth RTTs and embedded
 // network coordinates. It is immutable and safe for concurrent reads.
 type Deployment struct {
-	matrix      *latency.Matrix
-	coords      []coord.Coordinate
-	stats       coord.EmbedStats
-	parallelism int
+	matrix *latency.Matrix
+	coords []coord.Coordinate
+	stats  coord.EmbedStats
 }
 
 // Simulate builds a deployment over a synthetic PlanetLab-like RTT matrix
@@ -215,7 +213,7 @@ func embed(m *latency.Matrix, seed int64, o options) (*Deployment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("georep: embed: %w", err)
 	}
-	return &Deployment{matrix: m, coords: emb.Coords, stats: *st, parallelism: o.parallelism}, nil
+	return &Deployment{matrix: m, coords: emb.Coords, stats: *st}, nil
 }
 
 // EmbeddingStability describes convergence of the deployment's
@@ -314,7 +312,7 @@ type Placement struct {
 	MeanDelayMs float64
 }
 
-func newStrategy(name Strategy, microClusters, parallelism int) (placement.Strategy, error) {
+func newStrategy(name Strategy, microClusters int) (placement.Strategy, error) {
 	switch name {
 	case StrategyRandom:
 		return placement.Random{}, nil
@@ -327,7 +325,7 @@ func newStrategy(name Strategy, microClusters, parallelism int) (placement.Strat
 		}
 		return placement.Online{M: m, Rounds: 2, AccessesPerClient: 1}, nil
 	case StrategyOptimal:
-		return placement.Optimal{Parallelism: parallelism}, nil
+		return placement.Optimal{}, nil
 	case StrategyGreedy:
 		return placement.Greedy{}, nil
 	case StrategyHotZone:
@@ -348,7 +346,7 @@ func newStrategy(name Strategy, microClusters, parallelism int) (placement.Strat
 // Place runs one placement strategy on the deployment and evaluates it
 // against ground truth.
 func (d *Deployment) Place(name Strategy, cfg PlaceConfig) (*Placement, error) {
-	s, err := newStrategy(name, cfg.MicroClusters, d.parallelism)
+	s, err := newStrategy(name, cfg.MicroClusters)
 	if err != nil {
 		return nil, err
 	}

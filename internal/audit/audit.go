@@ -10,10 +10,10 @@
 // within-cluster standard deviation, the summary's resolution).
 //
 // Everything is deterministic: the k-means baseline reseeds per epoch
-// from Config.Seed, and the optimal search inherits the determinism
-// contract of internal/placement (admissible bound, strict-> pruning,
-// ordered merge), so auditing the same ledger twice yields byte-equal
-// reports at any parallelism.
+// from Config.Seed and reduces in index order at any parallelism, and
+// the optimal search is placement.ExactSubset (serial, lexicographic,
+// strict-improvement adoption), so auditing the same ledger twice yields
+// byte-equal reports.
 package audit
 
 import (
@@ -49,8 +49,9 @@ type Config struct {
 	// baseline and all other series are still computed. Negative disables
 	// the optimal baseline entirely.
 	MaxOptimalLeaves int
-	// Parallelism caps the optimal search's workers (0 = GOMAXPROCS).
-	// Results are identical at any setting.
+	// Parallelism caps the k-means baseline's assignment workers (0 =
+	// GOMAXPROCS); the optimal search is serial. Results are identical
+	// at any setting.
 	Parallelism int
 	// Metrics, when non-nil, receives the audit_* counters.
 	Metrics *metrics.Registry
@@ -408,7 +409,10 @@ func (a *auditor) auditOne(rec *ledger.Record) (EpochAudit, bool, error) {
 	if a.cfg.MaxOptimalLeaves < 0 || leaves > a.cfg.MaxOptimalLeaves {
 		row.OptimalSkipped = true
 	} else {
-		optReps := optimalPlacement(rec.Micros, k, rec.Candidates, coords, a.cfg.Parallelism, a.cfg.Metrics)
+		optReps, err := optimalPlacement(rec.Micros, k, rec.Candidates, coords, a.cfg.Metrics)
+		if err != nil {
+			return EpochAudit{}, false, fmt.Errorf("audit: epoch %d optimal baseline: %w", rec.Epoch, err)
+		}
 		row.OptimalReplicas = optReps
 		row.OptimalEstMs, err = replica.EstimateMeanDelay(rec.Micros, optReps, coords)
 		if err != nil {
@@ -423,6 +427,46 @@ func (a *auditor) auditOne(rec *ledger.Record) (EpochAudit, bool, error) {
 	a.prevCent[rec.ObjectID] = centroid
 	row.QualityMs = quality(rec.Micros)
 	return row, true, nil
+}
+
+// optimalPlacement finds the k-subset of candidates minimizing the
+// summary-estimated mean delay — the exact objective of
+// replica.EstimateMeanDelay, searched exhaustively by
+// placement.ExactSubset. Its points are the micro-cluster centroids,
+// each weighted by its demand mass (massless ones skipped, as the
+// estimator skips them), at the estimator's delay: coordinate distance
+// plus the candidate's access-link height. Records come from outside, so
+// the fill holds every entry to the search's input contract.
+func optimalPlacement(micros []cluster.Micro, k int, candidates []int,
+	coords []coord.Coordinate, reg *metrics.Registry) ([]int, error) {
+	nm := 0
+	for i := range micros {
+		if microMass(&micros[i]) != 0 {
+			nm++
+		}
+	}
+	wd := make([]float64, len(candidates)*nm)
+	col := 0
+	for i := range micros {
+		w := microMass(&micros[i])
+		if w == 0 {
+			continue
+		}
+		cent := micros[i].Centroid()
+		for ci, cand := range candidates {
+			c := &coords[cand]
+			d := w * (c.Pos.Dist(cent) + c.Height)
+			if !(d >= 0) {
+				return nil, fmt.Errorf("micro-cluster %d (mass %v) to candidate %d (height %v): weighted delay %v, want non-negative", i, w, cand, c.Height, d)
+			}
+			wd[ci*nm+col] = d
+		}
+		col++
+	}
+	best, visited := placement.ExactSubset(wd, candidates, k)
+	reg.Counter("audit_search_visited_total").Add(visited)
+	reg.Counter("audit_search_pruned_total").Add(int64(placement.Binomial(len(candidates), k)) - visited)
+	return best, nil
 }
 
 // denseCoords rebuilds a node-indexed coordinate slice from the record's

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,8 +128,8 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestOptimalMatchesBruteForce cross-checks the sharded weighted search
-// against naive enumeration with the estimator itself.
+// TestOptimalMatchesBruteForce cross-checks the weighted search against
+// naive enumeration with the estimator itself.
 func TestOptimalMatchesBruteForce(t *testing.T) {
 	recs := testWorld(t, 4, 8, 3)
 	for _, rec := range recs {
@@ -136,7 +137,10 @@ func TestOptimalMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := optimalPlacement(rec.Micros, rec.K, rec.Candidates, coords, 0, nil)
+		got, err := optimalPlacement(rec.Micros, rec.K, rec.Candidates, coords, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, wantVal := bruteForce(t, &rec, coords)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("epoch %d: search %v, brute force %v (%.6f)", rec.Epoch, got, want, wantVal)
@@ -338,5 +342,67 @@ func TestWatcherMissingDirIsNotFatal(t *testing.T) {
 	}
 	if reg.Counter("audit_errors_total").Value() == 0 {
 		t.Fatal("missing dir should count as an audit error")
+	}
+}
+
+// TestOptimalInputContract pins what the optimal baseline does with
+// records it cannot trust — a NaN or negative weighted delay is an error
+// naming the micro-cluster, the candidate and (through Run) the epoch,
+// +Inf is data — and the shapes at the edge of the search.
+func TestOptimalInputContract(t *testing.T) {
+	base := func() ledger.Record {
+		rec := testWorld(t, 1, 5, 2)[0]
+		rec.CandidateCoords = append([]coord.Coordinate(nil), rec.CandidateCoords...)
+		return rec
+	}
+	for _, tc := range []struct {
+		name    string
+		edit    func(rec *ledger.Record)
+		wantErr string
+		want    []int // nil: whatever brute force returns
+	}{
+		{name: "negative height", edit: func(rec *ledger.Record) { rec.CandidateCoords[3].Height = -1e6 },
+			wantErr: "to candidate 3 (height -1e+06)"},
+		{name: "NaN coordinate", edit: func(rec *ledger.Record) { rec.CandidateCoords[1].Pos = vec.Vec{math.NaN(), 0} },
+			wantErr: "micro-cluster 0"},
+		{name: "negative mass", edit: func(rec *ledger.Record) { rec.Micros[2].Weight = -3 },
+			wantErr: "micro-cluster 2 (mass -3)"},
+		{name: "+Inf accepted", edit: func(rec *ledger.Record) { rec.CandidateCoords[0].Height = math.Inf(1) }},
+		{name: "k == len(candidates)", edit: func(rec *ledger.Record) { rec.K = 5 }},
+		{name: "k == 1", edit: func(rec *ledger.Record) { rec.K = 1 }},
+		{name: "one micro", edit: func(rec *ledger.Record) { rec.Micros = rec.Micros[:1] }},
+		{name: "all-zero-mass micros", edit: func(rec *ledger.Record) {
+			for i := range rec.Micros {
+				rec.Micros[i].Weight, rec.Micros[i].Count = 0, 0
+			}
+		}, want: []int{0, 1}},
+	} {
+		rec := base()
+		tc.edit(&rec)
+		coords, err := denseCoords(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := optimalPlacement(rec.Micros, rec.K, rec.Candidates, coords, nil)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+			if _, err := Run([]ledger.Record{rec}, Config{}); err == nil || !strings.Contains(err.Error(), "epoch 1") {
+				t.Errorf("%s: Run error %v, want one naming epoch 1", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		want := tc.want
+		if want == nil {
+			want, _ = bruteForce(t, &rec, coords)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, want)
+		}
 	}
 }

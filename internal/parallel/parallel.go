@@ -1,14 +1,13 @@
 // Package parallel is a small fork-join helper shared by the compute
-// kernels (exhaustive placement search, weighted k-means, experiment
-// grids). It provides bounded worker pools with dynamic task pickup,
-// ordered result collection, and chunking heuristics, plus a serial
-// fallback below a size threshold so tiny inputs never pay goroutine
-// overhead.
+// kernels (weighted k-means assignment, experiment grids). It provides
+// bounded worker pools with dynamic task pickup and chunking heuristics,
+// plus a serial fallback below a size threshold so tiny inputs never pay
+// goroutine overhead.
 //
 // Determinism contract: the helpers guarantee nothing about *execution*
-// order, only about *result placement* — Map stores fn(i) at index i and
-// ForEachChunk hands out the same chunk boundaries regardless of worker
-// count. Callers that reduce floating-point partials must therefore
+// order, only about *result placement* — a task writes only what its
+// index owns, and Chunks hands out the same boundaries regardless of
+// scheduling. Callers that reduce floating-point partials must therefore
 // reduce them in index order themselves; every caller in this repository
 // does exactly that, which is why results are byte-identical at any
 // GOMAXPROCS.
@@ -94,16 +93,6 @@ func ForEach(n int, opt Options, fn func(i int)) {
 	wg.Wait()
 }
 
-// Map runs fn for every index in [0, n) and returns the results in index
-// order, regardless of which worker computed which entry.
-func Map[T any](n int, opt Options, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(n, opt, func(i int) {
-		out[i] = fn(i)
-	})
-	return out
-}
-
 // Span is a contiguous half-open index range [Lo, Hi).
 type Span struct {
 	Lo, Hi int
@@ -135,15 +124,4 @@ func Chunks(n, workers, minGrain int) []Span {
 		spans = append(spans, Span{Lo: lo, Hi: hi})
 	}
 	return spans
-}
-
-// ForEachChunk splits [0, n) with Chunks and runs fn(lo, hi) for each
-// span on the pool. Chunk boundaries are deterministic for a fixed
-// (n, workers, minGrain), so per-chunk partials can be reduced in chunk
-// order for bit-reproducible results.
-func ForEachChunk(n, minGrain int, opt Options, fn func(lo, hi int)) {
-	spans := Chunks(n, opt.Workers, minGrain)
-	ForEach(len(spans), opt, func(i int) {
-		fn(spans[i].Lo, spans[i].Hi)
-	})
 }

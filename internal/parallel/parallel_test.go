@@ -24,17 +24,6 @@ func TestForEachRunsEveryTaskOnce(t *testing.T) {
 	}
 }
 
-func TestMapOrdersResults(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		got := Map(257, Options{Workers: workers}, func(i int) int { return i * i })
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: index %d holds %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
 func TestWorkersResolvesDefault(t *testing.T) {
 	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
@@ -76,21 +65,6 @@ func TestChunksDeterministicForFixedInputs(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("chunk %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestForEachChunkCoversRange(t *testing.T) {
-	const n = 513
-	hits := make([]atomic.Int32, n)
-	ForEachChunk(n, 4, Options{Workers: 4}, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hits[i].Add(1)
-		}
-	})
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("index %d covered %d times", i, got)
 		}
 	}
 }

@@ -40,19 +40,16 @@ func PercentileAccessDelay(in *Instance, replicas []int, p float64) (float64, er
 }
 
 // OptimalPercentile exhaustively minimizes the p-th percentile of client
-// delays — ground truth for tail-latency placement. Like Optimal, the
-// search is sharded across a worker pool and pruned with an admissible
-// lower bound (a percentile is monotone in the pointwise per-client
-// delays, so the bound of search.go applies unchanged).
+// delays — ground truth for tail-latency placement. A percentile is not
+// a sum over clients, so it runs on the generic enumerator of search.go
+// rather than on exactSearch; it is monotone in the pointwise per-client
+// delays, which is all that enumerator's bound needs.
 type OptimalPercentile struct {
 	// P is the percentile to minimize, e.g. 95.
 	P float64
 	// MaxCombinations guards the search; zero means the default.
 	MaxCombinations int
-	// Parallelism caps the worker goroutines: 0 means GOMAXPROCS, 1
-	// forces the serial path.
-	Parallelism int
-	// Metrics, when non-nil, receives search and worker-pool counters.
+	// Metrics, when non-nil, receives the search counters.
 	Metrics *metrics.Registry
 }
 
@@ -74,7 +71,7 @@ func (s OptimalPercentile) Place(_ *rand.Rand, in *Instance) ([]int, error) {
 	if c := Binomial(len(in.Candidates), in.K); c > limit {
 		return nil, fmt.Errorf("placement: percentile search needs %d combinations, limit %d", c, limit)
 	}
-	return searchCombos(in, s.Parallelism, s.Metrics, percentileObjective(s.P)), nil
+	return searchCombos(in, s.Metrics, percentileObjective(s.P)), nil
 }
 
 // percentileObjective returns an objectiveFn computing the p-th

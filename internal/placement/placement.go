@@ -145,19 +145,19 @@ func (Random) Place(r *rand.Rand, in *Instance) ([]int, error) {
 
 // Optimal exhaustively evaluates every K-combination of candidates
 // against the true RTTs and returns the best — the paper's impractical
-// upper bound. The search shards the combination tree by first-candidate
-// index across a worker pool and cuts subtrees with an admissible
-// branch-and-bound lower bound (see search.go); the result is
-// byte-identical to the naive serial enumeration at any parallelism.
+// upper bound. It runs on exactSearch (clients at unit weight), which
+// cuts subtrees with an admissible lower bound; the result is the
+// lexicographically first combination with the lowest total delay, the
+// one a naive in-order enumeration returns.
 type Optimal struct {
 	// MaxCombinations guards against accidental combinatorial blowups;
 	// zero means DefaultMaxCombinations.
 	MaxCombinations int
-	// Parallelism caps the worker goroutines: 0 means GOMAXPROCS, 1
-	// forces the serial path (which still memoizes and prunes).
+	// Parallelism is ignored: the search is serial. The field remains
+	// only because the frozen bench/ harness sets it.
 	Parallelism int
 	// Metrics, when non-nil, receives search counters (combinations
-	// visited/pruned) and worker-pool accounting.
+	// visited/pruned).
 	Metrics *metrics.Registry
 }
 
@@ -177,10 +177,27 @@ func (o Optimal) Place(_ *rand.Rand, in *Instance) ([]int, error) {
 	if limit <= 0 {
 		limit = DefaultMaxCombinations
 	}
-	if c := Binomial(len(in.Candidates), in.K); c > limit {
-		return nil, fmt.Errorf("placement: optimal search needs %d combinations, limit %d", c, limit)
+	combos := Binomial(len(in.Candidates), in.K)
+	if combos > limit {
+		return nil, fmt.Errorf("placement: optimal search needs %d combinations, limit %d", combos, limit)
 	}
-	return searchCombos(in, o.Parallelism, o.Metrics, meanObjective), nil
+	// The oracle is outside data: hold it to the kernel's input contract
+	// while the table is built.
+	nm := len(in.Clients)
+	wd := make([]float64, len(in.Candidates)*nm)
+	for ci, cand := range in.Candidates {
+		for i, cli := range in.Clients {
+			d := in.RTT(cli, cand)
+			if !(d >= 0) {
+				return nil, fmt.Errorf("placement: optimal search: RTT from client %d to candidate %d is %v, want a non-negative delay", cli, cand, d)
+			}
+			wd[ci*nm+i] = d
+		}
+	}
+	best, visited := ExactSubset(wd, in.Candidates, in.K)
+	o.Metrics.Counter("placement_search_visited_total").Add(visited)
+	o.Metrics.Counter("placement_search_pruned_total").Add(int64(combos) - visited)
+	return best, nil
 }
 
 // Binomial returns C(n, k), saturating at math.MaxInt on overflow.

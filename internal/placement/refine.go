@@ -3,7 +3,6 @@ package placement
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 
 	"github.com/georep/georep/internal/cluster"
 	"github.com/georep/georep/internal/provenance"
@@ -60,46 +59,6 @@ func (c *boundCache) store(key []byte, best []int) {
 	c.m[string(key)] = append([]int(nil), best...)
 }
 
-// refineScratch is the working set of one refine call, kept on the
-// Service so a steady-state solve allocates nothing. With nm micros, n
-// candidates and k replicas:
-//
-//	wd[c*nm+i]  = w_i·d_ic, micro i's weight times its delay to
-//	              candidate c (distance to the centroid plus the
-//	              candidate's height);
-//	suf[c*nm+i] = min over c' >= c of wd[c'*nm+i], the best any
-//	              still-choosable candidate could offer micro i;
-//	cur[t*nm+i] = micro i's weighted delay under the first t picks
-//	              (row 0 is +Inf).
-//
-// Everything is candidate-major, so extending a partial cover by one
-// candidate reads three contiguous rows. Weighting the delays up front
-// is exact — rounding is monotone, so min(w·a, w·b) == w·min(a, b) for
-// w >= 0 — which makes every total bit-identical to weighting after the
-// minimum, and removes the multiply from the search.
-//
-// The kernel relies on finite, non-negative inputs: ServiceConfig
-// validates the candidate coordinates, and summaries hold only finite
-// points (Summarizer.Observe rejects the rest) with non-negative
-// weights. A NaN or Inf would break both the pre-weighting identity and
-// the early exit on partial sums.
-type refineScratch struct {
-	nm, n, k int
-	wd       []float64
-	suf      []float64
-	cur      []float64
-	pick     []int // candidate indexes of the partial cover
-	best     []int // incumbent placement (node ids)
-	bestVal  float64
-
-	// Provenance: the incumbent's source, the total weight that turns a
-	// weighted total into a mean delay, and the leader whose frontier
-	// collects displaced incumbents.
-	src    provenance.Source
-	mass   float64
-	leader *Object
-}
-
 // refine improves a group's k-means proposal by exhaustive search when
 // the candidate set is small enough, returning the best placement found
 // (the proposal itself when the search cannot beat it). The result
@@ -116,159 +75,93 @@ func (s *Service) refine(leader *Object, proposed []int) []int {
 	return s.refineMicros(leader, leader.pending.Micros(), proposed)
 }
 
-// refineMicros is refine over an explicit micro view.
+// refineMicros is refine over an explicit micro view. The table it hands
+// exactSearch meets the kernel's input contract by construction:
+// ServiceConfig validates the candidate coordinates, and summaries hold
+// only finite points (Summarizer.Observe rejects the rest) with
+// non-negative weights.
 func (s *Service) refineMicros(leader *Object, micros []cluster.Micro, proposed []int) []int {
-	r := &s.ref
-	nm, n, k := len(micros), len(s.cfg.Candidates), len(proposed)
-	r.nm, r.n, r.k, r.leader = nm, n, k, leader
-	r.wd = slices.Grow(r.wd[:0], n*nm)[:n*nm]
-	r.suf = slices.Grow(r.suf[:0], n*nm)[:n*nm]
-	r.cur = slices.Grow(r.cur[:0], k*nm)[:k*nm]
-	r.pick = slices.Grow(r.pick[:0], k)[:k]
-	r.best = slices.Grow(r.best[:0], k)[:k]
-
-	r.mass = 0
+	x := &s.ref
+	nm, k := len(micros), len(proposed)
+	x.size(nm, len(s.cfg.Candidates), k)
+	s.refLeader, s.refMass = leader, 0
 	for i := range micros {
 		wi := micros[i].Weight
 		if wi == 0 {
 			wi = float64(micros[i].Count)
 		}
-		r.mass += wi
+		s.refMass += wi
 		micros[i].CentroidInto(s.cent)
 		for ci, cand := range s.cfg.Candidates {
 			c := &s.cfg.Coords[cand]
-			r.wd[ci*nm+i] = wi * (c.Pos.Dist(s.cent) + c.Height)
+			x.wd[ci*nm+i] = wi * (c.Pos.Dist(s.cent) + c.Height)
 		}
 	}
-	copy(r.suf[(n-1)*nm:], r.wd[(n-1)*nm:])
-	for c := n - 2; c > 0; c-- { // row 0 is never read: the bound looks past the pick
-		below, col, row := r.suf[(c+1)*nm:(c+2)*nm], r.wd[c*nm:(c+1)*nm], r.suf[c*nm:(c+1)*nm]
-		for i := range row {
-			row[i] = min(below[i], col[i])
-		}
-	}
-	for i := 0; i < nm; i++ {
-		r.cur[i] = math.Inf(1)
-	}
+	x.prepare(s.cfg.Candidates)
 
-	copy(r.best, proposed)
-	r.bestVal = s.score(proposed)
-	r.src = provenance.SourceProposed
-	proposedVal := r.bestVal
+	copy(x.best, proposed)
+	x.bestVal = s.score(proposed)
+	s.refSrc = provenance.SourceProposed
+	proposedVal := x.bestVal
 
 	var key []byte
 	if s.bounds != nil {
 		key = s.bounds.keyFor(leader.sig)
 		if cached, ok := s.bounds.m[string(key)]; ok && len(cached) == k {
 			s.stats.BoundHits++
-			if v := s.score(cached); v < r.bestVal {
-				s.adopt(provenance.SourceCached, v)
-				copy(r.best, cached)
+			if v := s.score(cached); v < x.bestVal {
+				x.adopt(v)
+				s.refSrc = provenance.SourceCached
+				copy(x.best, cached)
 			}
 		}
 	}
 
-	s.search(0, 0)
+	x.search(0, 0)
 
 	if s.bounds != nil {
-		s.bounds.store(key, r.best)
+		s.bounds.store(key, x.best)
 	}
-	if r.bestVal < proposedVal {
+	if x.bestVal < proposedVal {
 		s.stats.Refined++
 	}
-	r.leader = nil
-	return r.best
+	s.refLeader = nil
+	return x.best
 }
 
 // score returns the search objective of a placement: the summed
 // weighted delay of every micro to its closest replica.
 func (s *Service) score(placement []int) float64 {
-	r := &s.ref
-	cols := r.pick[:len(placement)]
+	x := &s.ref
+	cols := x.pick[:len(placement)]
 	for j, node := range placement {
 		cols[j] = s.candIdx[node]
 	}
 	var total float64
-	for i := 0; i < r.nm; i++ {
+	for i := 0; i < x.nm; i++ {
 		best := math.Inf(1)
 		for _, c := range cols {
-			best = min(best, r.wd[c*r.nm+i])
+			best = min(best, x.wd[c*x.nm+i])
 		}
 		total += best
 	}
 	return total
 }
 
-// adopt makes a strictly better placement, scored val, the incumbent;
-// the caller then writes it to best. The placement it displaces was a
-// fully scored alternative, so with provenance on it joins the leader's
-// frontier under its mean-delay cost and the source it came from: the
-// k-means proposal, the bound cache, or a branch-and-bound leaf.
-func (s *Service) adopt(src provenance.Source, val float64) {
-	r := &s.ref
-	if s.cfg.Object.Provenance {
-		mean := 0.0
-		if r.mass > 0 {
-			mean = r.bestVal / r.mass
-		}
-		s.pushFrontier(r.leader, r.src, mean, r.best)
+// displacedIncumbent is the kernel's adoption hook, installed when
+// provenance is on. The placement about to be displaced was a fully
+// scored alternative, so it joins the leader's frontier under its
+// mean-delay cost and the source it came from: the k-means proposal, the
+// bound cache, or a branch-and-bound leaf — which is what its successor
+// is unless refineMicros says otherwise.
+func (s *Service) displacedIncumbent() {
+	x := &s.ref
+	mean := 0.0
+	if s.refMass > 0 {
+		mean = x.bestVal / s.refMass
 	}
-	r.src, r.bestVal = src, val
-}
-
-// search extends the partial cover of the first depth picks with every
-// candidate from next on, depth-first in lexicographic index order,
-// pruning a subtree when its bound — each micro charged the better of
-// its delay under the picks so far and the best any later candidate
-// offers — cannot strictly beat the incumbent.
-//
-// The enumeration order and the strict-improvement rule are frozen:
-// they fix the sequence of incumbents, which is the provenance frontier
-// and so part of every ledger record. Any admissible bound prunes only
-// subtrees without a strictly better leaf, so a tighter one is safe; a
-// different visiting order is a behaviour change.
-func (s *Service) search(depth, next int) {
-	r := &s.ref
-	nm := r.nm
-	prev := r.cur[depth*nm : (depth+1)*nm]
-	last := r.n - (r.k - depth) // the highest index that leaves room for the remaining picks
-	if depth+1 == r.k {
-		// Final pick: the bound is the placement's own total. Its terms
-		// are non-negative, so a partial sum that reaches the incumbent
-		// already rules the candidate out.
-		for ci := next; ci <= last; ci++ {
-			col := r.wd[ci*nm : (ci+1)*nm]
-			bestVal := r.bestVal
-			var total float64
-			for i := 0; i < len(prev) && total < bestVal; i++ {
-				total += min(prev[i], col[i])
-			}
-			if total < bestVal {
-				s.adopt(provenance.SourceFrontier, total)
-				r.pick[depth] = ci
-				for j, c := range r.pick {
-					r.best[j] = s.cfg.Candidates[c]
-				}
-			}
-		}
-		return
-	}
-	row := r.cur[(depth+1)*nm : (depth+2)*nm]
-	for ci := next; ci <= last; ci++ {
-		col := r.wd[ci*nm : (ci+1)*nm]
-		suf := r.suf[(ci+1)*nm : (ci+2)*nm]
-		var lb float64
-		for i := range row {
-			v := min(prev[i], col[i])
-			row[i] = v
-			lb += min(v, suf[i])
-		}
-		if lb >= r.bestVal {
-			continue // cannot strictly improve: prune
-		}
-		r.pick[depth] = ci
-		s.search(depth+1, ci+1)
-	}
+	s.pushFrontier(s.refLeader, s.refSrc, mean, x.best)
+	s.refSrc = provenance.SourceFrontier
 }
 
 // pushFrontier appends one displaced incumbent to the leader's scored

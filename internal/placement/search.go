@@ -2,42 +2,9 @@ package placement
 
 import (
 	"math"
-	"sync/atomic"
 
 	"github.com/georep/georep/internal/metrics"
-	"github.com/georep/georep/internal/parallel"
 )
-
-// This file implements the exhaustive K-combination search shared by
-// Optimal and OptimalPercentile: the combination tree is sharded by
-// first-candidate index across a worker pool, per-client minimum-delay
-// vectors are maintained incrementally down the recursion (O(clients)
-// per tree node instead of O(clients·K) RTT-oracle calls per leaf), and
-// subtrees are cut with an admissible branch-and-bound lower bound.
-//
-// Determinism: the returned placement is byte-identical to the naive
-// serial enumeration at any parallelism level. Three rules make that
-// hold even though workers share a pruning bound:
-//
-//  1. The bound is admissible — for every client the completion delay is
-//     at least min(current delay, best delay over all still-eligible
-//     candidates), and every objective used here is monotone in the
-//     pointwise delays, so the bound never exceeds the true value of any
-//     completion. Floating-point does not break this: min is exact and
-//     round-to-nearest addition/sorting are monotone, so the bound is
-//     computed through pointwise-≤ inputs in the identical evaluation
-//     order as a real leaf.
-//  2. A subtree is pruned only when its bound is STRICTLY greater than
-//     the shared best value. The final optimum can therefore never be
-//     pruned, not even a tie for it: pruning requires bound > shared ≥
-//     final optimum, while every leaf in the subtree is ≥ bound.
-//  3. Shards are merged in first-index order with a strict '<', which is
-//     exactly the tie-break of in-order serial enumeration: the
-//     lexicographically first combination attaining the optimum wins.
-//
-// The set of nodes *visited* (and hence the visited/pruned counters)
-// does vary with scheduling — a lucky early bound prunes more — but the
-// returned placement does not.
 
 // objectiveFn reduces a per-client closest-replica delay vector to the
 // scalar being minimized. scratch is a caller-owned buffer of the same
@@ -46,170 +13,87 @@ import (
 // must never produce a larger result.
 type objectiveFn func(delays, scratch []float64) float64
 
-// meanObjective mirrors MeanAccessDelay exactly: sum the per-client
-// delays in client order, divide by the client count.
-func meanObjective(delays, _ []float64) float64 {
-	var total float64
-	for _, d := range delays {
-		total += d
-	}
-	return total / float64(len(delays))
-}
-
-// shardResult is one first-index subtree's outcome.
-type shardResult struct {
-	found   bool
-	val     float64
-	combo   []int // indices into in.Candidates
-	visited int64 // leaves evaluated
-	pruned  int64 // leaf combinations skipped by the bound
-}
-
 // searchCombos finds the K-combination of in.Candidates minimizing obj
 // over the per-client closest-replica delay vector, returning candidate
-// node ids. parallelism follows parallel.Options semantics (0 =
-// GOMAXPROCS, 1 = serial). reg, when non-nil, receives
-// placement_search_visited_total / placement_search_pruned_total and the
-// worker-pool counters.
-func searchCombos(in *Instance, parallelism int, reg *metrics.Registry, obj objectiveFn) []int {
-	nCand := len(in.Candidates)
-	nCli := len(in.Clients)
-	k := in.K
+// node ids: the generic enumerator for objectives that are not a sum
+// over clients (additive ones run on exactSearch). It walks the
+// combinations in lexicographic order and adopts only strict
+// improvements, so the first combination attaining the optimum wins,
+// exactly as in a naive enumeration; a subtree is skipped when its bound
+// — obj over each client's better of its delay so far and its best delay
+// to any still-eligible candidate, which monotonicity makes admissible —
+// cannot strictly beat the incumbent. reg, when non-nil, receives
+// placement_search_visited_total / placement_search_pruned_total.
+func searchCombos(in *Instance, reg *metrics.Registry, obj objectiveFn) []int {
+	nCand, nCli, k := len(in.Candidates), len(in.Clients), in.K
 
-	// Memoized delay matrix: dm[ci*nCli+u] is the true RTT from client u
-	// to candidate ci. Built once, in parallel over candidates; the naive
-	// search instead re-queried the oracle at every leaf.
+	// dm[ci*nCli+u] is the true RTT from client u to candidate ci;
+	// sm[s*nCli+u] is client u's best delay over candidates [s, nCand).
 	dm := make([]float64, nCand*nCli)
-	popt := parallel.Options{Workers: parallelism, Metrics: reg}
-	parallel.ForEach(nCand, popt, func(ci int) {
-		row := dm[ci*nCli : (ci+1)*nCli]
-		cand := in.Candidates[ci]
+	for ci, cand := range in.Candidates {
 		for u, cli := range in.Clients {
-			row[u] = in.RTT(cli, cand)
+			dm[ci*nCli+u] = in.RTT(cli, cand)
 		}
-	})
-
-	// Suffix minima: sm[s*nCli+u] is client u's best delay over the
-	// still-eligible candidates [s, nCand). This is the admissible
-	// per-client lower bound on any completion that starts at index s.
+	}
 	sm := make([]float64, (nCand+1)*nCli)
 	for u := 0; u < nCli; u++ {
 		sm[nCand*nCli+u] = math.Inf(1)
 	}
 	for ci := nCand - 1; ci >= 0; ci-- {
-		row := dm[ci*nCli:]
-		next := sm[(ci+1)*nCli:]
-		cur := sm[ci*nCli:]
 		for u := 0; u < nCli; u++ {
-			v := row[u]
-			if next[u] < v {
-				v = next[u]
-			}
-			cur[u] = v
+			sm[ci*nCli+u] = min(dm[ci*nCli+u], sm[(ci+1)*nCli+u])
 		}
 	}
 
-	// Shared upper bound on the optimum, improved as shards find better
-	// placements. Stored as float64 bits for lock-free CAS-min updates.
-	var sharedBits atomic.Uint64
-	sharedBits.Store(math.Float64bits(math.Inf(1)))
-	shrink := func(v float64) {
-		for {
-			old := sharedBits.Load()
-			if math.Float64frombits(old) <= v {
-				return
-			}
-			if sharedBits.CompareAndSwap(old, math.Float64bits(v)) {
-				return
-			}
-		}
+	// vecs row d holds the per-client minimum over the first d picks.
+	vecs := make([]float64, (k+1)*nCli)
+	for u := 0; u < nCli; u++ {
+		vecs[u] = math.Inf(1)
 	}
-
-	numShards := nCand - k + 1
-	results := parallel.Map(numShards, popt, func(i0 int) shardResult {
-		res := shardResult{val: math.Inf(1)}
-		// One min-delay vector per depth; vecs[d] holds the per-client
-		// minimum over combo[0..d]. Copy-down beats recompute: O(nCli)
-		// per node, independent of K.
-		vecs := make([][]float64, k)
-		for d := range vecs {
-			vecs[d] = make([]float64, nCli)
-		}
-		lb := make([]float64, nCli)
-		scratch := make([]float64, nCli)
-		combo := make([]int, k)
-		best := make([]int, k)
-
-		combo[0] = i0
-		copy(vecs[0], dm[i0*nCli:(i0+1)*nCli])
-
-		var visit func(start, depth int)
-		visit = func(start, depth int) {
-			cur := vecs[depth-1]
-			if depth == k {
-				res.visited++
-				if v := obj(cur, scratch); v < res.val {
-					res.val = v
-					copy(best, combo)
-					res.found = true
-					shrink(v)
-				}
-				return
-			}
-			// Subtree bound: the loosest possible completion from the
-			// eligible suffix. Prune only on strict improvement-impossible
-			// (bound > shared best), so ties survive for the in-order
-			// merge below.
-			suffix := sm[start*nCli:]
-			for u := 0; u < nCli; u++ {
-				v := cur[u]
-				if suffix[u] < v {
-					v = suffix[u]
-				}
-				lb[u] = v
-			}
-			if obj(lb, scratch) > math.Float64frombits(sharedBits.Load()) {
-				res.pruned += int64(Binomial(nCand-start, k-depth))
-				return
-			}
-			for i := start; i <= nCand-(k-depth); i++ {
-				next := vecs[depth]
-				row := dm[i*nCli:]
-				for u := 0; u < nCli; u++ {
-					v := cur[u]
-					if row[u] < v {
-						v = row[u]
-					}
-					next[u] = v
-				}
-				combo[depth] = i
-				visit(i+1, depth+1)
-			}
-		}
-		visit(i0+1, 1)
-		res.combo = best
-		return res
-	})
-
-	// Ordered reduction: shard order is first-index order, and within a
-	// shard the DFS is in-order, so a strict '<' reproduces the serial
-	// enumeration's first-wins tie-break exactly.
+	lb := make([]float64, nCli)
+	scratch := make([]float64, nCli)
+	combo := make([]int, k)
+	best := make([]int, k)
+	for i := range best {
+		best[i] = i
+	}
 	bestVal := math.Inf(1)
-	var bestCombo []int
-	var visited, pruned int64
-	for _, r := range results {
-		visited += r.visited
-		pruned += r.pruned
-		if r.found && r.val < bestVal {
-			bestVal = r.val
-			bestCombo = r.combo
+	var visited int64
+
+	var visit func(start, depth int)
+	visit = func(start, depth int) {
+		cur := vecs[depth*nCli : (depth+1)*nCli]
+		if depth == k {
+			visited++
+			if v := obj(cur, scratch); v < bestVal {
+				bestVal = v
+				copy(best, combo)
+			}
+			return
+		}
+		suffix := sm[start*nCli:]
+		for u := range lb {
+			lb[u] = min(cur[u], suffix[u])
+		}
+		if obj(lb, scratch) >= bestVal {
+			return
+		}
+		next := vecs[(depth+1)*nCli : (depth+2)*nCli]
+		for i := start; i <= nCand-(k-depth); i++ {
+			row := dm[i*nCli:]
+			for u := range next {
+				next[u] = min(cur[u], row[u])
+			}
+			combo[depth] = i
+			visit(i+1, depth+1)
 		}
 	}
+	visit(0, 0)
 	reg.Counter("placement_search_visited_total").Add(visited)
-	reg.Counter("placement_search_pruned_total").Add(pruned)
+	reg.Counter("placement_search_pruned_total").Add(int64(Binomial(nCand, k)) - visited)
 
 	out := make([]int, k)
-	for i, ci := range bestCombo {
+	for i, ci := range best {
 		out[i] = in.Candidates[ci]
 	}
 	return out

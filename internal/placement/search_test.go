@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/georep/georep/internal/coord"
@@ -46,7 +47,7 @@ func randomSearchInstance(r *rand.Rand, nodes, numCand, k int) *Instance {
 
 // naiveOptimal is the seed implementation: enumerate every combination
 // and call MeanAccessDelay at each leaf. Kept as the reference the
-// sharded branch-and-bound search must match byte for byte.
+// branch-and-bound search must match byte for byte.
 func naiveOptimal(in *Instance) []int {
 	best := make([]int, in.K)
 	bestDelay := math.Inf(1)
@@ -135,14 +136,12 @@ func TestOptimalPercentileMatchesNaiveEnumeration(t *testing.T) {
 		in := randomSearchInstance(r, 25, 8, 3)
 		for _, p := range []float64{50, 95} {
 			want := naiveOptimalPercentile(t, in, p)
-			for _, par := range []int{1, 8} {
-				got, err := (OptimalPercentile{P: p, Parallelism: par}).Place(nil, in)
-				if err != nil {
-					t.Fatalf("seed %d p %g par %d: %v", seed, p, par, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d p %g par %d: got %v, naive %v", seed, p, par, got, want)
-				}
+			got, err := (OptimalPercentile{P: p}).Place(nil, in)
+			if err != nil {
+				t.Fatalf("seed %d p %g: %v", seed, p, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d p %g: got %v, naive %v", seed, p, got, want)
 			}
 		}
 	}
@@ -156,7 +155,7 @@ func TestSearchAccountsEveryCombination(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	in := randomSearchInstance(r, 40, 12, 4)
 	reg := metrics.NewRegistry()
-	if _, err := (Optimal{Parallelism: 2, Metrics: reg}).Place(nil, in); err != nil {
+	if _, err := (Optimal{Metrics: reg}).Place(nil, in); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
@@ -168,9 +167,6 @@ func TestSearchAccountsEveryCombination(t *testing.T) {
 	}
 	if pruned == 0 {
 		t.Fatalf("expected the lower bound to prune at least one subtree (visited %d)", visited)
-	}
-	if s.Counters["parallel_tasks_total"] == 0 {
-		t.Fatalf("worker-pool task counter not wired")
 	}
 }
 
@@ -207,5 +203,94 @@ func TestSearchObjectiveValuesUnchanged(t *testing.T) {
 	scratch := make([]float64, len(delays))
 	if got := percentileObjective(95)(delays, scratch); got != want {
 		t.Fatalf("percentileObjective = %v, stats.Percentile = %v", got, want)
+	}
+}
+
+// tableInstance is an instance whose RTT oracle reads a client×candidate
+// table: clients are nodes 0..len(rtt)-1, candidates the nodes after.
+func tableInstance(rtt [][]float64, k int) *Instance {
+	nCli, nCand := len(rtt), len(rtt[0])
+	in := &Instance{
+		NumNodes: nCli + nCand,
+		RTT:      func(cli, cand int) float64 { return rtt[cli][cand-nCli] },
+		Coords:   make([]coord.Coordinate, nCli+nCand),
+		K:        k,
+	}
+	for i := 0; i < nCli; i++ {
+		in.Clients = append(in.Clients, i)
+	}
+	for c := 0; c < nCand; c++ {
+		in.Candidates = append(in.Candidates, nCli+c)
+	}
+	return in
+}
+
+// TestOptimalInputContract pins what Optimal.Place does with an oracle
+// it cannot trust — a NaN or negative delay is an error naming the pair,
+// +Inf (an unreachable pair) is data — and the shapes at the edge of the
+// search: every candidate chosen, one replica, one client.
+func TestOptimalInputContract(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name    string
+		rtt     [][]float64 // [client][candidate]
+		k       int
+		wantErr string
+		want    []int // nil: whatever the naive enumeration returns
+	}{
+		{name: "NaN RTT", rtt: [][]float64{{1, 2, 3}, {4, nan, 6}}, k: 2, wantErr: "client 1 to candidate 3 is NaN"},
+		{name: "negative RTT", rtt: [][]float64{{1, 2, -0.5}, {4, 5, 6}}, k: 1, wantErr: "client 0 to candidate 4 is -0.5"},
+		{name: "+Inf accepted", rtt: [][]float64{{inf, 2, 3}, {4, inf, 1}, {inf, inf, 9}}, k: 2},
+		// No finite placement: the naive loop never adopts one (and
+		// reports node 0 twice); the search answers with the first k.
+		{name: "+Inf everywhere", rtt: [][]float64{{inf, inf, inf}, {inf, inf, inf}}, k: 2, want: []int{2, 3}},
+		{name: "k == len(candidates)", rtt: [][]float64{{5, 2, 3}, {4, 9, 1}}, k: 3},
+		{name: "k == 1", rtt: [][]float64{{5, 2, 3}, {4, 9, 1}, {1, 7, 3}}, k: 1},
+		{name: "one client", rtt: [][]float64{{5, 2, 2, 3}}, k: 2},
+	} {
+		in := tableInstance(tc.rtt, tc.k)
+		got, err := (Optimal{}).Place(nil, in)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		want := tc.want
+		if want == nil {
+			want = naiveOptimal(in)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestOptimalComparesTotals pins the one place the search can differ
+// from a comparison of means: two distinct totals whose quotients by the
+// client count round to the same float. The naive enumeration calls that
+// a tie and keeps the first placement; the search keeps the strictly
+// cheaper one.
+func TestOptimalComparesTotals(t *testing.T) {
+	ulp := math.Nextafter(3, 4) - 3
+	dear, cheap := 3+2*ulp, 3+ulp
+	if dear/3 != cheap/3 || !(cheap < dear) {
+		t.Fatalf("fixture broken: totals %v and %v no longer share the mean %v", dear, cheap, dear/3)
+	}
+	// Three clients, two single-replica placements; each total is exact.
+	in := tableInstance([][]float64{{1, 1}, {1, 1}, {dear - 2, cheap - 2}}, 1)
+	got, err := (Optimal{}).Place(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want the strictly cheaper %v", got, want)
+	}
+	if naive := naiveOptimal(in); !reflect.DeepEqual(naive, []int{3}) {
+		t.Fatalf("naive enumeration picked %v: the means no longer tie", naive)
 	}
 }

@@ -115,7 +115,7 @@ func (c ServiceConfig) Validate() error {
 		return fmt.Errorf("placement: no candidate data centers")
 	}
 	// The signature and refine kernels index Coords by candidate id and
-	// assume finite, non-negative delays (see refineScratch), so a bad
+	// assume finite, non-negative delays (see exactSearch), so a bad
 	// candidate is rejected here rather than met in the hot path.
 	seen := make(map[int]bool, len(c.Candidates))
 	for i, cand := range c.Candidates {
@@ -209,7 +209,13 @@ type Service struct {
 	candIdx   map[int]int
 	kmScratch cluster.KMeansScratch
 	bounds    *boundCache
-	ref       refineScratch
+	ref       exactSearch
+	// Refine provenance: the incumbent's source, the total weight that
+	// turns a weighted total into a mean delay, and the leader whose
+	// frontier collects displaced incumbents.
+	refSrc    provenance.Source
+	refMass   float64
+	refLeader *Object
 	rng       *rand.Rand // reseeded per group solve
 
 	stats EpochStats
@@ -272,6 +278,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	if cfg.Refine {
 		s.bounds = newBoundCache()
+		if cfg.Object.Provenance {
+			s.ref.displaced = s.displacedIncumbent
+		}
 	}
 	if r := cfg.Object.Metrics; r != nil {
 		s.met = serviceMetrics{

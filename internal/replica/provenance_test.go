@@ -144,6 +144,9 @@ func TestProvenanceOffDisablesCapture(t *testing.T) {
 // has warmed up, an epoch with provenance capture on allocates no more
 // than the identical epoch with capture off.
 func TestProvenanceSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
 	epochAllocs := func(prov bool) float64 {
 		cfg := Config{K: 2, M: 6, Dims: 2}
 		if prov {

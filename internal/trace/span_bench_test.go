@@ -11,7 +11,7 @@ import (
 // epoch-shaped span tree (root + three collects + kmeans + decide,
 // with the attrs the manager actually sets) minted and recorded into a
 // FlightRecorder at steady-state retention. This is the absolute cost
-// scripts/bench_trace.sh measures relative to a full manager epoch.
+// scripts/bench_overhead.sh trace measures relative to a full manager epoch.
 func BenchmarkEpochSpanTree(b *testing.B) {
 	rec := trace.NewFlightRecorder(trace.DefaultRecent, trace.DefaultAnomalous)
 	tr := trace.New(rec, "coord")

@@ -153,20 +153,31 @@ type Manager struct {
 	actualMeanMs  *metrics.Gauge
 }
 
-// NewManager creates a manager on the deployment.
-func (d *Deployment) NewManager(cfg ManagerConfig) (*Manager, error) {
-	m := cfg.MicroClusters
+// summaryShape resolves what every manager constructor takes from the
+// deployment before it builds its replica.Config: the per-replica
+// summary budget m (default 10), the coordinate dimensionality, and that
+// every candidate is a node of the deployment.
+func (d *Deployment) summaryShape(cfg *ManagerConfig) (m, dims int, err error) {
+	m = cfg.MicroClusters
 	if m <= 0 {
 		m = 10
 	}
-	dims := 0
 	if d.matrix.N() > 0 {
 		dims = d.coords[0].Pos.Dim()
 	}
 	for _, c := range cfg.Candidates {
 		if c < 0 || c >= d.matrix.N() {
-			return nil, fmt.Errorf("georep: candidate %d out of range", c)
+			return 0, 0, fmt.Errorf("georep: candidate %d out of range", c)
 		}
+	}
+	return m, dims, nil
+}
+
+// NewManager creates a manager on the deployment.
+func (d *Deployment) NewManager(cfg ManagerConfig) (*Manager, error) {
+	m, dims, err := d.summaryShape(&cfg)
+	if err != nil {
+		return nil, err
 	}
 	leaderPolicy, err := replog.ParseLeaderPolicy(cfg.LeaderPolicy)
 	if err != nil {
@@ -384,10 +395,10 @@ type ManagerSnapshot struct {
 	Epochs     []EpochTrace
 }
 
-// Snapshot captures the manager's metrics and recent epoch traces. It is
-// safe to call concurrently with accesses and epoch ticks.
-func (m *Manager) Snapshot() ManagerSnapshot {
-	s := m.reg.Snapshot()
+// snapshotOf converts a registry's current state into the public
+// snapshot shape (no epoch traces).
+func snapshotOf(reg *metrics.Registry) ManagerSnapshot {
+	s := reg.Snapshot()
 	out := ManagerSnapshot{
 		Counters:   s.Counters,
 		Gauges:     s.Gauges,
@@ -399,6 +410,13 @@ func (m *Manager) Snapshot() ManagerSnapshot {
 			P50: h.P50, P95: h.P95, P99: h.P99,
 		}
 	}
+	return out
+}
+
+// Snapshot captures the manager's metrics and recent epoch traces. It is
+// safe to call concurrently with accesses and epoch ticks.
+func (m *Manager) Snapshot() ManagerSnapshot {
+	out := snapshotOf(m.reg)
 	for _, e := range m.ring.Snapshot() {
 		out.Epochs = append(out.Epochs, EpochTrace{
 			Epoch:            e.Epoch,

@@ -73,18 +73,9 @@ type ManagedObject struct {
 // NewMultiObject builds a multi-object placement service on the
 // deployment.
 func (d *Deployment) NewMultiObject(cfg MultiObjectConfig) (*MultiObject, error) {
-	m := cfg.Object.MicroClusters
-	if m <= 0 {
-		m = 10
-	}
-	dims := 0
-	if d.matrix.N() > 0 {
-		dims = d.coords[0].Pos.Dim()
-	}
-	for _, c := range cfg.Object.Candidates {
-		if c < 0 || c >= d.matrix.N() {
-			return nil, fmt.Errorf("georep: candidate %d out of range", c)
-		}
+	m, dims, err := d.summaryShape(&cfg.Object)
+	if err != nil {
+		return nil, err
 	}
 	reg := metrics.NewRegistry()
 	svc, err := placement.NewService(placement.ServiceConfig{
@@ -220,17 +211,5 @@ func (mo *MultiObject) EndEpoch() (MultiEpochReport, error) {
 // manager metrics aggregate across the fleet; placement_* gauges and
 // counters describe the service's amortization and capacity activity).
 func (mo *MultiObject) Snapshot() ManagerSnapshot {
-	s := mo.reg.Snapshot()
-	out := ManagerSnapshot{
-		Counters:   s.Counters,
-		Gauges:     s.Gauges,
-		Histograms: make(map[string]HistogramStats, len(s.Histograms)),
-	}
-	for name, h := range s.Histograms {
-		out.Histograms[name] = HistogramStats{
-			Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
-			P50: h.P50, P95: h.P95, P99: h.P99,
-		}
-	}
-	return out
+	return snapshotOf(mo.reg)
 }

@@ -76,18 +76,9 @@ type GroupSet struct {
 // configuration. InitialReplicas in cfg is ignored: every group starts
 // at the first K candidates and migrates from there.
 func (d *Deployment) NewGroupSet(cfg ManagerConfig) (*GroupSet, error) {
-	m := cfg.MicroClusters
-	if m <= 0 {
-		m = 10
-	}
-	dims := 0
-	if d.matrix.N() > 0 {
-		dims = d.coords[0].Pos.Dim()
-	}
-	for _, c := range cfg.Candidates {
-		if c < 0 || c >= d.matrix.N() {
-			return nil, fmt.Errorf("georep: candidate %d out of range", c)
-		}
+	m, dims, err := d.summaryShape(&cfg)
+	if err != nil {
+		return nil, err
 	}
 	rcfg := replica.Config{
 		K:    cfg.K,

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Prints the benchmark trajectory: one row per committed BENCH_*.json,
 # with each subsystem's headline figure (gate overheads, the scale-out
-# flatness factor, the multi-object amortization ratio, the parallel
-# speedup over the frozen serial seed). The committed JSONs are the
-# repo's performance record — this report puts the whole trajectory in
-# one table in the CI logs so a regression in any gated number is
-# visible next to its neighbours, not just in its own job.
+# flatness factor, the multi-object amortization ratio). The committed
+# JSONs are the repo's performance record — this report puts the whole
+# trajectory in one table in the CI logs so a regression in any gated
+# number is visible next to its neighbours, not just in its own job.
 #
-# Reads only the committed files; run the individual scripts/bench_*.sh
-# to refresh them. awk-only on purpose: no jq dependency.
+# Reads only the committed files; run scripts/bench_overhead.sh <name>
+# and the other scripts/bench_*.sh to refresh them. awk-only on purpose:
+# no jq dependency.
 #
 # Usage: scripts/bench_report.sh
 set -euo pipefail
@@ -47,14 +47,6 @@ for f in "${files[@]}"; do
   /"ingest_ns_per_access"/ { ingest1m = val($0, "1000000") }
   /"amortization_factor"/ { amort = val($0, "amortization_factor"); has_amort = 1 }
   /"group_dispatch"/      { disp = val($0, "ns_per_object") }
-  # Parallel report: track which section we are in and keep the k=4
-  # exhaustive-search figure from each, the heaviest solve in the repo.
-  /"baseline"/            { section = "base" }
-  /"current"/             { section = "cur" }
-  /BenchmarkOptimalSearch\/k=4/ {
-    if (section == "base") base_k4 = val($0, "ns_per_op")
-    else if (section == "cur" && !cur_k4) cur_k4 = val($0, "ns_per_op")
-  }
   END {
     if (has_ov) {
       printf "%-18s %-36s %s\n", name, sprintf("overhead %+.2f%%", overhead),
@@ -65,9 +57,6 @@ for f in "${files[@]}"; do
     } else if (has_amort) {
       printf "%-18s %-36s %s\n", name, sprintf("amortization %.0fx vs per-object solve", amort),
         sprintf("%.2f ns/object group dispatch", disp)
-    } else if (base_k4 && cur_k4) {
-      printf "%-18s %-36s %s\n", name, sprintf("OptimalSearch k=4 %.2fx vs serial seed", base_k4 / cur_k4),
-        sprintf("%d -> %d ns/op (seed -> current)", base_k4, cur_k4)
     } else {
       printf "%-18s %-36s %s\n", name, "(no recognized headline metric)", ""
     }
