@@ -288,19 +288,8 @@ func BenchmarkMicroClusterObserve(b *testing.B) {
 }
 
 // BenchmarkWeightedKMeans measures the coordinator's macro-clustering
-// step over k·m pseudo-points (§III-C) on the serial path.
+// step over k·m pseudo-points (§III-C).
 func BenchmarkWeightedKMeans(b *testing.B) {
-	benchWeightedKMeans(b, 1)
-}
-
-// BenchmarkWeightedKMeansParallel runs the same clustering with the
-// assignment step spread over all cores; centroids are identical, only
-// wall-clock differs.
-func BenchmarkWeightedKMeansParallel(b *testing.B) {
-	benchWeightedKMeans(b, 0)
-}
-
-func benchWeightedKMeans(b *testing.B, parallelism int) {
 	for _, n := range []int{30, 300, 3000} {
 		b.Run(benchName("points", n), func(b *testing.B) {
 			r := rand.New(rand.NewSource(1))
@@ -313,7 +302,7 @@ func benchWeightedKMeans(b *testing.B, parallelism int) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := cluster.WeightedKMeansOpt(rand.New(rand.NewSource(2)), pts, ws, 3,
-					cluster.Options{Parallelism: parallelism}); err != nil {
+					cluster.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

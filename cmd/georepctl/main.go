@@ -115,7 +115,6 @@ func run(args []string) error {
 		decayFactor = fs.Float64("factor", 0.5, "summary aging factor for decay")
 		minGain     = fs.Float64("min-gain", 0.05, "minimum relative estimated gain to apply a rebalance")
 		apply       = fs.Bool("apply", false, "execute the rebalance instead of printing the plan")
-		parallelism = fs.Int("parallelism", 0, "worker goroutines for rebalance clustering (0 = all cores, 1 = serial; same plan either way)")
 		timeout     = fs.Duration("timeout", 3*time.Second, "dial timeout per node")
 		callTimeout = fs.Duration("call-timeout", 0, "per-RPC deadline (0 = transport default)")
 		retries     = fs.Int("retries", 0, "max attempts per idempotent RPC with exponential backoff (0 = no retries)")
@@ -177,7 +176,6 @@ func run(args []string) error {
 			Seed:             *auditSeed,
 			WhatIfK:          *whatIfK,
 			MaxOptimalLeaves: *maxLeaves,
-			Parallelism:      *parallelism,
 		}, *traceFmt, *whyFlag)
 	case "explain":
 		// Local when a ledger directory is given; otherwise the fleet's
@@ -239,7 +237,7 @@ func run(args []string) error {
 		if *obj == "" {
 			return fmt.Errorf("rebalance needs -obj")
 		}
-		return fleet.rebalance(*obj, *k, *minGain, *apply, *parallelism, *traceOut)
+		return fleet.rebalance(*obj, *k, *minGain, *apply, *traceOut)
 	case "decay":
 		if *decayFactor <= 0 || *decayFactor > 1 {
 			return fmt.Errorf("decay needs -factor in (0,1]")
@@ -721,7 +719,7 @@ func (f *fleet) holders(obj string) ([]*member, error) {
 	return out, nil
 }
 
-func (f *fleet) rebalance(obj string, k int, minGain float64, apply bool, parallelism int, traceOut string) error {
+func (f *fleet) rebalance(obj string, k int, minGain float64, apply bool, traceOut string) error {
 	if k <= 0 || k > len(f.members) {
 		return fmt.Errorf("k=%d out of [1,%d]", k, len(f.members))
 	}
@@ -809,8 +807,8 @@ func (f *fleet) rebalance(obj string, k int, minGain float64, apply bool, parall
 
 	ksp := f.tracer.Start(root.Context(), "kmeans", trace.KindKMeans)
 	ksp.SetAttr("micros", strconv.Itoa(len(micros)))
-	proposed, err := replica.ProposePlacementOpt(rand.New(rand.NewSource(time.Now().UnixNano())),
-		micros, k, candidates, coords, cluster.Options{Parallelism: parallelism})
+	proposed, err := replica.ProposePlacement(rand.New(rand.NewSource(time.Now().UnixNano())),
+		micros, k, candidates, coords)
 	if err != nil {
 		ksp.SetErr(err)
 		ksp.End()

@@ -10,10 +10,10 @@
 // within-cluster standard deviation, the summary's resolution).
 //
 // Everything is deterministic: the k-means baseline reseeds per epoch
-// from Config.Seed and reduces in index order at any parallelism, and
-// the optimal search is placement.ExactSubset (serial, lexicographic,
-// strict-improvement adoption), so auditing the same ledger twice yields
-// byte-equal reports.
+// from Config.Seed and sums in index order, and the optimal search is
+// placement.ExactSubset (serial, lexicographic, strict-improvement
+// adoption), so auditing the same ledger twice yields byte-equal
+// reports.
 package audit
 
 import (
@@ -49,9 +49,8 @@ type Config struct {
 	// baseline and all other series are still computed. Negative disables
 	// the optimal baseline entirely.
 	MaxOptimalLeaves int
-	// Parallelism caps the k-means baseline's assignment workers (0 =
-	// GOMAXPROCS); the optimal search is serial. Results are identical
-	// at any setting.
+	// Parallelism is ignored: both baselines are serial. The field
+	// remains because the frozen bench/probe/epoch.go sets it.
 	Parallelism int
 	// Metrics, when non-nil, receives the audit_* counters.
 	Metrics *metrics.Registry
@@ -393,7 +392,7 @@ func (a *auditor) auditOne(rec *ledger.Record) (EpochAudit, bool, error) {
 	// coordinator ran, reseeded deterministically per epoch.
 	rng := rand.New(rand.NewSource(a.cfg.Seed + int64(rec.Epoch)*7919))
 	kmReps, err := replica.ProposePlacementOpt(rng, rec.Micros, k, rec.Candidates, coords,
-		cluster.Options{Parallelism: a.cfg.Parallelism, Metrics: a.cfg.Metrics})
+		cluster.Options{Metrics: a.cfg.Metrics})
 	if err != nil {
 		return EpochAudit{}, false, fmt.Errorf("audit: epoch %d k-means baseline: %w", rec.Epoch, err)
 	}

@@ -106,6 +106,8 @@ func TestRunRegretInvariants(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicAcrossParallelism: equal seeds give equal reports,
+// and the kept Config.Parallelism field really is ignored.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	recs := testWorld(t, 6, 9, 3)
 	var reports []*Report
@@ -117,14 +119,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 		reports = append(reports, rep)
 	}
 	if !reflect.DeepEqual(reports[0], reports[1]) {
-		t.Fatal("audit differs across parallelism levels")
-	}
-	rep2, err := Run(recs, Config{Seed: 11, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reports[0], rep2) {
-		t.Fatal("audit differs across identical runs")
+		t.Fatal("audit differs across runs with one seed")
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"github.com/georep/georep/internal/metrics"
-	"github.com/georep/georep/internal/parallel"
 	"github.com/georep/georep/internal/vec"
 )
 
@@ -31,13 +29,11 @@ const defaultKMeansIters = 100
 type Options struct {
 	// MaxIter bounds Lloyd iterations; zero means defaultKMeansIters.
 	MaxIter int
-	// Parallelism caps worker goroutines for the assignment step: 0
-	// means GOMAXPROCS, 1 forces the serial path. Results are identical
-	// at any setting — each point's assignment is independent, and the
-	// centroid accumulation always runs serially in point order.
+	// Parallelism is ignored: the run is serial. The field remains
+	// because the frozen bench/probe/epoch.go sets it.
 	Parallelism int
 	// Metrics, when non-nil, receives cluster_kmeans_runs_total and
-	// cluster_kmeans_iterations_total plus worker-pool accounting.
+	// cluster_kmeans_iterations_total, once per run.
 	Metrics *metrics.Registry
 	// Scratch, when non-nil, supplies the run's working memory so a
 	// caller solving every epoch reuses one set of buffers instead of
@@ -100,11 +96,6 @@ func (s *KMeansScratch) assignFor(n int) []int {
 	return s.assign[:n]
 }
 
-// assignGrain is the minimum number of points a parallel assignment
-// chunk is worth; below it, per-chunk bookkeeping costs more than the
-// distance computations it spreads.
-const assignGrain = 64
-
 // WeightedKMeans clusters points into k groups minimizing the weighted
 // within-cluster sum of squared distances, using k-means++ seeding and
 // Lloyd iterations. This is Algorithm 1's macro-clustering step: each
@@ -117,13 +108,13 @@ func WeightedKMeans(r *rand.Rand, points []vec.Vec, weights []float64, k, maxIte
 	return WeightedKMeansOpt(r, points, weights, k, Options{MaxIter: maxIter})
 }
 
-// WeightedKMeansOpt is WeightedKMeans with explicit parallelism and
-// metrics plumbing. The Lloyd loop parallelizes the O(points·k)
-// assignment step in chunks, keeps centroids in one contiguous block for
-// cache locality, and reuses the accumulation buffers across iterations;
-// the weighted-mean reduction itself stays serial in point order, so
-// results are bit-identical to the serial implementation at any
-// parallelism level.
+// WeightedKMeansOpt is WeightedKMeans with metrics, scratch and
+// warm-start plumbing. The Lloyd loop is serial — the coordinator's
+// input is k·m micro-clusters, tens of points, where a fork-join costs
+// more than the distances it spreads — keeps centroids in one contiguous
+// block for cache locality, and reuses the accumulation buffers across
+// iterations. Float additions happen in point order, which is part of
+// the determinism contract.
 func WeightedKMeansOpt(r *rand.Rand, points []vec.Vec, weights []float64, k int, opt Options) (*KMeansResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("cluster: k must be positive, got %d", k)
@@ -197,48 +188,18 @@ func WeightedKMeansOpt(r *rand.Rand, points []vec.Vec, weights []float64, k int,
 	for i := range assign {
 		assign[i] = -1
 	}
-	popt := parallel.Options{Workers: opt.Parallelism, Metrics: opt.Metrics}
-
-	// Assignment: each point independently picks its nearest centroid, so
-	// chunking across workers cannot change any result — ties break on
-	// the lowest centroid index either way. Spans and the chunk closure
-	// are hoisted so iterations allocate nothing.
-	var changed atomic.Bool
-	spans := parallel.Chunks(len(points), opt.Parallelism, assignGrain)
-	assignChunk := func(ci int) {
-		chunkChanged := false
-		for i := spans[ci].Lo; i < spans[ci].Hi; i++ {
-			p := points[i]
-			best, bestD2 := 0, math.Inf(1)
-			for c, cent := range centroids {
-				if d2 := p.Dist2(cent); d2 < bestD2 {
-					best, bestD2 = c, d2
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				chunkChanged = true
-			}
-		}
-		if chunkChanged {
-			changed.Store(true)
-		}
-	}
 
 	res := &KMeansResult{}
 	for iter := 0; iter < maxIter; iter++ {
 		res.Iterations = iter + 1
-		changed.Store(false)
-		parallel.ForEach(len(spans), popt, assignChunk)
-		if !changed.Load() {
+		if !assignNearest(points, centroids, assign) {
 			// No point moved: the previous iteration's centroids are
 			// already the weighted means of these members.
 			break
 		}
 
-		// Recompute centroids as weighted means of their members. This
-		// reduction stays serial in point order on purpose: float addition
-		// order is part of the determinism contract.
+		// Recompute centroids as weighted means of their members, summed
+		// in point order.
 		for c := range sums {
 			for d := range sums[c] {
 				sums[c][d] = 0
@@ -314,6 +275,25 @@ func WeightedKMeansOpt(r *rand.Rand, points []vec.Vec, weights []float64, k int,
 		res.Weights[assign[i]] += weights[i]
 	}
 	return res, nil
+}
+
+// assignNearest is the Lloyd assignment step: each point picks its
+// nearest centroid, ties going to the lowest centroid index. It reports
+// whether any assignment changed.
+func assignNearest(points, centroids []vec.Vec, assign []int) (changed bool) {
+	for i, p := range points {
+		best, bestD2 := 0, math.Inf(1)
+		for c, cent := range centroids {
+			if d2 := p.Dist2(cent); d2 < bestD2 {
+				best, bestD2 = c, d2
+			}
+		}
+		if assign[i] != best {
+			assign[i] = best
+			changed = true
+		}
+	}
+	return changed
 }
 
 // warmOK reports whether warm centroids can seed a (k, dims) run.
@@ -435,7 +415,7 @@ func MacroCluster(r *rand.Rand, micros []Micro, k int) (*KMeansResult, error) {
 	return MacroClusterOpt(r, micros, k, Options{})
 }
 
-// MacroClusterOpt is MacroCluster with explicit parallelism/metrics
+// MacroClusterOpt is MacroCluster with explicit metrics/scratch
 // plumbing for coordinators that run many rebalance cycles.
 func MacroClusterOpt(r *rand.Rand, micros []Micro, k int, opt Options) (*KMeansResult, error) {
 	if len(micros) == 0 {

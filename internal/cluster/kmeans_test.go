@@ -371,7 +371,7 @@ func sameClustering(t *testing.T, label string, got, want *KMeansResult) {
 // TestWeightedKMeansMatchesReference checks that the buffer-reusing,
 // flat-block, early-exit Lloyd loop returns byte-identical centroids,
 // assignments, and weights to the seed implementation across many
-// random inputs and at several parallelism levels.
+// random inputs.
 func TestWeightedKMeansMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -384,15 +384,13 @@ func TestWeightedKMeansMatchesReference(t *testing.T) {
 			ws[i] = float64(r.Intn(4)) // zeros included, and plenty of ties
 		}
 		want := referenceWeightedKMeans(rand.New(rand.NewSource(seed*37)), pts, ws, k, 0)
-		for _, par := range []int{1, 4} {
-			got, err := WeightedKMeansOpt(rand.New(rand.NewSource(seed*37)), pts, ws, k, Options{Parallelism: par})
-			if err != nil {
-				t.Fatalf("seed %d par %d: %v", seed, par, err)
-			}
-			sameClustering(t, "seed "+string(rune('0'+seed))+" clustering", got, want)
-			if got.Iterations > want.Iterations {
-				t.Fatalf("seed %d par %d: %d iterations, reference took %d", seed, par, got.Iterations, want.Iterations)
-			}
+		got, err := WeightedKMeansOpt(rand.New(rand.NewSource(seed*37)), pts, ws, k, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		sameClustering(t, "seed "+string(rune('0'+seed))+" clustering", got, want)
+		if got.Iterations > want.Iterations {
+			t.Fatalf("seed %d: %d iterations, reference took %d", seed, got.Iterations, want.Iterations)
 		}
 	}
 }
@@ -433,7 +431,7 @@ func TestWeightedKMeansLloydLoopDoesNotAllocate(t *testing.T) {
 		ws[i] = r.Float64() * 10
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := WeightedKMeansOpt(rand.New(rand.NewSource(3)), pts, ws, 3, Options{Parallelism: 1}); err != nil {
+		if _, err := WeightedKMeansOpt(rand.New(rand.NewSource(3)), pts, ws, 3, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -442,5 +440,25 @@ func TestWeightedKMeansLloydLoopDoesNotAllocate(t *testing.T) {
 	// Lloyd iteration on top (200+ for this input).
 	if allocs > 40 {
 		t.Fatalf("WeightedKMeansOpt allocates %.0f times per run, want <= 40", allocs)
+	}
+
+	// The coordinator's steady state — a Scratch and a warm start —
+	// allocates the returned result struct and nothing else.
+	var sc KMeansScratch
+	first, err := WeightedKMeansOpt(rand.New(rand.NewSource(3)), pts, ws, 3, Options{Scratch: &sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := make([]vec.Vec, len(first.Centroids))
+	for i, c := range first.Centroids {
+		warm[i] = c.Clone()
+	}
+	steady := testing.AllocsPerRun(5, func() {
+		if _, err := WeightedKMeansOpt(nil, pts, ws, 3, Options{Scratch: &sc, Warm: warm}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if steady > 1 {
+		t.Fatalf("warm run on a scratch allocates %.0f times, want <= 1", steady)
 	}
 }

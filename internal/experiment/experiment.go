@@ -20,14 +20,6 @@ import (
 	"github.com/georep/georep/internal/stats"
 )
 
-// Parallelism caps the worker goroutines used for world building and
-// (world × strategy) cell evaluation: 0 means GOMAXPROCS, 1 forces
-// serial execution. Every cell draws its randomness from an RNG derived
-// from the world seed and the strategy index — never from shared state —
-// and all floating-point reductions run in world order, so figures are
-// byte-identical at any parallelism level and any GOMAXPROCS.
-var Parallelism = 0
-
 // SetupConfig describes how each seed's world is built.
 type SetupConfig struct {
 	// Nodes is the testbed size; the paper uses 226 PlanetLab nodes.
@@ -95,7 +87,7 @@ func BuildWorlds(runs int, cfg SetupConfig) ([]*World, error) {
 	}
 	worlds := make([]*World, runs)
 	errs := make([]error, runs)
-	parallel.ForEach(runs, parallel.Options{Workers: Parallelism}, func(i int) {
+	parallel.ForEach(runs, nil, func(i int) {
 		worlds[i], errs[i] = BuildWorld(int64(i+1), cfg)
 	})
 	for _, err := range errs {
@@ -169,13 +161,11 @@ func RunCellObserved(worlds []*World, numDCs, k int, strategies []placement.Stra
 	if len(strategies) == 0 {
 		return nil, fmt.Errorf("experiment: no strategies")
 	}
-	popt := parallel.Options{Workers: Parallelism, Metrics: reg}
-
 	// Derive each world's placement instance. The candidate split depends
 	// only on the world seed and numDCs, never on evaluation order.
 	ins := make([]*placement.Instance, len(worlds))
 	errs := make([]error, len(worlds))
-	parallel.ForEach(len(worlds), popt, func(wi int) {
+	parallel.ForEach(len(worlds), reg, func(wi int) {
 		w := worlds[wi]
 		ins[wi], errs[wi] = w.Instance(rand.New(rand.NewSource(w.Seed*1000+int64(numDCs))), numDCs, k)
 	})
@@ -191,7 +181,7 @@ func RunCellObserved(worlds []*World, numDCs, k int, strategies []placement.Stra
 	nS := len(strategies)
 	grid := make([]float64, len(worlds)*nS)
 	cellErrs := make([]error, len(worlds)*nS)
-	parallel.ForEach(len(grid), popt, func(t int) {
+	parallel.ForEach(len(grid), reg, func(t int) {
 		wi, si := t/nS, t%nS
 		s := instrumented(strategies[si], reg)
 		r := rand.New(rand.NewSource(worlds[wi].Seed*7919 + int64(si)))
@@ -212,7 +202,7 @@ func RunCellObserved(worlds []*World, numDCs, k int, strategies []placement.Stra
 	}
 
 	// Reduce in world order — the same float summation order as the
-	// serial loop, so cell means are byte-identical at any parallelism.
+	// serial loop, so cell means are byte-identical at any GOMAXPROCS.
 	delays := make(map[string][]float64, nS)
 	for wi := range worlds {
 		for si, s := range strategies {

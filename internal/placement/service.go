@@ -611,10 +611,9 @@ func (s *Service) solveGroups() error {
 		proposed, res, err := replica.ProposePlacementResult(
 			r, leader.pending.Micros(), k, s.cfg.Candidates, s.cfg.Coords,
 			cluster.Options{
-				Parallelism: s.cfg.Object.Parallelism,
-				Metrics:     s.cfg.Object.Metrics,
-				Scratch:     &s.kmScratch,
-				Warm:        warm,
+				Metrics: s.cfg.Object.Metrics,
+				Scratch: &s.kmScratch,
+				Warm:    warm,
 			})
 		if err != nil {
 			return fmt.Errorf("placement: group leader %q: %w", leader.ID, err)

@@ -49,10 +49,6 @@ type Config struct {
 	// summaries with staleness decay for the estimate — but the decision
 	// is marked degraded and no placement change is committed.
 	Quorum float64
-	// Parallelism caps the worker goroutines of the epoch-end
-	// macro-clustering (0 = GOMAXPROCS, 1 = serial). Decisions are
-	// identical at any setting.
-	Parallelism int
 	// Metrics, when non-nil, receives the manager's runtime counters and
 	// histograms (see the Observability section of README.md for the
 	// metric names). A nil registry disables instrumentation at the cost
@@ -717,7 +713,7 @@ func (m *Manager) CompleteEpoch(r *rand.Rand, p *PendingEpoch, ov *EpochOverride
 		km := m.cfg.Tracer.Start(root.Context(), "kmeans", trace.KindKMeans)
 		km.SetAttr("micros", strconv.Itoa(len(micros)))
 		proposed, err = ProposePlacementOpt(r, micros, m.k, m.candidates, m.coords,
-			cluster.Options{Parallelism: m.cfg.Parallelism, Metrics: m.cfg.Metrics, Scratch: &m.kmScratch})
+			cluster.Options{Metrics: m.cfg.Metrics, Scratch: &m.kmScratch})
 		km.SetErr(err)
 		km.End()
 		if err != nil {

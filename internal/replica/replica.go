@@ -368,9 +368,7 @@ func ProposePlacement(r *rand.Rand, micros []cluster.Micro, k int, candidates []
 }
 
 // ProposePlacementOpt is ProposePlacement with explicit k-means options:
-// parallelism for the macro-clustering assignment step and a metrics
-// registry for iteration counters. The proposal is identical at any
-// parallelism level.
+// a metrics registry for iteration counters, scratch, warm start.
 func ProposePlacementOpt(r *rand.Rand, micros []cluster.Micro, k int, candidates []int, coords []coord.Coordinate, opt cluster.Options) ([]int, error) {
 	out, _, err := ProposePlacementResult(r, micros, k, candidates, coords, opt)
 	return out, err

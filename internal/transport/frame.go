@@ -28,9 +28,13 @@ const (
 	frameHead    = 1 + 4 + 8
 	maxFrame     = 1 << 30  // n above this is refused, as gob refuses it
 	readChunk    = 64 << 10 // memory a frame gets ahead of its bytes arriving
+	// maxFrameStr is what a string's one length byte can say; the client
+	// applies it to gob calls too (CallContext), so both framings refuse
+	// the same calls.
+	maxFrameStr = 255
 	// headroom is the largest head. A payload is appended behind this much
 	// room and the head written backwards from it: one buffer, one Write.
-	headroom = frameHead + 4*(1+255)
+	headroom = frameHead + 4*(1+maxFrameStr)
 )
 
 var (
@@ -60,7 +64,7 @@ func newWire(conn net.Conn) *wire {
 func (w *wire) writeFrame(buf []byte, marker byte, id uint64, strs [4]string) error {
 	n := len(buf) - headroom
 	for _, s := range strs {
-		if len(s) > 255 {
+		if len(s) > maxFrameStr {
 			return errFrameSize
 		}
 		n += 1 + len(s)

@@ -2,12 +2,17 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"net"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/georep/georep/internal/metrics"
+	"github.com/georep/georep/internal/trace"
 )
 
 // memConn is the byte stream under a wire in the codec tests: what is
@@ -151,6 +156,49 @@ func TestFrameEncodeRejects(t *testing.T) {
 			t.Errorf("a 256-byte response %s encoded: %d bytes, %v", name, len(b), err)
 		}
 	}
+}
+
+// TestIDLimitSameOnBothFramings: a method or trace id over 255 bytes is
+// refused with errFrameSize on a connection's first (gob) call exactly as
+// on a later framed one, before anything is sent, and the connection
+// stays usable; 255 bytes pass on both.
+func TestIDLimitSameOnBothFramings(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv := startEchoServer(t, WithMetrics(reg))
+	_, tr := testTracer("cli")
+	c, err := Dial(srv.Addr().String(), time.Second, WithCallTimeout(time.Second), WithClientTracer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tracedWith := func(n int) context.Context {
+		return trace.NewContext(context.Background(), trace.SpanContext{TraceID: strings.Repeat("a", n), SpanID: "01"})
+	}
+	refused := func(when string) {
+		t.Helper()
+		if _, err := c.Call(strings.Repeat("m", 256), "x", nil); !errors.Is(err, errFrameSize) {
+			t.Fatalf("%s: 256-byte method = %v, want errFrameSize", when, err)
+		}
+		if _, err := c.CallContext(tracedWith(256), "echo", "x", nil); !errors.Is(err, errFrameSize) {
+			t.Fatalf("%s: 256-byte trace id = %v, want errFrameSize", when, err)
+		}
+	}
+
+	refused("fresh connection")
+	wantFraming(t, reg, 0, 0, "refused calls")
+	var out string
+	if _, err := c.CallContext(tracedWith(255), "echo", "first", &out); err != nil || out != "first" {
+		t.Fatalf("255-byte trace id in gob: %q, %v", out, err)
+	}
+	wantFraming(t, reg, 0, 1, "first exchange")
+	if !c.w.framed {
+		t.Fatal("the connection did not switch to frames")
+	}
+	refused("framed connection")
+	if _, err := c.CallContext(tracedWith(255), "echo", "second", &out); err != nil || out != "second" {
+		t.Fatalf("255-byte trace id in a frame: %q, %v", out, err)
+	}
+	wantFraming(t, reg, 1, 1, "the refusals broke no connection")
 }
 
 // TestFrameRejectsMalformed: every proper prefix of a frame, a wrong

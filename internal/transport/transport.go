@@ -607,6 +607,16 @@ func (c *Client) Call(method string, req, resp any) (time.Duration, error) {
 // deadlines already bound every call (see WithCallTimeout).
 func (c *Client) CallContext(ctx context.Context, method string, req, resp any) (time.Duration, error) {
 	c.met.calls.Inc()
+	// The frame's length-byte rule, applied before a framing is chosen so
+	// that a connection's first (gob) call refuses what its later framed
+	// calls would. Method and the caller's trace id are the two strings
+	// that come from outside; span ids are the tracer's own.
+	parent := trace.FromContext(ctx)
+	traced := c.tracer != nil && parent.Valid()
+	if len(method) > maxFrameStr || traced && len(parent.TraceID) > maxFrameStr {
+		c.met.errors.Inc()
+		return 0, fmt.Errorf("transport: call to %s: %w", c.addr, errFrameSize)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	encStart := time.Now()
@@ -634,7 +644,7 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 
 	// Span names are built only for a call that is traced.
 	var span, att *trace.ActiveSpan
-	if parent := trace.FromContext(ctx); c.tracer != nil && parent.Valid() {
+	if traced {
 		span = c.tracer.Start(parent, "rpc."+method, trace.KindClient)
 	}
 	span.SetAttr("target", c.addr)

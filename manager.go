@@ -153,48 +153,34 @@ type Manager struct {
 	actualMeanMs  *metrics.Gauge
 }
 
-// summaryShape resolves what every manager constructor takes from the
-// deployment before it builds its replica.Config: the per-replica
-// summary budget m (default 10), the coordinate dimensionality, and that
-// every candidate is a node of the deployment.
-func (d *Deployment) summaryShape(cfg *ManagerConfig) (m, dims int, err error) {
-	m = cfg.MicroClusters
+// replicaConfig maps a ManagerConfig onto the coordinator's
+// replica.Config: every field but Candidates and InitialReplicas, which
+// constructors pass beside it, and Tracing, which they turn into a
+// Tracer or refuse. All four public constructors build on it, so a
+// field is honoured or refused by name (see unsupported), never dropped.
+// It also checks that every candidate is a node of the deployment.
+func (d *Deployment) replicaConfig(cfg ManagerConfig) (replica.Config, error) {
+	m := cfg.MicroClusters
 	if m <= 0 {
 		m = 10
 	}
+	dims := 0
 	if d.matrix.N() > 0 {
 		dims = d.coords[0].Pos.Dim()
 	}
 	for _, c := range cfg.Candidates {
 		if c < 0 || c >= d.matrix.N() {
-			return 0, 0, fmt.Errorf("georep: candidate %d out of range", c)
+			return replica.Config{}, fmt.Errorf("georep: candidate %d out of range", c)
 		}
-	}
-	return m, dims, nil
-}
-
-// NewManager creates a manager on the deployment.
-func (d *Deployment) NewManager(cfg ManagerConfig) (*Manager, error) {
-	m, dims, err := d.summaryShape(&cfg)
-	if err != nil {
-		return nil, err
 	}
 	leaderPolicy, err := replog.ParseLeaderPolicy(cfg.LeaderPolicy)
 	if err != nil {
-		return nil, fmt.Errorf("georep: %w", err)
+		return replica.Config{}, fmt.Errorf("georep: %w", err)
 	}
-	reg := metrics.NewRegistry()
-	var rec *trace.FlightRecorder
-	var tracer *trace.Tracer
-	if cfg.Tracing {
-		rec = trace.NewFlightRecorder(trace.DefaultRecent, trace.DefaultAnomalous)
-		tracer = trace.New(rec, "coord")
-	}
-	rcfg := replica.Config{
-		K:       cfg.K,
-		M:       m,
-		Dims:    dims,
-		Metrics: reg,
+	return replica.Config{
+		K:    cfg.K,
+		M:    m,
+		Dims: dims,
 		Migration: replica.MigrationPolicy{
 			MinRelativeGain: cfg.MinRelativeGain,
 			CostPerByte:     cfg.MigrationCostPerByte,
@@ -211,12 +197,50 @@ func (d *Deployment) NewManager(cfg ManagerConfig) (*Manager, error) {
 		WindowEpochs:  cfg.WindowEpochs,
 		IngestShards:  cfg.IngestShards,
 		Quorum:        cfg.Quorum,
-		Tracer:        tracer,
 		Ledger:        cfg.Ledger,
 		WriteFraction: cfg.WriteFraction,
 		LeaderPolicy:  leaderPolicy,
 		Provenance:    cfg.Provenance,
 		BurnRate:      cfg.BurnRate,
+	}, nil
+}
+
+// unsupported is the error of a constructor handed a ManagerConfig field
+// it has no way to honour.
+func unsupported(ctor, field, why string) error {
+	return fmt.Errorf("georep: %s does not support ManagerConfig.%s: %s", ctor, field, why)
+}
+
+// groupConfig is replicaConfig for the per-group managers behind
+// GroupSet and Replay: every group starts at the first K candidates, and
+// a group has no identity to stamp on a ledger record and no recorder to
+// keep span trees in.
+func (d *Deployment) groupConfig(ctor string, cfg ManagerConfig) (replica.Config, error) {
+	switch {
+	case cfg.InitialReplicas != nil:
+		return replica.Config{}, unsupported(ctor, "InitialReplicas", "every group starts at the first K candidates")
+	case cfg.Tracing:
+		return replica.Config{}, unsupported(ctor, "Tracing", "groups share no span recorder")
+	case cfg.Ledger != nil:
+		return replica.Config{}, unsupported(ctor, "Ledger", "records would carry no group identity")
+	case cfg.Provenance:
+		return replica.Config{}, unsupported(ctor, "Provenance", "it is recorded through a ledger or a metrics registry, and groups have neither")
+	}
+	return d.replicaConfig(cfg)
+}
+
+// NewManager creates a manager on the deployment.
+func (d *Deployment) NewManager(cfg ManagerConfig) (*Manager, error) {
+	rcfg, err := d.replicaConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	reg := metrics.NewRegistry()
+	rcfg.Metrics = reg
+	var rec *trace.FlightRecorder
+	if cfg.Tracing {
+		rec = trace.NewFlightRecorder(trace.DefaultRecent, trace.DefaultAnomalous)
+		rcfg.Tracer = trace.New(rec, "coord")
 	}
 	inner, err := replica.NewManager(rcfg, cfg.Candidates, d.coords, cfg.InitialReplicas)
 	if err != nil {
@@ -225,7 +249,7 @@ func (d *Deployment) NewManager(cfg ManagerConfig) (*Manager, error) {
 	return &Manager{
 		d:            d,
 		inner:        inner,
-		dims:         dims,
+		dims:         rcfg.Dims,
 		reg:          reg,
 		ring:         metrics.NewTraceRing(64),
 		rec:          rec,
@@ -338,6 +362,13 @@ func (m *Manager) EndEpochWithOutages(seed int64, unreachable []int) (EpochRepor
 		Degraded:         dec.Degraded,
 		MissingSummaries: append([]int(nil), dec.MissingSummaries...),
 	})
+	return reportOf(dec, actualMean, accesses), nil
+}
+
+// reportOf is the one Decision → EpochReport mapping, shared by Manager
+// and GroupSet; actualMean and accesses are the caller's observed-delay
+// window (zero when it keeps none).
+func reportOf(dec replica.Decision, actualMean float64, accesses int64) EpochReport {
 	return EpochReport{
 		Migrated:         dec.Migrate,
 		Replicas:         dec.NewReplicas,
@@ -354,7 +385,7 @@ func (m *Manager) EndEpochWithOutages(seed int64, unreachable []int) (EpochRepor
 		Leader:           dec.Leader,
 		WriteCostOldMs:   dec.WriteCostOldMs,
 		WriteCostNewMs:   dec.WriteCostNewMs,
-	}, nil
+	}
 }
 
 // HistogramStats summarizes one metrics histogram: observation count,
@@ -369,6 +400,8 @@ type HistogramStats struct {
 // EpochTrace is one retained epoch of the manager's decision history:
 // what Algorithm 1 estimated, what it decided, what it cost in summary
 // bytes and data copies, and the ground-truth delay clients actually saw.
+// Its fields mirror metrics.EpochTrace in order and type, so Snapshot
+// converts rather than copies.
 type EpochTrace struct {
 	Epoch            int
 	Migrated         bool
@@ -418,20 +451,7 @@ func snapshotOf(reg *metrics.Registry) ManagerSnapshot {
 func (m *Manager) Snapshot() ManagerSnapshot {
 	out := snapshotOf(m.reg)
 	for _, e := range m.ring.Snapshot() {
-		out.Epochs = append(out.Epochs, EpochTrace{
-			Epoch:            e.Epoch,
-			Migrated:         e.Migrated,
-			K:                e.K,
-			Replicas:         e.Replicas,
-			EstimatedOldMs:   e.EstimatedOldMs,
-			EstimatedNewMs:   e.EstimatedNewMs,
-			ActualMeanMs:     e.ActualMeanMs,
-			Accesses:         e.Accesses,
-			MovedReplicas:    e.MovedReplicas,
-			SummaryBytes:     e.SummaryBytes,
-			Degraded:         e.Degraded,
-			MissingSummaries: e.MissingSummaries,
-		})
+		out.Epochs = append(out.Epochs, EpochTrace(e))
 	}
 	return out
 }

@@ -178,3 +178,78 @@ func TestManagerWritePathReport(t *testing.T) {
 		t.Fatalf("write cost not computed: %+v", rep)
 	}
 }
+
+// TestConstructorsHonourOrRefuse drives one ManagerConfig field at a time
+// through the four public constructors: each either honours it — shown by
+// an out-of-range value reaching the validation that names it, which a
+// dropped field never would — or refuses it with an error naming it.
+func TestConstructorsHonourOrRefuse(t *testing.T) {
+	d := smallDeployment(t)
+	candidates, clients := splitNodes(d, 8)
+	led, err := OpenLedger(t.TempDir(), LedgerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+
+	ctors := []struct {
+		name string
+		new  func(ManagerConfig) error
+	}{
+		{"NewManager", func(c ManagerConfig) error { _, err := d.NewManager(c); return err }},
+		{"NewMultiObject", func(c ManagerConfig) error {
+			_, err := d.NewMultiObject(MultiObjectConfig{Object: c})
+			return err
+		}},
+		{"NewGroupSet", func(c ManagerConfig) error { _, err := d.NewGroupSet(c); return err }},
+		{"Replay", func(c ManagerConfig) error {
+			_, err := d.Replay([]AccessEvent{{Client: clients[0], Group: "g", Bytes: 1}},
+				ReplayConfig{Manager: c, EpochMs: 10, Seed: 1})
+			return err
+		}},
+	}
+	// want holds, per constructor in the order above, a substring of the
+	// expected error; "" means the config is accepted.
+	cases := []struct {
+		name   string
+		mutate func(*ManagerConfig)
+		want   [4]string
+	}{
+		{"plain", func(c *ManagerConfig) {}, [4]string{}},
+		{"IngestShards", func(c *ManagerConfig) { c.IngestShards = 3 },
+			[4]string{"IngestShards", "IngestShards", "IngestShards", "IngestShards"}},
+		{"Quorum", func(c *ManagerConfig) { c.Quorum = 1.5 },
+			[4]string{"Quorum", "Quorum", "Quorum", "Quorum"}},
+		{"WriteFraction", func(c *ManagerConfig) { c.WriteFraction = 1.2 },
+			[4]string{"WriteFraction", "WriteFraction", "WriteFraction", "WriteFraction"}},
+		{"LeaderPolicy", func(c *ManagerConfig) { c.LeaderPolicy = "nearest" },
+			[4]string{"leader policy", "leader policy", "leader policy", "leader policy"}},
+		{"write path on", func(c *ManagerConfig) { c.WriteFraction = 0.3; c.LeaderPolicy = "fanout" }, [4]string{}},
+		{"adaptive k", func(c *ManagerConfig) { c.MinReplicas, c.MaxReplicas, c.GrowAbove = 1, 3, 100 },
+			[4]string{"", "pinned k", "", ""}},
+		{"pinned k range", func(c *ManagerConfig) { c.MinReplicas, c.MaxReplicas = 2, 2 }, [4]string{}},
+		{"InitialReplicas", func(c *ManagerConfig) { c.InitialReplicas = []int{1, 2} },
+			[4]string{"", "ManagerConfig.InitialReplicas", "ManagerConfig.InitialReplicas", "ManagerConfig.InitialReplicas"}},
+		{"Tracing", func(c *ManagerConfig) { c.Tracing = true },
+			[4]string{"", "ManagerConfig.Tracing", "ManagerConfig.Tracing", "ManagerConfig.Tracing"}},
+		{"Ledger", func(c *ManagerConfig) { c.Ledger = led },
+			[4]string{"", "", "ManagerConfig.Ledger", "ManagerConfig.Ledger"}},
+		{"Provenance", func(c *ManagerConfig) { c.Provenance = true; c.BurnRate = func() float64 { return 0 } },
+			[4]string{"", "", "ManagerConfig.Provenance", "ManagerConfig.Provenance"}},
+	}
+	for _, tc := range cases {
+		for i, ctor := range ctors {
+			cfg := ManagerConfig{K: 2, Candidates: candidates}
+			tc.mutate(&cfg)
+			err := ctor.new(cfg)
+			switch want := tc.want[i]; {
+			case want == "" && err != nil:
+				t.Errorf("%s / %s: unexpected error: %v", tc.name, ctor.name, err)
+			case want != "" && err == nil:
+				t.Errorf("%s / %s: config accepted, want error containing %q", tc.name, ctor.name, want)
+			case want != "" && !strings.Contains(err.Error(), want):
+				t.Errorf("%s / %s: error %q does not contain %q", tc.name, ctor.name, err, want)
+			}
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/georep/georep/internal/metrics"
 	"github.com/georep/georep/internal/placement"
-	"github.com/georep/georep/internal/replica"
 )
 
 // MultiObjectConfig parameterizes a multi-object placement service over
@@ -14,9 +13,10 @@ import (
 // objects, amortized per-epoch placement compute.
 type MultiObjectConfig struct {
 	// Object is the per-object coordinator template. Its replication
-	// degree must be pinned (MinReplicas/MaxReplicas/GrowAbove/
-	// ShrinkBelow zero): group solves are sized for the fleet's common k.
-	// InitialReplicas and Tracing are ignored (capacity accounting picks
+	// degree must be pinned (GrowAbove/ShrinkBelow zero, MinReplicas and
+	// MaxReplicas zero or both K; an adaptive range is an error): group
+	// solves are sized for the fleet's common k.
+	// InitialReplicas and Tracing are refused (capacity accounting picks
 	// initial slots; per-object span trees are a single-object feature).
 	// A Ledger, when set, is shared by the whole fleet — records carry
 	// each object's ID and class and interleave in registration order.
@@ -73,31 +73,20 @@ type ManagedObject struct {
 // NewMultiObject builds a multi-object placement service on the
 // deployment.
 func (d *Deployment) NewMultiObject(cfg MultiObjectConfig) (*MultiObject, error) {
-	m, dims, err := d.summaryShape(&cfg.Object)
+	switch {
+	case cfg.Object.InitialReplicas != nil:
+		return nil, unsupported("NewMultiObject", "InitialReplicas", "capacity accounting picks initial slots")
+	case cfg.Object.Tracing:
+		return nil, unsupported("NewMultiObject", "Tracing", "per-object span trees are a single-object feature")
+	}
+	rcfg, err := d.replicaConfig(cfg.Object)
 	if err != nil {
 		return nil, err
 	}
 	reg := metrics.NewRegistry()
+	rcfg.Metrics = reg
 	svc, err := placement.NewService(placement.ServiceConfig{
-		Object: replica.Config{
-			K:       cfg.Object.K,
-			M:       m,
-			Dims:    dims,
-			Metrics: reg,
-			Migration: replica.MigrationPolicy{
-				MinRelativeGain: cfg.Object.MinRelativeGain,
-				CostPerByte:     cfg.Object.MigrationCostPerByte,
-				GainPerMsAccess: cfg.Object.LatencyValuePerMsAccess,
-				ObjectBytes:     cfg.Object.ObjectBytes,
-			},
-			DecayFactor:  cfg.Object.DecayFactor,
-			WindowEpochs: cfg.Object.WindowEpochs,
-			IngestShards: cfg.Object.IngestShards,
-			Quorum:       cfg.Object.Quorum,
-			Ledger:       cfg.Object.Ledger,
-			Provenance:   cfg.Object.Provenance,
-			BurnRate:     cfg.Object.BurnRate,
-		},
+		Object:              rcfg,
 		Candidates:          cfg.Object.Candidates,
 		Coords:              d.coords,
 		GroupEpsilon:        cfg.GroupEpsilon,
@@ -156,7 +145,9 @@ func (h *ManagedObject) Replicas() []int { return h.obj.Replicas() }
 
 // MultiEpochReport summarizes one fleet-wide epoch: how much solve work
 // the demand-signature grouping dispatched versus the naive
-// one-solve-per-object bill, and what the capacity settlement did.
+// one-solve-per-object bill, and what the capacity settlement did. Its
+// fields mirror placement.EpochStats in order and type (EndEpoch
+// converts).
 type MultiEpochReport struct {
 	// Epoch counts completed fleet epochs; Objects the registered fleet;
 	// Decided how many objects reached the placement machinery (quorum
@@ -199,12 +190,7 @@ func (mo *MultiObject) EndEpoch() (MultiEpochReport, error) {
 	if err != nil {
 		return MultiEpochReport{}, fmt.Errorf("georep: multi-object epoch: %w", err)
 	}
-	return MultiEpochReport{
-		Epoch: st.Epoch, Objects: st.Objects, Decided: st.Decided,
-		Groups: st.Groups, Solves: st.Solves, DriftSkips: st.DriftSkips,
-		Refined: st.Refined, BoundHits: st.BoundHits,
-		Migrated: st.Migrated, Displaced: st.Displaced,
-	}, nil
+	return MultiEpochReport(st), nil
 }
 
 // Snapshot captures the fleet's shared metrics registry (per-object

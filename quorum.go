@@ -73,31 +73,13 @@ type GroupSet struct {
 }
 
 // NewGroupSet creates a grouped manager with the given per-group
-// configuration. InitialReplicas in cfg is ignored: every group starts
-// at the first K candidates and migrates from there.
+// configuration. Every group starts at the first K candidates and
+// migrates from there; InitialReplicas, Tracing, Ledger and Provenance
+// have no per-group meaning and are refused.
 func (d *Deployment) NewGroupSet(cfg ManagerConfig) (*GroupSet, error) {
-	m, dims, err := d.summaryShape(&cfg)
+	rcfg, err := d.groupConfig("NewGroupSet", cfg)
 	if err != nil {
 		return nil, err
-	}
-	rcfg := replica.Config{
-		K:    cfg.K,
-		M:    m,
-		Dims: dims,
-		Migration: replica.MigrationPolicy{
-			MinRelativeGain: cfg.MinRelativeGain,
-			CostPerByte:     cfg.MigrationCostPerByte,
-			GainPerMsAccess: cfg.LatencyValuePerMsAccess,
-			ObjectBytes:     cfg.ObjectBytes,
-		},
-		KPolicy: replica.KPolicy{
-			Min:         cfg.MinReplicas,
-			Max:         cfg.MaxReplicas,
-			GrowAbove:   cfg.GrowAbove,
-			ShrinkBelow: cfg.ShrinkBelow,
-		},
-		DecayFactor:  cfg.DecayFactor,
-		WindowEpochs: cfg.WindowEpochs,
 	}
 	inner, err := replica.NewGroupManager(rcfg, cfg.Candidates, d.coords)
 	if err != nil {
@@ -136,15 +118,7 @@ func (g *GroupSet) EndEpoch(seed int64) (map[string]EpochReport, error) {
 	}
 	out := make(map[string]EpochReport, len(decs))
 	for name, dec := range decs {
-		out[name] = EpochReport{
-			Migrated:       dec.Migrate,
-			Replicas:       dec.NewReplicas,
-			K:              dec.K,
-			EstimatedOldMs: dec.EstimatedOldMs,
-			EstimatedNewMs: dec.EstimatedNewMs,
-			MovedReplicas:  dec.MovedReplicas,
-			SummaryBytes:   dec.CollectedBytes,
-		}
+		out[name] = reportOf(dec, 0, 0) // a GroupSet keeps no observed-delay window
 	}
 	return out, nil
 }

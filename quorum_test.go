@@ -128,6 +128,44 @@ func TestGroupSetLifecycle(t *testing.T) {
 	_ = gs.TotalMigrations() // must not panic; value depends on geometry
 }
 
+// TestGroupSetReportOnMigration: a group's report comes from the same
+// Decision mapping as Manager's, so an epoch that migrated says the
+// quorum held and, with the write path off, names no leader.
+func TestGroupSetReportOnMigration(t *testing.T) {
+	d := smallDeployment(t)
+	candidates, clients := splitNodes(d, 10)
+	gs, err := d.NewGroupSet(ManagerConfig{K: 2, Candidates: candidates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrated := false
+	for epoch := int64(1); epoch <= 3 && !migrated; epoch++ {
+		for _, c := range clients {
+			if _, _, err := gs.RecordAccess("g", c, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reports, err := gs.EndEpoch(epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := reports["g"]
+		if !rep.Migrated {
+			continue
+		}
+		migrated = true
+		if !rep.QuorumOK {
+			t.Errorf("migrating epoch reports QuorumOK=false: %+v", rep)
+		}
+		if rep.Leader != -1 {
+			t.Errorf("write path off but Leader = %d, want -1", rep.Leader)
+		}
+	}
+	if !migrated {
+		t.Fatal("no epoch migrated; the test needs a placement that moves")
+	}
+}
+
 func TestGroupSetValidation(t *testing.T) {
 	d := smallDeployment(t)
 	if _, err := d.NewGroupSet(ManagerConfig{K: 0, Candidates: []int{0, 1}}); err == nil {

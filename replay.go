@@ -51,8 +51,9 @@ func WriteTrace(w io.Writer, events []AccessEvent) error {
 
 // ReplayConfig drives a trace replay.
 type ReplayConfig struct {
-	// Manager configures each group's replica manager (InitialReplicas
-	// is ignored; groups start at the first K candidates).
+	// Manager configures each group's replica manager, under the rules
+	// of NewGroupSet: groups start at the first K candidates, and
+	// InitialReplicas, Tracing, Ledger and Provenance are refused.
 	Manager ManagerConfig
 	// EpochMs is the coordinator period in trace time.
 	EpochMs float64
@@ -81,37 +82,9 @@ type ReplayResult struct {
 // and every EpochMs the coordinator may migrate. The result reports the
 // latency clients would actually have observed.
 func (d *Deployment) Replay(events []AccessEvent, cfg ReplayConfig) (*ReplayResult, error) {
-	m := cfg.Manager.MicroClusters
-	if m <= 0 {
-		m = 10
-	}
-	dims := 0
-	if d.matrix.N() > 0 {
-		dims = d.coords[0].Pos.Dim()
-	}
-	for _, c := range cfg.Manager.Candidates {
-		if c < 0 || c >= d.matrix.N() {
-			return nil, fmt.Errorf("georep: candidate %d out of range", c)
-		}
-	}
-	rcfg := replica.Config{
-		K:    cfg.Manager.K,
-		M:    m,
-		Dims: dims,
-		Migration: replica.MigrationPolicy{
-			MinRelativeGain: cfg.Manager.MinRelativeGain,
-			CostPerByte:     cfg.Manager.MigrationCostPerByte,
-			GainPerMsAccess: cfg.Manager.LatencyValuePerMsAccess,
-			ObjectBytes:     cfg.Manager.ObjectBytes,
-		},
-		KPolicy: replica.KPolicy{
-			Min:         cfg.Manager.MinReplicas,
-			Max:         cfg.Manager.MaxReplicas,
-			GrowAbove:   cfg.Manager.GrowAbove,
-			ShrinkBelow: cfg.Manager.ShrinkBelow,
-		},
-		DecayFactor:  cfg.Manager.DecayFactor,
-		WindowEpochs: cfg.Manager.WindowEpochs,
+	rcfg, err := d.groupConfig("Replay", cfg.Manager)
+	if err != nil {
+		return nil, err
 	}
 	gm, err := replica.NewGroupManager(rcfg, cfg.Manager.Candidates, d.coords)
 	if err != nil {
