@@ -3,9 +3,9 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"github.com/georep/georep/internal/vec"
+	"github.com/georep/georep/internal/wire"
 )
 
 // Wire codec for micro-cluster summaries and raw coordinates — the two
@@ -42,15 +42,11 @@ func EncodeMicros(ms []Micro) ([]byte, error) {
 	for i := range ms {
 		m := &ms[i]
 		b = binary.LittleEndian.AppendUint64(b, uint64(m.Count))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Weight))
+		b = wire.AppendF64(b, m.Weight)
 		b = binary.LittleEndian.AppendUint32(b, uint32(m.Sum.Dim()))
 		b = binary.LittleEndian.AppendUint32(b, uint32(m.Sum2.Dim()))
-		for _, x := range m.Sum {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-		}
-		for _, x := range m.Sum2 {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-		}
+		b = wire.AppendF64s(b, m.Sum)
+		b = wire.AppendF64s(b, m.Sum2)
 	}
 	return b, nil
 }
@@ -66,64 +62,47 @@ func EncodedMicrosLen(ms []Micro) int {
 	return n
 }
 
-// DecodeMicros reverses EncodeMicros. Every structural bound is checked
-// against the remaining input before allocation, so arbitrary bytes
-// (fuzzed or corrupt) fail cleanly instead of over-allocating.
+// readHeader checks the magic and version and returns a reader behind
+// them; the count that follows is bounded by the bytes that remain, each
+// element taking at least minBytes.
+func readHeader(b []byte, magic byte, minBytes int) (wire.Reader, int) {
+	r := wire.NewReader(b)
+	if m, v := r.U8(), r.U8(); m != magic || v != codecVersion { // a short header has latched already
+		r.Failf("bad magic/version %#x %#x", m, v)
+	}
+	return r, r.Fit(uint64(r.U32()), minBytes)
+}
+
+// DecodeMicros reverses EncodeMicros. Every length is checked against
+// the remaining input before allocation (wire.Reader), so arbitrary bytes
+// (fuzzed or corrupt) fail cleanly instead of over-allocating; a
+// non-finite or negative mass is refused, as ledger.Record.Validate does.
 func DecodeMicros(b []byte) ([]Micro, error) {
-	if len(b) < microsHeader {
-		return nil, fmt.Errorf("cluster: decode micros: short header (%d bytes)", len(b))
-	}
-	if b[0] != microsMagic || b[1] != codecVersion {
-		return nil, fmt.Errorf("cluster: decode micros: bad magic/version %#x %#x", b[0], b[1])
-	}
-	count := int(binary.LittleEndian.Uint32(b[2:6]))
-	rest := b[microsHeader:]
-	if count > len(rest)/microFixed {
-		return nil, fmt.Errorf("cluster: decode micros: count %d exceeds %d payload bytes", count, len(rest))
-	}
+	r, count := readHeader(b, microsMagic, microFixed)
 	var ms []Micro
 	if count > 0 {
 		ms = make([]Micro, count)
 	}
-	for i := 0; i < count; i++ {
-		if len(rest) < microFixed {
-			return nil, fmt.Errorf("cluster: decode micros: truncated micro %d", i)
-		}
+	for i := range ms {
 		m := &ms[i]
-		m.Count = int64(binary.LittleEndian.Uint64(rest[0:8]))
-		m.Weight = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:16]))
-		d1 := int(binary.LittleEndian.Uint32(rest[16:20]))
-		d2 := int(binary.LittleEndian.Uint32(rest[20:24]))
-		rest = rest[microFixed:]
+		m.Count = int64(r.U64())
+		m.Weight = r.F64()
+		d1, d2 := r.U32(), r.U32()
 		if d1 != d2 {
 			return nil, fmt.Errorf("cluster: micro %d has inconsistent dims %d vs %d", i, d1, d2)
 		}
-		if d1 > len(rest)/16 {
-			return nil, fmt.Errorf("cluster: decode micros: micro %d dims %d exceed %d payload bytes", i, d1, len(rest))
-		}
+		m.Sum, m.Sum2 = r.F64s(uint64(d1)), r.F64s(uint64(d2))
 		if m.Count < 0 || m.Weight < 0 {
 			return nil, fmt.Errorf("cluster: micro %d has negative mass", i)
 		}
-		m.Sum, rest = decodeVec(rest, d1)
-		m.Sum2, rest = decodeVec(rest, d2)
+		if !validWeight(m.Weight) || !m.Sum.IsFinite() || !m.Sum2.IsFinite() {
+			return nil, fmt.Errorf("cluster: micro %d is non-finite", i)
+		}
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("cluster: decode micros: %d trailing bytes", len(rest))
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("cluster: decode micros: %w", err)
 	}
 	return ms, nil
-}
-
-// decodeVec reads d float64s from b (bounds already checked by the
-// caller) and returns the vector plus the remaining bytes.
-func decodeVec(b []byte, d int) (vec.Vec, []byte) {
-	if d == 0 {
-		return nil, b
-	}
-	v := make(vec.Vec, d)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v, b[8*d:]
 }
 
 // EncodeCoordinates serializes raw client coordinates — the bytes the
@@ -140,43 +119,23 @@ func EncodeCoordinates(ps []vec.Vec) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ps)))
 	for _, p := range ps {
 		b = binary.LittleEndian.AppendUint32(b, uint32(p.Dim()))
-		for _, x := range p {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-		}
+		b = wire.AppendF64s(b, p)
 	}
 	return b, nil
 }
 
 // DecodeCoordinates reverses EncodeCoordinates.
 func DecodeCoordinates(b []byte) ([]vec.Vec, error) {
-	if len(b) < microsHeader {
-		return nil, fmt.Errorf("cluster: decode coordinates: short header (%d bytes)", len(b))
-	}
-	if b[0] != coordsMagic || b[1] != codecVersion {
-		return nil, fmt.Errorf("cluster: decode coordinates: bad magic/version %#x %#x", b[0], b[1])
-	}
-	count := int(binary.LittleEndian.Uint32(b[2:6]))
-	rest := b[microsHeader:]
-	if count > len(rest)/4 {
-		return nil, fmt.Errorf("cluster: decode coordinates: count %d exceeds %d payload bytes", count, len(rest))
-	}
+	r, count := readHeader(b, coordsMagic, 4)
 	var ps []vec.Vec
 	if count > 0 {
 		ps = make([]vec.Vec, count)
 	}
-	for i := 0; i < count; i++ {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("cluster: decode coordinates: truncated vector %d", i)
-		}
-		d := int(binary.LittleEndian.Uint32(rest[0:4]))
-		rest = rest[4:]
-		if d > len(rest)/8 {
-			return nil, fmt.Errorf("cluster: decode coordinates: vector %d dims %d exceed %d payload bytes", i, d, len(rest))
-		}
-		ps[i], rest = decodeVec(rest, d)
+	for i := range ps {
+		ps[i] = r.F64s(uint64(r.U32()))
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("cluster: decode coordinates: %d trailing bytes", len(rest))
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("cluster: decode coordinates: %w", err)
 	}
 	return ps, nil
 }

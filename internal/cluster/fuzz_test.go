@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 )
 
@@ -34,6 +35,9 @@ func FuzzDecodeMicros(f *testing.F) {
 		for i := range ms {
 			if ms[i].Count < 0 || ms[i].Weight < 0 {
 				t.Fatal("decoder accepted negative mass")
+			}
+			if w := ms[i].Weight; math.IsNaN(w) || math.IsInf(w, 0) || !ms[i].Sum.IsFinite() || !ms[i].Sum2.IsFinite() {
+				t.Fatalf("decoder accepted a non-finite micro: %+v", ms[i])
 			}
 			if ms[i].Sum.Dim() != ms[i].Sum2.Dim() {
 				t.Fatal("decoder accepted inconsistent dimensions")

@@ -130,8 +130,8 @@ func WeightedKMeansOpt(r *rand.Rand, points []vec.Vec, weights []float64, k int,
 		if p.Dim() != dims {
 			return nil, fmt.Errorf("cluster: point %d has dim %d, want %d", i, p.Dim(), dims)
 		}
-		if weights[i] < 0 {
-			return nil, fmt.Errorf("cluster: negative weight %v at %d", weights[i], i)
+		if !validWeight(weights[i]) {
+			return nil, fmt.Errorf("%w at %d", weightError(weights[i]), i)
 		}
 	}
 	maxIter := opt.MaxIter

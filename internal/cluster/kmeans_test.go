@@ -36,6 +36,11 @@ func TestWeightedKMeansValidation(t *testing.T) {
 	if _, err := WeightedKMeans(r, pts, []float64{1, -1}, 2, 10); err == nil {
 		t.Error("negative weight should fail")
 	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := WeightedKMeans(r, pts, []float64{1, w}, 2, 10); err == nil {
+			t.Errorf("weight %v should fail", w)
+		}
+	}
 	if _, err := WeightedKMeans(r, []vec.Vec{vec.Of(1), vec.Of(1, 2)}, []float64{1, 1}, 1, 10); err == nil {
 		t.Error("inconsistent dims should fail")
 	}

@@ -253,6 +253,18 @@ func NewSummarizer(maxClusters, dims int, opts ...SummarizerOption) (*Summarizer
 	return s, nil
 }
 
+// validWeight reports whether w may enter a summary. A NaN or infinite
+// weight would survive every Decay in Micro.Weight and reach the
+// coordinator's k-means, so it is refused at the door like a negative one.
+func validWeight(w float64) bool { return w >= 0 && w <= math.MaxFloat64 }
+
+func weightError(w float64) error {
+	if w < 0 {
+		return fmt.Errorf("cluster: negative weight %v", w)
+	}
+	return fmt.Errorf("cluster: non-finite weight %v", w)
+}
+
 // Observe folds one client access at coordinate p with the given weight
 // into the summary, following §III-B: absorb into the nearest cluster if
 // the point is within its standard deviation, otherwise open a new
@@ -264,8 +276,8 @@ func (s *Summarizer) Observe(p vec.Vec, weight float64) error {
 	if !p.IsFinite() {
 		return fmt.Errorf("cluster: non-finite observation %v", p)
 	}
-	if weight < 0 {
-		return fmt.Errorf("cluster: negative weight %v", weight)
+	if !validWeight(weight) {
+		return weightError(weight)
 	}
 	s.observed++
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -105,6 +106,16 @@ func TestSummarizerObserveValidation(t *testing.T) {
 	}
 	if err := s.Observe(vec.Of(1, 2), -1); err == nil {
 		t.Error("negative weight should fail")
+	}
+	// A NaN or infinite weight would sit in Micro.Weight through every
+	// Decay and reach the coordinator's k-means.
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := s.Observe(vec.Of(1, 2), w); err == nil {
+			t.Errorf("weight %v should fail", w)
+		}
+	}
+	if n := len(s.Clusters()); n != 0 {
+		t.Errorf("refused observations left %d clusters", n)
 	}
 }
 
@@ -295,6 +306,20 @@ func TestDecodeMicrosRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeMicros(b); err == nil {
 		t.Error("dim mismatch should fail validation")
+	}
+	for name, m := range map[string]Micro{
+		"NaN weight":  {Count: 1, Weight: math.NaN(), Sum: vec.New(2), Sum2: vec.New(2)},
+		"+Inf weight": {Count: 1, Weight: math.Inf(1), Sum: vec.New(2), Sum2: vec.New(2)},
+		"NaN sum":     {Count: 1, Weight: 1, Sum: vec.Of(math.NaN(), 0), Sum2: vec.New(2)},
+		"Inf sum2":    {Count: 1, Weight: 1, Sum: vec.New(2), Sum2: vec.Of(0, math.Inf(-1))},
+	} {
+		b, err := EncodeMicros([]Micro{m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeMicros(b); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%s: err = %v, want a non-finite refusal", name, err)
+		}
 	}
 }
 

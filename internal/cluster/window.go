@@ -129,8 +129,8 @@ func (w *WindowedSummarizer) Observe(p vec.Vec, weight float64) error {
 	if !p.IsFinite() {
 		return fmt.Errorf("cluster: non-finite observation %v", p)
 	}
-	if weight < 0 {
-		return fmt.Errorf("cluster: negative weight %v", weight)
+	if !validWeight(weight) {
+		return weightError(weight)
 	}
 
 	if len(w.clusters) > 0 {

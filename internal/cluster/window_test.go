@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -86,6 +87,14 @@ func TestWindowedObserveValidation(t *testing.T) {
 	}
 	if err := w.Observe(vec.Of(1, 2), -1); err == nil {
 		t.Error("negative weight should fail")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := w.Observe(vec.Of(1, 2), bad); err == nil {
+			t.Errorf("weight %v should fail", bad)
+		}
+	}
+	if n := len(w.Clusters()); n != 0 {
+		t.Errorf("refused observations left %d clusters", n)
 	}
 }
 

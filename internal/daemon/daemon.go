@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"time"
 
@@ -671,6 +672,11 @@ func (n *Node) handleGet(body []byte) ([]byte, error) {
 	var req GetRequest
 	if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
 		return nil, err
+	}
+	// Bytes becomes the access weight; a NaN or infinite one would sit in
+	// the summary through every decay and poison the coordinator's k-means.
+	if math.IsNaN(req.Bytes) || math.IsInf(req.Bytes, 0) {
+		return nil, fmt.Errorf("daemon: get %q: non-finite bytes %v", req.Object, req.Bytes)
 	}
 	if n.cfg.Delay != nil {
 		time.Sleep(n.cfg.Delay(req.Client))

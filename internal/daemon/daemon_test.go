@@ -2,6 +2,8 @@ package daemon
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,6 +187,34 @@ func TestGetWithoutCoordinateSkipsSummary(t *testing.T) {
 	}
 	if len(ms) != 0 {
 		t.Errorf("summary should be empty, got %+v", ms)
+	}
+}
+
+// One get with a non-finite Bytes (the access weight) used to sit in the
+// summary as NaN through every decay and reach the coordinator's k-means.
+// It is refused by name, nothing of it is summarized, and the node keeps
+// serving on the same connection.
+func TestPoisonedGetRefused(t *testing.T) {
+	_, c := startNode(t, Config{ID: 1, MicroClusters: 4, Dims: 2})
+	if err := c.Put("o", []byte("x"), 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var resp GetResponse
+		_, err := c.c.Call(MethodGet, GetRequest{Client: 1, ClientCoord: []float64{1, 2}, Object: "o", Bytes: bad}, &resp)
+		if err == nil || !strings.Contains(err.Error(), "non-finite bytes") {
+			t.Fatalf("get with Bytes=%v: err = %v, want a non-finite refusal", bad, err)
+		}
+	}
+	if ms, _, err := c.Micros(); err != nil || len(ms) != 0 {
+		t.Fatalf("micros after the refused gets = %+v, %v; want an empty summary", ms, err)
+	}
+	if resp, _, err := c.Get(1, []float64{1, 2}, "o"); err != nil || string(resp.Data) != "x" {
+		t.Fatalf("get after the refused gets = %+v, %v", resp, err)
+	}
+	ms, _, err := c.Micros()
+	if err != nil || len(ms) != 1 || ms[0].Weight != 1 {
+		t.Fatalf("micros after a clean get = %+v, %v; want one cluster of weight 1", ms, err)
 	}
 }
 

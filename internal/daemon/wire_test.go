@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/georep/georep/internal/testenv"
 	"github.com/georep/georep/internal/transport"
 )
 
@@ -219,7 +220,7 @@ func TestWireLengthLies(t *testing.T) {
 // buffers, the decoded coordinate and object name; the response payload
 // aliases its body), and encoding into a sized buffer costs none.
 func TestWireAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	req := GetRequest{Client: 7, ClientCoord: []float64{1.5, -2.5, 40}, Object: "obj-001"}
@@ -258,7 +259,7 @@ func TestWireAllocs(t *testing.T) {
 // coordinate and object name (2), the store's copy of the object (1),
 // the reply boxed and encoded (2).
 func TestLoopbackGetAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	n, c := startNode(t, Config{ID: 1, MicroClusters: 10, Dims: 3})

@@ -26,27 +26,24 @@
 package ledger
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"github.com/georep/georep/internal/metrics"
+	"github.com/georep/georep/internal/wire"
 )
 
 const (
 	segMagic     = "GOLEDGR1"
 	segPrefix    = "ledger-"
 	segSuffix    = ".seg"
-	frameHeader  = 8 // 4B length + 4B CRC
+	frameHeader  = wire.FrameHeader
 	maxFrameSize = 16 << 20
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options tunes a ledger. The zero value is usable: 4 MiB segments,
 // 64 MiB total bound, no explicit fsync.
@@ -190,13 +187,12 @@ func (l *Ledger) Append(rec Record) error {
 	if l.active == nil {
 		return errors.New("ledger: append on closed ledger")
 	}
-	l.buf = appendRecord(append(l.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), &rec)
-	frame, payload := l.buf, l.buf[frameHeader:]
-	if len(payload) > maxFrameSize {
-		return fmt.Errorf("ledger: record of %d bytes exceeds frame limit %d", len(payload), maxFrameSize)
+	l.buf = appendRecord(wire.BeginFrame(l.buf[:0]), &rec)
+	frame := l.buf
+	if n := len(frame) - frameHeader; n > maxFrameSize {
+		return fmt.Errorf("ledger: record of %d bytes exceeds frame limit %d", n, maxFrameSize)
 	}
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	wire.EndFrame(frame, 0)
 	if _, err := l.active.Write(frame); err != nil {
 		return fmt.Errorf("ledger: append: %w", err)
 	}

@@ -1,12 +1,12 @@
 package ledger
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"github.com/georep/georep/internal/wire"
 )
 
 // segScan is one segment's recovery outcome.
@@ -36,29 +36,11 @@ func scanSegment(path string) (*segScan, error) {
 		return nil, fmt.Errorf("ledger: %s is not a ledger segment (bad magic)", path)
 	}
 	s := &segScan{validBytes: int64(len(segMagic))}
-	off := int64(len(segMagic))
-	for {
-		rest := int64(len(b)) - off
-		if rest == 0 {
-			return s, nil
-		}
-		if rest < frameHeader {
-			s.stop(int64(len(b)), "torn frame header at tail")
-			return s, nil
-		}
-		plen := int64(binary.LittleEndian.Uint32(b[off : off+4]))
-		sum := binary.LittleEndian.Uint32(b[off+4 : off+8])
-		if plen > maxFrameSize {
-			s.stop(int64(len(b)), fmt.Sprintf("frame length %d exceeds limit at offset %d", plen, off))
-			return s, nil
-		}
-		if rest < frameHeader+plen {
-			s.stop(int64(len(b)), fmt.Sprintf("truncated record at offset %d", off))
-			return s, nil
-		}
-		payload := b[off+frameHeader : off+frameHeader+plen]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			s.stop(int64(len(b)), fmt.Sprintf("CRC mismatch at offset %d", off))
+	for rest := b[len(segMagic):]; len(rest) > 0; {
+		off := s.validBytes
+		payload, next, err := wire.NextFrame(rest, maxFrameSize)
+		if err != nil {
+			s.stop(int64(len(b)), frameReason(err.(*wire.FrameError), off))
 			return s, nil
 		}
 		rec, err := DecodeRecord(payload)
@@ -66,9 +48,24 @@ func scanSegment(path string) (*segScan, error) {
 			s.stop(int64(len(b)), fmt.Sprintf("undecodable record at offset %d: %v", off, err))
 			return s, nil
 		}
-		off += frameHeader + plen
-		s.validBytes = off
+		rest = next
+		s.validBytes = int64(len(b) - len(rest))
 		s.records = append(s.records, rec)
+	}
+	return s, nil
+}
+
+// frameReason words a refused frame the way Verify has always reported it.
+func frameReason(e *wire.FrameError, off int64) string {
+	switch e.Fault {
+	case wire.ShortHeader:
+		return "torn frame header at tail"
+	case wire.OverLimit:
+		return fmt.Sprintf("frame length %d exceeds limit at offset %d", e.Len, off)
+	case wire.Torn:
+		return fmt.Sprintf("truncated record at offset %d", off)
+	default:
+		return fmt.Sprintf("CRC mismatch at offset %d", off)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/georep/georep/internal/coord"
 	"github.com/georep/georep/internal/provenance"
 	"github.com/georep/georep/internal/vec"
+	"github.com/georep/georep/internal/wire"
 )
 
 // Record is one coordinator epoch's full decision provenance: every
@@ -191,17 +192,6 @@ const (
 	recordVersionV3 = 3
 )
 
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func appendInts(b []byte, xs []int) []byte {
 	b = binary.AppendUvarint(b, uint64(len(xs)))
 	for _, x := range xs {
@@ -212,13 +202,12 @@ func appendInts(b []byte, xs []int) []byte {
 
 func appendVec(b []byte, v vec.Vec) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v)))
-	for _, x := range v {
-		b = appendF64(b, x)
-	}
-	return b
+	return wire.AppendF64s(b, v)
 }
 
-func appendString(b []byte, s string) []byte {
+// appendUvarintString appends s behind its uvarint length, the record
+// format's prefix for every variable-length field.
+func appendUvarintString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
@@ -242,32 +231,32 @@ func appendRecord(b []byte, r *Record) []byte {
 	b = binary.AppendUvarint(b, uint64(len(r.CandidateCoords)))
 	for _, c := range r.CandidateCoords {
 		b = appendVec(b, c.Pos)
-		b = appendF64(b, c.Height)
+		b = wire.AppendF64(b, c.Height)
 	}
 	b = appendInts(b, r.PrevReplicas)
 	b = appendInts(b, r.Replicas)
 	b = appendInts(b, r.Proposed)
-	b = appendBool(b, r.Migrate)
+	b = wire.AppendBool(b, r.Migrate)
 	b = binary.AppendVarint(b, int64(r.MovedReplicas))
-	b = appendF64(b, r.EstimatedOldMs)
-	b = appendF64(b, r.EstimatedNewMs)
-	b = appendF64(b, r.ObservedMeanMs)
+	b = wire.AppendF64(b, r.EstimatedOldMs)
+	b = wire.AppendF64(b, r.EstimatedNewMs)
+	b = wire.AppendF64(b, r.ObservedMeanMs)
 	b = binary.AppendVarint(b, r.Accesses)
 	b = binary.AppendVarint(b, int64(r.CollectedBytes))
-	b = appendBool(b, r.Degraded)
-	b = appendBool(b, r.QuorumOK)
+	b = wire.AppendBool(b, r.Degraded)
+	b = wire.AppendBool(b, r.QuorumOK)
 	b = appendInts(b, r.MissingSummaries)
 	b = binary.AppendUvarint(b, uint64(len(r.Micros)))
 	for i := range r.Micros {
 		m := &r.Micros[i]
 		b = binary.AppendVarint(b, m.Count)
-		b = appendF64(b, m.Weight)
+		b = wire.AppendF64(b, m.Weight)
 		b = appendVec(b, m.Sum)
 		b = appendVec(b, m.Sum2)
 	}
 	if v2 || v3 {
-		b = appendString(b, r.ObjectID)
-		b = appendString(b, r.Class)
+		b = appendUvarintString(b, r.ObjectID)
+		b = appendUvarintString(b, r.Class)
 		b = binary.AppendVarint(b, int64(r.Displaced))
 	}
 	if v3 {
@@ -281,166 +270,54 @@ func appendRecord(b []byte, r *Record) []byte {
 // counterfactuals, and the regret summary.
 func appendProv(b []byte, p *provenance.Record) []byte {
 	b = append(b, byte(p.Reason))
-	b = appendBool(b, p.Held)
-	b = appendF64(b, p.ChosenCostMs)
-	b = appendF64(b, p.ReadMs)
-	b = appendF64(b, p.WriteMs)
-	b = appendF64(b, p.MigrateMs)
-	b = appendF64(b, p.GateBurn)
+	b = wire.AppendBool(b, p.Held)
+	b = wire.AppendF64(b, p.ChosenCostMs)
+	b = wire.AppendF64(b, p.ReadMs)
+	b = wire.AppendF64(b, p.WriteMs)
+	b = wire.AppendF64(b, p.MigrateMs)
+	b = wire.AppendF64(b, p.GateBurn)
 	b = binary.AppendVarint(b, int64(p.GateMissing))
-	b = appendF64(b, p.GateDrift)
-	b = appendF64(b, p.GateOccupancy)
+	b = wire.AppendF64(b, p.GateDrift)
+	b = wire.AppendF64(b, p.GateOccupancy)
 	b = binary.AppendUvarint(b, uint64(len(p.PerDC)))
 	for i := range p.PerDC {
 		d := &p.PerDC[i]
 		b = binary.AppendVarint(b, int64(d.Node))
-		b = appendF64(b, d.Weight)
-		b = appendF64(b, d.MeanMs)
+		b = wire.AppendF64(b, d.Weight)
+		b = wire.AppendF64(b, d.MeanMs)
 	}
 	b = binary.AppendUvarint(b, uint64(len(p.Counterfactuals)))
 	for i := range p.Counterfactuals {
 		c := &p.Counterfactuals[i]
 		b = append(b, byte(c.Source))
-		b = appendF64(b, c.CostMs)
-		b = appendF64(b, c.DeltaMs)
+		b = wire.AppendF64(b, c.CostMs)
+		b = wire.AppendF64(b, c.DeltaMs)
 		b = appendInts(b, c.Replicas)
 	}
-	b = appendF64(b, p.BestAltMs)
-	b = appendF64(b, p.RegretMs)
-	b = appendF64(b, p.RegretRatio)
+	b = wire.AppendF64(b, p.BestAltMs)
+	b = wire.AppendF64(b, p.RegretMs)
+	b = wire.AppendF64(b, p.RegretRatio)
 	return b
 }
 
-// recReader is an error-latching cursor over untrusted record bytes:
-// the first malformed read poisons it and every later read is a no-op,
-// so DecodeRecord checks one error at the end instead of twenty.
-type recReader struct {
-	b   []byte
-	off int
-	err error
-}
+// The decode side reads through wire.Reader (DESIGN §17); these three
+// are the record format's uvarint-counted shapes on top of it.
 
-func (d *recReader) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("ledger: decode record: %s at byte %d", msg, d.off)
-	}
-}
-
-func (d *recReader) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *recReader) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b)-d.off < 8 {
-		d.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *recReader) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail("truncated byte")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *recReader) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.b) {
-		d.fail("truncated bool")
-		return false
-	}
-	v := d.b[d.off]
-	d.off++
-	if v > 1 {
-		d.fail("bad bool")
-		return false
-	}
-	return v == 1
-}
-
-// count reads a slice length and bounds it by the bytes actually left
-// (each element takes at least minBytes), so a fuzzed length prefix
-// cannot force a huge allocation.
-func (d *recReader) count(minBytes int) int {
-	if d.err != nil {
-		return 0
-	}
-	n, w := binary.Uvarint(d.b[d.off:])
-	if w <= 0 {
-		d.fail("bad length prefix")
-		return 0
-	}
-	d.off += w
-	if n > uint64((len(d.b)-d.off)/minBytes) {
-		d.fail("length prefix exceeds remaining bytes")
-		return 0
-	}
-	return int(n)
-}
-
-func (d *recReader) ints() []int {
-	n := d.count(1)
+func readInts(d *wire.Reader) []int {
+	n := d.Count(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = int(d.varint())
-	}
-	if d.err != nil {
-		return nil
+		out[i] = int(d.Varint())
 	}
 	return out
 }
 
-func (d *recReader) string() string {
-	n := d.count(1)
-	if n == 0 {
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
+func readString(d *wire.Reader) string { return string(d.Take(d.Count(1))) }
 
-func (d *recReader) vec() vec.Vec {
-	n := d.count(8)
-	if n == 0 {
-		return nil
-	}
-	out := vec.New(n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
+func readVec(d *wire.Reader) vec.Vec { return d.F64s(d.Uvarint()) }
 
 // EncodeRecord serializes a record to the payload stored inside one
 // ledger frame. Encoding is infallible and byte-deterministic; the
@@ -459,85 +336,83 @@ func DecodeRecord(b []byte) (Record, error) {
 	if b[0] != recordVersion && b[0] != recordVersionV2 && b[0] != recordVersionV3 {
 		return Record{}, fmt.Errorf("ledger: decode record: unknown version %d", b[0])
 	}
-	d := &recReader{b: b, off: 1}
+	d := wire.NewReader(b)
+	d.U8() // the version, checked above
 	var r Record
-	r.Epoch = int(d.varint())
-	r.K = int(d.varint())
-	r.Candidates = d.ints()
-	if n := d.count(9); n > 0 { // a coordinate is ≥ one empty vec + height
+	r.Epoch = int(d.Varint())
+	r.K = int(d.Varint())
+	r.Candidates = readInts(&d)
+	if n := d.Count(9); n > 0 { // a coordinate is ≥ one empty vec + height
 		r.CandidateCoords = make([]coord.Coordinate, n)
 		for i := range r.CandidateCoords {
-			r.CandidateCoords[i].Pos = d.vec()
-			r.CandidateCoords[i].Height = d.f64()
+			r.CandidateCoords[i].Pos = readVec(&d)
+			r.CandidateCoords[i].Height = d.F64()
 		}
 	}
-	r.PrevReplicas = d.ints()
-	r.Replicas = d.ints()
-	r.Proposed = d.ints()
-	r.Migrate = d.bool()
-	r.MovedReplicas = int(d.varint())
-	r.EstimatedOldMs = d.f64()
-	r.EstimatedNewMs = d.f64()
-	r.ObservedMeanMs = d.f64()
-	r.Accesses = d.varint()
-	r.CollectedBytes = int(d.varint())
-	r.Degraded = d.bool()
-	r.QuorumOK = d.bool()
-	r.MissingSummaries = d.ints()
-	if n := d.count(11); n > 0 { // a micro is ≥ count + weight + two empty vecs
+	r.PrevReplicas = readInts(&d)
+	r.Replicas = readInts(&d)
+	r.Proposed = readInts(&d)
+	r.Migrate = d.Bool()
+	r.MovedReplicas = int(d.Varint())
+	r.EstimatedOldMs = d.F64()
+	r.EstimatedNewMs = d.F64()
+	r.ObservedMeanMs = d.F64()
+	r.Accesses = d.Varint()
+	r.CollectedBytes = int(d.Varint())
+	r.Degraded = d.Bool()
+	r.QuorumOK = d.Bool()
+	r.MissingSummaries = readInts(&d)
+	if n := d.Count(11); n > 0 { // a micro is ≥ count + weight + two empty vecs
 		r.Micros = make([]cluster.Micro, n)
 		for i := range r.Micros {
-			r.Micros[i].Count = d.varint()
-			r.Micros[i].Weight = d.f64()
-			r.Micros[i].Sum = d.vec()
-			r.Micros[i].Sum2 = d.vec()
+			r.Micros[i].Count = d.Varint()
+			r.Micros[i].Weight = d.F64()
+			r.Micros[i].Sum = readVec(&d)
+			r.Micros[i].Sum2 = readVec(&d)
 		}
 	}
 	if b[0] == recordVersionV2 || b[0] == recordVersionV3 {
-		r.ObjectID = d.string()
-		r.Class = d.string()
-		r.Displaced = int(d.varint())
+		r.ObjectID = readString(&d)
+		r.Class = readString(&d)
+		r.Displaced = int(d.Varint())
 	}
 	if b[0] == recordVersionV3 {
 		p := &provenance.Record{}
-		p.Reason = provenance.Reason(d.u8())
-		p.Held = d.bool()
-		p.ChosenCostMs = d.f64()
-		p.ReadMs = d.f64()
-		p.WriteMs = d.f64()
-		p.MigrateMs = d.f64()
-		p.GateBurn = d.f64()
-		p.GateMissing = int(d.varint())
-		p.GateDrift = d.f64()
-		p.GateOccupancy = d.f64()
-		if n := d.count(17); n > 0 { // a share is node + two floats
+		p.Reason = provenance.Reason(d.U8())
+		p.Held = d.Bool()
+		p.ChosenCostMs = d.F64()
+		p.ReadMs = d.F64()
+		p.WriteMs = d.F64()
+		p.MigrateMs = d.F64()
+		p.GateBurn = d.F64()
+		p.GateMissing = int(d.Varint())
+		p.GateDrift = d.F64()
+		p.GateOccupancy = d.F64()
+		if n := d.Count(17); n > 0 { // a share is node + two floats
 			p.PerDC = make([]provenance.DCShare, n)
 			for i := range p.PerDC {
-				p.PerDC[i].Node = int(d.varint())
-				p.PerDC[i].Weight = d.f64()
-				p.PerDC[i].MeanMs = d.f64()
+				p.PerDC[i].Node = int(d.Varint())
+				p.PerDC[i].Weight = d.F64()
+				p.PerDC[i].MeanMs = d.F64()
 			}
 		}
-		if n := d.count(18); n > 0 { // source + two floats + empty replicas
+		if n := d.Count(18); n > 0 { // source + two floats + empty replicas
 			p.Counterfactuals = make([]provenance.Candidate, n)
 			for i := range p.Counterfactuals {
 				c := &p.Counterfactuals[i]
-				c.Source = provenance.Source(d.u8())
-				c.CostMs = d.f64()
-				c.DeltaMs = d.f64()
-				c.Replicas = d.ints()
+				c.Source = provenance.Source(d.U8())
+				c.CostMs = d.F64()
+				c.DeltaMs = d.F64()
+				c.Replicas = readInts(&d)
 			}
 		}
-		p.BestAltMs = d.f64()
-		p.RegretMs = d.f64()
-		p.RegretRatio = d.f64()
+		p.BestAltMs = d.F64()
+		p.RegretMs = d.F64()
+		p.RegretRatio = d.F64()
 		r.Prov = p
 	}
-	if d.err != nil {
-		return Record{}, d.err
-	}
-	if d.off != len(d.b) {
-		return Record{}, fmt.Errorf("ledger: decode record: %d trailing bytes", len(d.b)-d.off)
+	if err := d.Finish(); err != nil {
+		return Record{}, fmt.Errorf("ledger: decode record: %w", err)
 	}
 	if err := r.Validate(); err != nil {
 		return Record{}, err

@@ -8,6 +8,7 @@ import (
 	"github.com/georep/georep/internal/coord"
 	"github.com/georep/georep/internal/metrics"
 	"github.com/georep/georep/internal/provenance"
+	"github.com/georep/georep/internal/testenv"
 	"github.com/georep/georep/internal/vec"
 )
 
@@ -144,7 +145,7 @@ func TestProvenanceOffDisablesCapture(t *testing.T) {
 // has warmed up, an epoch with provenance capture on allocates no more
 // than the identical epoch with capture off.
 func TestProvenanceSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	epochAllocs := func(prov bool) float64 {

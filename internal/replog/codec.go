@@ -3,41 +3,35 @@ package replog
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"github.com/georep/georep/internal/wire"
 )
 
-// Wire framing for replication log entries. This reuses the decision
-// ledger's discipline: every frame is [4B LE length][4B LE CRC32-C over
-// the payload][payload], so a catch-up stream can be validated frame by
-// frame and a torn tail is detectable. The payload is the fixed v1
-// entry encoding:
+// Wire framing for replication log entries. Every entry travels in one
+// wire frame ([4B LE length][4B LE CRC32-C over the payload][payload],
+// the decision ledger's discipline — DESIGN §17), so a catch-up stream
+// can be validated frame by frame and a torn tail is detectable. The
+// payload is the fixed v1 entry encoding:
 //
 //	u64 Seq | u64 Term | i32 Client | i32 Object | f64 Bytes
 const (
 	entryPayloadLen = 32
-	frameHeaderLen  = 8
 	// FrameLen is the on-wire size of one encoded entry frame.
-	FrameLen = frameHeaderLen + entryPayloadLen
+	FrameLen = wire.FrameHeader + entryPayloadLen
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendFrame appends e's CRC-framed encoding to dst and returns the
 // extended slice.
 func AppendFrame(dst []byte, e Entry) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, entryPayloadLen)
-	// Reserve the CRC slot, encode the payload after it, then back-fill.
-	crcAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	payloadAt := len(dst)
+	at := len(dst)
+	dst = wire.BeginFrame(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, e.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, e.Term)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Client))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Object))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Bytes))
-	crc := crc32.Checksum(dst[payloadAt:], castagnoli)
-	binary.LittleEndian.PutUint32(dst[crcAt:], crc)
+	dst = wire.AppendF64(dst, e.Bytes)
+	wire.EndFrame(dst, at)
 	return dst
 }
 
@@ -45,28 +39,22 @@ func AppendFrame(dst []byte, e Entry) []byte {
 // the entry and the remaining bytes. A short, corrupt, or mis-sized
 // frame is an error.
 func DecodeFrame(b []byte) (Entry, []byte, error) {
-	if len(b) < frameHeaderLen {
-		return Entry{}, nil, fmt.Errorf("replog: short frame header (%d bytes)", len(b))
+	payload, rest, err := wire.NextFrame(b, entryPayloadLen)
+	if err != nil {
+		return Entry{}, nil, fmt.Errorf("replog: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(b)
-	if n != entryPayloadLen {
-		return Entry{}, nil, fmt.Errorf("replog: bad frame length %d (want %d)", n, entryPayloadLen)
+	if len(payload) != entryPayloadLen {
+		return Entry{}, nil, fmt.Errorf("replog: bad frame length %d (want %d)", len(payload), entryPayloadLen)
 	}
-	want := binary.LittleEndian.Uint32(b[4:])
-	if len(b) < FrameLen {
-		return Entry{}, nil, fmt.Errorf("replog: torn frame (%d of %d bytes)", len(b), FrameLen)
-	}
-	payload := b[frameHeaderLen:FrameLen]
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return Entry{}, nil, fmt.Errorf("replog: frame CRC mismatch (got %08x want %08x)", got, want)
-	}
+	// The payload is fixed-width and its length was just checked: read the
+	// fields where they lie.
 	var e Entry
 	e.Seq = binary.LittleEndian.Uint64(payload)
 	e.Term = binary.LittleEndian.Uint64(payload[8:])
 	e.Client = int32(binary.LittleEndian.Uint32(payload[16:]))
 	e.Object = int32(binary.LittleEndian.Uint32(payload[20:]))
 	e.Bytes = math.Float64frombits(binary.LittleEndian.Uint64(payload[24:]))
-	return e, b[FrameLen:], nil
+	return e, rest, nil
 }
 
 // EncodeBatch frames every entry into a single contiguous buffer — the

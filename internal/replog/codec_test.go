@@ -1,6 +1,7 @@
 package replog
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -62,4 +63,30 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	if _, _, err := DecodeFrame(b[:5]); err == nil {
 		t.Fatalf("short header not detected")
 	}
+}
+
+// FuzzReplogBatch: DecodeBatch takes ReplicateResponse.Frames straight
+// off the network. It must not panic, and whatever it accepts must be
+// exactly what EncodeBatch writes for the entries it returned — so a torn
+// tail or a flipped bit (both seeded) can only be refused.
+func FuzzReplogBatch(f *testing.F) {
+	batch := EncodeBatch([]Entry{{Seq: 1, Term: 1, Client: 3, Object: 0, Bytes: 4096}, {Seq: 2, Term: 1, Client: -1, Object: 7, Bytes: 0.5}})
+	f.Add(batch)
+	f.Add(batch[:len(batch)-5]) // torn tail
+	flipped := append([]byte(nil), batch...)
+	flipped[4] ^= 1 // one bit of the first frame's CRC
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		es, err := DecodeBatch(in)
+		if err != nil {
+			return
+		}
+		if len(in) != len(es)*FrameLen {
+			t.Fatalf("accepted %d bytes as %d entries", len(in), len(es))
+		}
+		if out := EncodeBatch(es); !bytes.Equal(out, in) {
+			t.Fatalf("accepted %x, which encodes as %x", in, out)
+		}
+	})
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"github.com/georep/georep/internal/stats"
+	"github.com/georep/georep/internal/wire"
 )
 
 // FlashCrowd multiplies one region's activity for a window of epochs —
@@ -519,12 +520,10 @@ func (s *Stream) EpochBatches() int {
 // identically whether or not the write path exists, and mixed specs are
 // fingerprinted by the (client, object, bytes) draw sequence alone.
 func AppendEncoded(dst []byte, batch []Access) []byte {
-	var buf [16]byte
 	for _, a := range batch {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(int32(a.Client)))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(int32(a.Object)))
-		binary.LittleEndian.PutUint64(buf[8:16], math.Float64bits(a.Bytes))
-		dst = append(dst, buf[:]...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(a.Client)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(a.Object)))
+		dst = wire.AppendF64(dst, a.Bytes)
 	}
 	return dst
 }
