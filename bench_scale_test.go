@@ -78,7 +78,7 @@ func benchScaleStream(tb testing.TB, clients, rate int) *workload.Stream {
 // benchScaleServer builds a sharded replica ingest server.
 func benchScaleServer(tb testing.TB) *replica.Server {
 	tb.Helper()
-	srv, err := replica.NewShardedServer(0, benchScaleShards, benchScaleBudget, benchScaleDims)
+	srv, err := replica.NewShardedServer(benchScaleShards, benchScaleBudget, benchScaleDims)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestScaleIngestSteadyStateZeroAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("steady-state generate+ingest allocates %.1f times per batch, want 0", allocs)
 	}
-	if srv.Accesses() == 0 {
-		t.Fatal("ingest recorded nothing")
+	if ms, err := srv.ExportInto(nil); err != nil || len(ms) == 0 {
+		t.Fatalf("ingest recorded nothing: %v", err)
 	}
 }
 
@@ -190,12 +190,12 @@ func BenchmarkObserveM25(b *testing.B) {
 	r := rand.New(rand.NewSource(13))
 	hot := make([]vec.Vec, 40)
 	for i := range hot {
-		hot[i] = vec.Of(r.NormFloat64()*80, r.NormFloat64()*80, r.NormFloat64()*80)
+		hot[i] = vec.Vec{r.NormFloat64() * 80, r.NormFloat64() * 80, r.NormFloat64() * 80}
 	}
 	pts := make([]vec.Vec, 4096)
 	for i := range pts {
 		h := hot[r.Intn(len(hot))]
-		pts[i] = vec.Of(h[0]+r.NormFloat64()*4, h[1]+r.NormFloat64()*4, h[2]+r.NormFloat64()*4)
+		pts[i] = vec.Vec{h[0] + r.NormFloat64()*4, h[1] + r.NormFloat64()*4, h[2] + r.NormFloat64()*4}
 	}
 	for _, p := range pts {
 		if err := s.Observe(p, 1); err != nil {
@@ -222,7 +222,7 @@ func BenchmarkScaleEpoch(b *testing.B) {
 		build func(tb testing.TB) *replica.Server
 	}{
 		{"unsharded", func(tb testing.TB) *replica.Server {
-			srv, err := replica.NewServer(0, benchScaleBudget, benchScaleDims)
+			srv, err := replica.NewServer(benchScaleBudget, benchScaleDims)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -244,7 +244,7 @@ func BenchmarkScaleEpoch(b *testing.B) {
 				for bb := 0; bb < stream.EpochBatches(); bb++ {
 					cs, ws = ingestBatch(b, srv, pos, stream.Next(batch), cs, ws)
 				}
-				got, err := srv.Export()
+				got, err := srv.ExportInto(nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -236,33 +236,6 @@ func BenchmarkCoordEmbedding(b *testing.B) {
 	}
 }
 
-// BenchmarkCoordEmbeddingSimnet measures the deployment-faithful
-// asynchronous embedding: Poisson gossip through the discrete-event
-// simulator, stale coordinates and all.
-func BenchmarkCoordEmbeddingSimnet(b *testing.B) {
-	cfg := latency.DefaultGenerateConfig()
-	cfg.Nodes = 80
-	m, _, err := latency.Generate(rand.New(rand.NewSource(4)), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ecfg := coord.DefaultEmbedConfig()
-	var rel float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		emb, err := coord.EmbedOverSimnet(rand.New(rand.NewSource(5)), m, ecfg, 200_000, 1000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := coord.EvalError(emb, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rel = s.MedianRel
-	}
-	b.ReportMetric(rel, "medianRelErr")
-}
-
 // BenchmarkMicroClusterObserve measures the per-access summarization hot
 // path (§III-B): one Observe call on a warm summarizer.
 func BenchmarkMicroClusterObserve(b *testing.B) {
@@ -275,7 +248,7 @@ func BenchmarkMicroClusterObserve(b *testing.B) {
 			r := rand.New(rand.NewSource(1))
 			pts := make([]vec.Vec, 4096)
 			for i := range pts {
-				pts[i] = vec.Of(r.NormFloat64()*100, r.NormFloat64()*100, r.NormFloat64()*10)
+				pts[i] = vec.Vec{r.NormFloat64() * 100, r.NormFloat64() * 100, r.NormFloat64() * 10}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -296,7 +269,7 @@ func BenchmarkWeightedKMeans(b *testing.B) {
 			pts := make([]vec.Vec, n)
 			ws := make([]float64, n)
 			for i := range pts {
-				pts[i] = vec.Of(r.NormFloat64()*100, r.NormFloat64()*100, r.NormFloat64()*10)
+				pts[i] = vec.Vec{r.NormFloat64() * 100, r.NormFloat64() * 100, r.NormFloat64() * 10}
 				ws[i] = r.Float64() * 10
 			}
 			b.ResetTimer()

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/georep/georep/internal/latency"
@@ -67,5 +70,30 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("args %v should fail", args)
 		}
+	}
+}
+
+// TestNaNMatrixExitsNonZero runs the command on a matrix file holding a
+// NaN: it must exit non-zero with a message naming the entry, not print
+// NaN statistics.
+func TestNaNMatrixExitsNonZero(t *testing.T) {
+	if path := os.Getenv("LATGEN_SUMMARIZE"); path != "" {
+		os.Args = []string{"latgen", "-summarize", path}
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "nan.txt")
+	if err := os.WriteFile(path, []byte("2\n0 NaN\nNaN 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNaNMatrixExitsNonZero$")
+	cmd.Env = append(os.Environ(), "LATGEN_SUMMARIZE="+path)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("latgen exited %v on a NaN matrix; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `non-finite value "NaN" at (0,1)`) {
+		t.Fatalf("message does not name the entry:\n%s", out)
 	}
 }

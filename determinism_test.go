@@ -48,7 +48,7 @@ func TestWeightedKMeansDigestPinned(t *testing.T) {
 		pts := make([]vec.Vec, n)
 		ws := make([]float64, n)
 		for i := range pts {
-			pts[i] = vec.Of(r.NormFloat64()*100, r.NormFloat64()*100, r.NormFloat64()*10)
+			pts[i] = vec.Vec{r.NormFloat64() * 100, r.NormFloat64() * 100, r.NormFloat64() * 10}
 			ws[i] = float64(r.Intn(8)) // integer weights, including zeros
 		}
 		k := 2 + r.Intn(5)

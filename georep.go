@@ -129,15 +129,6 @@ func WithNodes(n int) Option {
 	return optionFunc(func(o *options) { o.nodes = n })
 }
 
-// WithParallelism has no effect. The one kernel it reached was the
-// exhaustive optimal search, which is serial now; results were
-// byte-identical at any setting, so callers see no difference.
-//
-// Deprecated: kept so existing callers compile.
-func WithParallelism(int) Option {
-	return optionFunc(func(*options) {})
-}
-
 // Deployment is a fixed set of nodes with ground-truth RTTs and embedded
 // network coordinates. It is immutable and safe for concurrent reads.
 type Deployment struct {

@@ -332,7 +332,7 @@ func TestIntegrationGroupedWorkload(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(3))
 	for epoch := 0; epoch < 2; epoch++ {
-		aAccesses, err := genA.Epoch(rng, 300, nil)
+		aAccesses, err := genA.EpochInto(rng, 300, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func TestIntegrationGroupedWorkload(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		bAccesses, err := genB.Epoch(rng, 300, nil)
+		bAccesses, err := genB.EpochInto(rng, 300, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

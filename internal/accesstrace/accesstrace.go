@@ -1,10 +1,9 @@
-// Package accesstrace records and replays data-access traces. The paper closes
-// with "we also plan to carry out more realistic evaluation study based
-// on data accesses in actual applications" — this package is that hook: a
-// plain CSV trace format any application log can be converted into, a
-// generator that synthesizes traces from the workload model, and a replay
-// engine that drives the replica manager epoch by epoch and reports the
-// latencies clients would have seen.
+// Package accesstrace records and replays data-access traces. The paper
+// closes with "we also plan to carry out more realistic evaluation study
+// based on data accesses in actual applications" — this package is that
+// hook: a plain CSV trace format any application log can be converted
+// into, and a replay engine that drives the replica manager epoch by
+// epoch and reports the latencies clients would have seen.
 package accesstrace
 
 import (
@@ -19,7 +18,6 @@ import (
 	"github.com/georep/georep/internal/coord"
 	"github.com/georep/georep/internal/replica"
 	"github.com/georep/georep/internal/stats"
-	"github.com/georep/georep/internal/workload"
 )
 
 // Event is one recorded access.
@@ -96,85 +94,6 @@ func Read(r io.Reader) ([]Event, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("accesstrace: read: %w", err)
-	}
-	return events, nil
-}
-
-// GenerateConfig synthesizes a trace from the workload model.
-type GenerateConfig struct {
-	// DurationMs is the trace length.
-	DurationMs float64
-	// RatePerMs is the aggregate access rate (events per millisecond).
-	RatePerMs float64
-	// Groups maps group names to their share of traffic; empty means a
-	// single group "default" gets everything.
-	Groups map[string]float64
-	// Diurnal optionally modulates per-region activity over time.
-	Diurnal *workload.Diurnal
-}
-
-// Generate synthesizes an event trace with exponential inter-arrivals
-// (Poisson process) from a workload generator.
-func Generate(r *rand.Rand, gen *workload.Generator, cfg GenerateConfig) ([]Event, error) {
-	if cfg.DurationMs <= 0 || cfg.RatePerMs <= 0 {
-		return nil, fmt.Errorf("accesstrace: need positive duration and rate, got %v ms at %v/ms",
-			cfg.DurationMs, cfg.RatePerMs)
-	}
-	groups := cfg.Groups
-	if len(groups) == 0 {
-		groups = map[string]float64{"default": 1}
-	}
-	names := make([]string, 0, len(groups))
-	for g, share := range groups {
-		if share < 0 {
-			return nil, fmt.Errorf("accesstrace: group %q has negative share", g)
-		}
-		names = append(names, g)
-	}
-	sort.Strings(names)
-	var total float64
-	for _, g := range names {
-		total += groups[g]
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("accesstrace: all group shares are zero")
-	}
-	pickGroup := func() string {
-		u := r.Float64() * total
-		for _, g := range names {
-			u -= groups[g]
-			if u < 0 {
-				return g
-			}
-		}
-		return names[len(names)-1]
-	}
-
-	var events []Event
-	now := 0.0
-	for {
-		now += r.ExpFloat64() / cfg.RatePerMs
-		if now >= cfg.DurationMs {
-			break
-		}
-		var activity workload.Activity
-		if cfg.Diurnal != nil {
-			a, err := cfg.Diurnal.At(now)
-			if err != nil {
-				return nil, err
-			}
-			activity = a
-		}
-		batch, err := gen.Epoch(r, 1, activity)
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, Event{
-			TimeMs: now,
-			Client: batch[0].Client,
-			Group:  pickGroup(),
-			Bytes:  batch[0].Bytes,
-		})
 	}
 	return events, nil
 }

@@ -2,14 +2,12 @@ package accesstrace
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/georep/georep/internal/coord"
 	"github.com/georep/georep/internal/replica"
 	"github.com/georep/georep/internal/vec"
-	"github.com/georep/georep/internal/workload"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -72,73 +70,6 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
-func testGenerator(t *testing.T) *workload.Generator {
-	t.Helper()
-	clients, err := workload.UniformClients([]int{4, 5, 6, 7}, []int{0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workload.NewGenerator(rand.New(rand.NewSource(1)), workload.Spec{
-		Clients: clients, Objects: 3, ZipfExponent: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gen
-}
-
-func TestGenerateTrace(t *testing.T) {
-	gen := testGenerator(t)
-	events, err := Generate(rand.New(rand.NewSource(2)), gen, GenerateConfig{
-		DurationMs: 1000,
-		RatePerMs:  0.5,
-		Groups:     map[string]float64{"hot": 3, "cold": 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Poisson with rate 0.5/ms over 1000ms ≈ 500 events.
-	if len(events) < 350 || len(events) > 650 {
-		t.Fatalf("got %d events, want ~500", len(events))
-	}
-	prev := 0.0
-	groupCount := map[string]int{}
-	for _, e := range events {
-		if e.TimeMs < prev {
-			t.Fatal("events not in time order")
-		}
-		prev = e.TimeMs
-		if e.TimeMs >= 1000 {
-			t.Fatalf("event beyond duration: %v", e.TimeMs)
-		}
-		groupCount[e.Group]++
-	}
-	if groupCount["hot"] <= groupCount["cold"] {
-		t.Errorf("group shares not respected: %v", groupCount)
-	}
-}
-
-func TestGenerateValidation(t *testing.T) {
-	gen := testGenerator(t)
-	r := rand.New(rand.NewSource(3))
-	if _, err := Generate(r, gen, GenerateConfig{DurationMs: 0, RatePerMs: 1}); err == nil {
-		t.Error("zero duration should fail")
-	}
-	if _, err := Generate(r, gen, GenerateConfig{DurationMs: 10, RatePerMs: 0}); err == nil {
-		t.Error("zero rate should fail")
-	}
-	if _, err := Generate(r, gen, GenerateConfig{
-		DurationMs: 10, RatePerMs: 1, Groups: map[string]float64{"g": -1},
-	}); err == nil {
-		t.Error("negative share should fail")
-	}
-	if _, err := Generate(r, gen, GenerateConfig{
-		DurationMs: 10, RatePerMs: 1, Groups: map[string]float64{"g": 0},
-	}); err == nil {
-		t.Error("all-zero shares should fail")
-	}
-}
-
 // replayFixture: candidates at x = 0,50,100,150 (nodes 0-3); clients at
 // x = 10 (node 4) and x = 140 (node 5).
 func replayFixture(t *testing.T) (*replica.GroupManager, []coord.Coordinate, func(int, int) float64) {
@@ -146,7 +77,7 @@ func replayFixture(t *testing.T) (*replica.GroupManager, []coord.Coordinate, fun
 	xs := []float64{0, 50, 100, 150, 10, 140}
 	coords := make([]coord.Coordinate, len(xs))
 	for i, x := range xs {
-		coords[i] = coord.Coordinate{Pos: vec.Of(x, 0)}
+		coords[i] = coord.Coordinate{Pos: vec.Vec{x, 0}}
 	}
 	gm, err := replica.NewGroupManager(replica.Config{K: 1, M: 4, Dims: 2},
 		[]int{0, 1, 2, 3}, coords)

@@ -287,7 +287,7 @@ func TestWatcherConvergesToRun(t *testing.T) {
 	reg := metrics.NewRegistry()
 	w := NewWatcher(dir, time.Hour, Config{Seed: 5}, reg)
 	defer w.Close()
-	w.Poke()
+	w.tick()
 	if got := w.Report().AuditedEpochs; got != 4 {
 		t.Fatalf("watcher audited %d epochs after first poke, want 4", got)
 	}
@@ -301,8 +301,8 @@ func TestWatcherConvergesToRun(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w.Poke()
-	w.Poke() // idempotent: nothing new the second time
+	w.tick()
+	w.tick() // idempotent: nothing new the second time
 
 	batch, err := Run(recs, Config{Seed: 5})
 	if err != nil {
@@ -331,7 +331,7 @@ func TestWatcherMissingDirIsNotFatal(t *testing.T) {
 	reg := metrics.NewRegistry()
 	w := NewWatcher("/nonexistent/ledger-dir", time.Hour, Config{}, reg)
 	defer w.Close()
-	w.Poke()
+	w.tick()
 	if got := w.Report().AuditedEpochs; got != 0 {
 		t.Fatalf("audited %d epochs from a missing dir", got)
 	}

@@ -113,10 +113,6 @@ func (w *Watcher) tick() {
 	}
 }
 
-// Poke audits immediately instead of waiting for the next interval —
-// for tests and for callers that know an epoch just completed.
-func (w *Watcher) Poke() { w.tick() }
-
 // Report snapshots the audit so far (oldest-first, finalized means).
 func (w *Watcher) Report() *Report {
 	w.mu.Lock()

@@ -32,7 +32,6 @@ func (m *Micro) dist2ToPoint(p vec.Vec) float64 {
 // dist2ToPoint / centroidDist2. Same steps, same comparison order.
 type refSummarizer struct {
 	max      int
-	floor    float64
 	clusters []Micro
 }
 
@@ -44,11 +43,7 @@ func (s *refSummarizer) observe(p vec.Vec, weight float64) {
 				best, bestD2 = i, d2
 			}
 		}
-		radius := s.clusters[best].StdDev()
-		if radius < s.floor {
-			radius = s.floor
-		}
-		if math.Sqrt(bestD2) <= radius {
+		if math.Sqrt(bestD2) <= s.clusters[best].StdDev() {
 			s.clusters[best].Absorb(p, weight)
 			return
 		}
@@ -124,26 +119,21 @@ func checkTable(t *testing.T, step int, table *centroidTable, clusters []Micro) 
 
 // TestSummarizersMatchReference drives Summarizer and WindowedSummarizer
 // through random streams — hotspots with churn past the budget, exact
-// duplicates, decays and resets, with and without a radius floor —
-// beside the pre-table reference, and demands bit-identical clusters and
+// duplicates, decays and resets — beside the pre-table reference, and demands bit-identical clusters and
 // an exact centroid table after every step.
 func TestSummarizersMatchReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		budget, dims := 1+r.Intn(12), 1+r.Intn(4)
-		floor := 0.0
-		if r.Intn(2) == 0 {
-			floor = r.Float64() * 6
-		}
-		plain, err := NewSummarizer(budget, dims, WithRadiusFloor(floor))
+		plain, err := NewSummarizer(budget, dims)
 		if err != nil {
 			t.Fatal(err)
 		}
-		windowed, err := NewWindowedSummarizer(budget, dims, WithRadiusFloor(floor))
+		windowed, err := NewWindowedSummarizer(budget, dims)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := &refSummarizer{max: budget, floor: floor}
+		ref := &refSummarizer{max: budget}
 		windowedLive := true // WindowedSummarizer has no Decay or Reset
 		hot := make([]vec.Vec, 2*budget+1)
 		for i := range hot {
@@ -209,7 +199,7 @@ func TestWindowedObserveAbsorbAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := []vec.Vec{vec.Of(0, 0, 0), vec.Of(90, 0, 0), vec.Of(0, 90, 0), vec.Of(0, 0, 90)}
+	pts := []vec.Vec{vec.Vec{0, 0, 0}, vec.Vec{90, 0, 0}, vec.Vec{0, 90, 0}, vec.Vec{0, 0, 90}}
 	for _, p := range pts {
 		if err := w.Observe(p, 1); err != nil {
 			t.Fatal(err)

@@ -62,23 +62,18 @@ func EncodedMicrosLen(ms []Micro) int {
 	return n
 }
 
-// readHeader checks the magic and version and returns a reader behind
-// them; the count that follows is bounded by the bytes that remain, each
-// element taking at least minBytes.
-func readHeader(b []byte, magic byte, minBytes int) (wire.Reader, int) {
-	r := wire.NewReader(b)
-	if m, v := r.U8(), r.U8(); m != magic || v != codecVersion { // a short header has latched already
-		r.Failf("bad magic/version %#x %#x", m, v)
-	}
-	return r, r.Fit(uint64(r.U32()), minBytes)
-}
-
 // DecodeMicros reverses EncodeMicros. Every length is checked against
 // the remaining input before allocation (wire.Reader), so arbitrary bytes
 // (fuzzed or corrupt) fail cleanly instead of over-allocating; a
 // non-finite or negative mass is refused, as ledger.Record.Validate does.
 func DecodeMicros(b []byte) ([]Micro, error) {
-	r, count := readHeader(b, microsMagic, microFixed)
+	r := wire.NewReader(b)
+	if m, v := r.U8(), r.U8(); m != microsMagic || v != codecVersion { // a short header has latched already
+		r.Failf("bad magic/version %#x %#x", m, v)
+	}
+	// The count is bounded by the bytes that remain, each micro taking at
+	// least microFixed.
+	count := r.Fit(uint64(r.U32()), microFixed)
 	var ms []Micro
 	if count > 0 {
 		ms = make([]Micro, count)
@@ -122,20 +117,4 @@ func EncodeCoordinates(ps []vec.Vec) ([]byte, error) {
 		b = wire.AppendF64s(b, p)
 	}
 	return b, nil
-}
-
-// DecodeCoordinates reverses EncodeCoordinates.
-func DecodeCoordinates(b []byte) ([]vec.Vec, error) {
-	r, count := readHeader(b, coordsMagic, 4)
-	var ps []vec.Vec
-	if count > 0 {
-		ps = make([]vec.Vec, count)
-	}
-	for i := range ps {
-		ps[i] = r.F64s(uint64(r.U32()))
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("cluster: decode coordinates: %w", err)
-	}
-	return ps, nil
 }

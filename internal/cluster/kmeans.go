@@ -396,17 +396,6 @@ func farthestPoint(points []vec.Vec, centroids []vec.Vec, assign []int) vec.Vec 
 	return points[best]
 }
 
-// WSSQ returns the weighted within-cluster sum of squared distances of a
-// result over the given points — the objective k-means minimizes, used by
-// tests and by the macro-clustering quality checks.
-func WSSQ(res *KMeansResult, points []vec.Vec, weights []float64) float64 {
-	var s float64
-	for i, p := range points {
-		s += weights[i] * p.Dist2(res.Centroids[res.Assignment[i]])
-	}
-	return s
-}
-
 // MacroCluster runs the paper's Algorithm 1 step 2: collect micro-cluster
 // pseudo-points and weighted-k-means them into k macro-clusters. Each
 // micro-cluster contributes its centroid as position and its Weight

@@ -23,7 +23,7 @@ func gaussianBlob(r *rand.Rand, center vec.Vec, n int, spread float64) []vec.Vec
 
 func TestWeightedKMeansValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	pts := []vec.Vec{vec.Of(1, 1), vec.Of(2, 2)}
+	pts := []vec.Vec{vec.Vec{1, 1}, vec.Vec{2, 2}}
 	if _, err := WeightedKMeans(r, pts, []float64{1, 1}, 0, 10); err == nil {
 		t.Error("k=0 should fail")
 	}
@@ -41,14 +41,14 @@ func TestWeightedKMeansValidation(t *testing.T) {
 			t.Errorf("weight %v should fail", w)
 		}
 	}
-	if _, err := WeightedKMeans(r, []vec.Vec{vec.Of(1), vec.Of(1, 2)}, []float64{1, 1}, 1, 10); err == nil {
+	if _, err := WeightedKMeans(r, []vec.Vec{vec.Vec{1}, vec.Vec{1, 2}}, []float64{1, 1}, 1, 10); err == nil {
 		t.Error("inconsistent dims should fail")
 	}
 }
 
 func TestKMeansRecoversBlobs(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	centers := []vec.Vec{vec.Of(0, 0), vec.Of(100, 0), vec.Of(50, 90)}
+	centers := []vec.Vec{vec.Vec{0, 0}, vec.Vec{100, 0}, vec.Vec{50, 90}}
 	var pts []vec.Vec
 	for _, c := range centers {
 		pts = append(pts, gaussianBlob(r, c, 80, 3)...)
@@ -79,7 +79,7 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 func TestWeightedKMeansPullsTowardHeavyPoints(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	// One centroid, two points: weight 9 at x=0, weight 1 at x=10.
-	pts := []vec.Vec{vec.Of(0), vec.Of(10)}
+	pts := []vec.Vec{vec.Vec{0}, vec.Vec{10}}
 	res, err := WeightedKMeans(r, pts, []float64{9, 1}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestWeightedKMeansPullsTowardHeavyPoints(t *testing.T) {
 
 func TestKMeansDegenerateKGEPoints(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	pts := []vec.Vec{vec.Of(1, 1), vec.Of(5, 5)}
+	pts := []vec.Vec{vec.Vec{1, 1}, vec.Vec{5, 5}}
 	res, err := WeightedKMeans(r, pts, []float64{2, 3}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +111,14 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pts := make([]vec.Vec, 10)
 	for i := range pts {
-		pts[i] = vec.Of(3, 3)
+		pts[i] = vec.Vec{3, 3}
 	}
 	res, err := KMeans(r, pts, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range res.Centroids {
-		if !c.Equal(vec.Of(3, 3)) {
+		if !c.Equal(vec.Vec{3, 3}) {
 			t.Errorf("centroid %v, want (3,3)", c)
 		}
 	}
@@ -126,7 +126,7 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 
 func TestKMeansZeroWeightPointsStillAssigned(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	pts := []vec.Vec{vec.Of(0), vec.Of(1), vec.Of(100)}
+	pts := []vec.Vec{vec.Vec{0}, vec.Vec{1}, vec.Vec{100}}
 	res, err := WeightedKMeans(r, pts, []float64{1, 0, 1}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -148,9 +148,9 @@ func TestMacroCluster(t *testing.T) {
 		return m
 	}
 	micros := []Micro{
-		mkMicro(vec.Of(0, 0), 50, 500),
-		mkMicro(vec.Of(2, 1), 30, 300),
-		mkMicro(vec.Of(100, 100), 10, 10),
+		mkMicro(vec.Vec{0, 0}, 50, 500),
+		mkMicro(vec.Vec{2, 1}, 30, 300),
+		mkMicro(vec.Vec{100, 100}, 10, 10),
 	}
 	res, err := MacroCluster(r, micros, 2)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestMacroCluster(t *testing.T) {
 func TestMacroClusterFallsBackToCount(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	m := NewMicro(2)
-	m.Absorb(vec.Of(1, 1), 0) // zero weight but count 1
+	m.Absorb(vec.Vec{1, 1}, 0) // zero weight but count 1
 	res, err := MacroCluster(r, []Micro{m}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestMacroClusterFallsBackToCount(t *testing.T) {
 }
 
 func TestKMeansDeterministic(t *testing.T) {
-	pts := gaussianBlob(rand.New(rand.NewSource(9)), vec.Of(0, 0), 100, 10)
+	pts := gaussianBlob(rand.New(rand.NewSource(9)), vec.Vec{0, 0}, 100, 10)
 	a, err := KMeans(rand.New(rand.NewSource(10)), pts, 4, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -199,13 +199,23 @@ func TestKMeansDeterministic(t *testing.T) {
 	}
 }
 
+// wssq returns the weighted within-cluster sum of squared distances of a
+// result over the given points — the objective k-means minimizes.
+func wssq(res *KMeansResult, points []vec.Vec, weights []float64) float64 {
+	var s float64
+	for i, p := range points {
+		s += weights[i] * p.Dist2(res.Centroids[res.Assignment[i]])
+	}
+	return s
+}
+
 func TestWSSQ(t *testing.T) {
-	pts := []vec.Vec{vec.Of(0), vec.Of(2)}
+	pts := []vec.Vec{vec.Vec{0}, vec.Vec{2}}
 	res := &KMeansResult{
-		Centroids:  []vec.Vec{vec.Of(1)},
+		Centroids:  []vec.Vec{vec.Vec{1}},
 		Assignment: []int{0, 0},
 	}
-	if got := WSSQ(res, pts, []float64{1, 3}); got != 4 { // 1*1 + 3*1
+	if got := wssq(res, pts, []float64{1, 3}); got != 4 { // 1*1 + 3*1
 		t.Errorf("WSSQ = %v, want 4", got)
 	}
 }
@@ -220,7 +230,7 @@ func TestQuickKMeansNearestAssignment(t *testing.T) {
 		pts := make([]vec.Vec, n)
 		ws := make([]float64, n)
 		for i := range pts {
-			pts[i] = vec.Of(r.NormFloat64()*50, r.NormFloat64()*50)
+			pts[i] = vec.Vec{r.NormFloat64() * 50, r.NormFloat64() * 50}
 			ws[i] = r.Float64() * 2
 		}
 		res, err := WeightedKMeans(r, pts, ws, k, 0)
@@ -256,7 +266,7 @@ func TestQuickKMeansWeightConservation(t *testing.T) {
 		ws := make([]float64, n)
 		var totalW float64
 		for i := range pts {
-			pts[i] = vec.Of(r.NormFloat64()*20, r.NormFloat64()*20, r.NormFloat64()*20)
+			pts[i] = vec.Vec{r.NormFloat64() * 20, r.NormFloat64() * 20, r.NormFloat64() * 20}
 			ws[i] = r.Float64()
 			totalW += ws[i]
 		}
@@ -271,7 +281,7 @@ func TestQuickKMeansWeightConservation(t *testing.T) {
 			}
 			gotW += w
 		}
-		obj := WSSQ(res, pts, ws)
+		obj := wssq(res, pts, ws)
 		return math.Abs(gotW-totalW) < 1e-6 && obj >= 0 && !math.IsNaN(obj) && !math.IsInf(obj, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -385,7 +395,7 @@ func TestWeightedKMeansMatchesReference(t *testing.T) {
 		pts := make([]vec.Vec, n)
 		ws := make([]float64, n)
 		for i := range pts {
-			pts[i] = vec.Of(r.NormFloat64()*100, r.NormFloat64()*100, r.NormFloat64()*10)
+			pts[i] = vec.Vec{r.NormFloat64() * 100, r.NormFloat64() * 100, r.NormFloat64() * 10}
 			ws[i] = float64(r.Intn(4)) // zeros included, and plenty of ties
 		}
 		want := referenceWeightedKMeans(rand.New(rand.NewSource(seed*37)), pts, ws, k, 0)
@@ -407,7 +417,7 @@ func TestWeightedKMeansMatchesReference(t *testing.T) {
 // centroid fixed point and exits after a single recompute, with
 // identical centroids.
 func TestConvergedInputExitsAfterOneRecompute(t *testing.T) {
-	pts := []vec.Vec{vec.Of(0, 0), vec.Of(0, 0), vec.Of(10, 10), vec.Of(10, 10)}
+	pts := []vec.Vec{vec.Vec{0, 0}, vec.Vec{0, 0}, vec.Vec{10, 10}, vec.Vec{10, 10}}
 	ws := []float64{1, 1, 1, 1}
 	want := referenceWeightedKMeans(rand.New(rand.NewSource(5)), pts, ws, 2, 0)
 	got, err := WeightedKMeans(rand.New(rand.NewSource(5)), pts, ws, 2, 0)
@@ -432,7 +442,7 @@ func TestWeightedKMeansLloydLoopDoesNotAllocate(t *testing.T) {
 	pts := make([]vec.Vec, n)
 	ws := make([]float64, n)
 	for i := range pts {
-		pts[i] = vec.Of(r.NormFloat64()*100, r.NormFloat64()*100, r.NormFloat64()*10)
+		pts[i] = vec.Vec{r.NormFloat64() * 100, r.NormFloat64() * 100, r.NormFloat64() * 10}
 		ws[i] = r.Float64() * 10
 	}
 	allocs := testing.AllocsPerRun(5, func() {

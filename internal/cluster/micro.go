@@ -125,8 +125,8 @@ func centroidDist2(a, b *Micro) float64 {
 }
 
 // absorbMicro folds b into a in place (a ← a ∪ b) without allocating.
-// The arithmetic is identical to MergeMicro, so callers switching from
-// the allocating form see byte-identical summaries.
+// Feature vectors are additive, which is what makes micro-clusters
+// mergeable in O(d).
 func absorbMicro(a, b *Micro) {
 	a.Count += b.Count
 	a.Weight += b.Weight
@@ -142,21 +142,6 @@ func (m *Micro) clear() {
 		m.Sum[d] = 0
 		m.Sum2[d] = 0
 	}
-}
-
-// MergeMicro returns the cluster feature vector of a ∪ b. Feature vectors
-// are additive, which is what makes micro-clusters mergeable in O(d).
-func MergeMicro(a, b Micro) (Micro, error) {
-	if a.Dims() != b.Dims() {
-		return Micro{}, fmt.Errorf("cluster: merge dims %d vs %d", a.Dims(), b.Dims())
-	}
-	out := Micro{
-		Count:  a.Count + b.Count,
-		Weight: a.Weight + b.Weight,
-		Sum:    a.Sum.Add(b.Sum),
-		Sum2:   a.Sum2.Add(b.Sum2),
-	}
-	return out, nil
 }
 
 // Clone returns an independent copy of the cluster.
@@ -183,28 +168,6 @@ func copyVec(dst, src vec.Vec) vec.Vec {
 	return dst
 }
 
-// SummarizerOption configures a Summarizer.
-type SummarizerOption interface {
-	apply(*summarizerOptions)
-}
-
-type summarizerOptions struct {
-	radiusFloor float64
-	decayFactor float64
-}
-
-type radiusFloorOption float64
-
-func (o radiusFloorOption) apply(opts *summarizerOptions) { opts.radiusFloor = float64(o) }
-
-// WithRadiusFloor sets a minimum absorption radius in coordinate units
-// (milliseconds). The paper absorbs a point when it lies within one
-// standard deviation of the nearest centroid; a singleton cluster has
-// zero deviation, so a small floor reduces create-and-merge churn without
-// changing the summaries materially. Zero (the default) reproduces the
-// paper exactly.
-func WithRadiusFloor(ms float64) SummarizerOption { return radiusFloorOption(ms) }
-
 // Summarizer maintains at most maxClusters micro-clusters over a stream
 // of coordinate observations — the state each replica server keeps
 // (paper symbol m). It is not safe for concurrent use; replica servers
@@ -212,12 +175,10 @@ func WithRadiusFloor(ms float64) SummarizerOption { return radiusFloorOption(ms)
 type Summarizer struct {
 	maxClusters int
 	dims        int
-	opts        summarizerOptions
 	clusters    []Micro
 	// cent caches the clusters' centroids, row i for clusters[i]; every
 	// mutation of a cluster refreshes its row (see centroidTable).
-	cent     centroidTable
-	observed int64
+	cent centroidTable
 	// spare is a free list of retired Micro buffers, sized by what has
 	// actually been retired (like the centroid table, not reserved up
 	// front). Once the summarizer has been at capacity, every new cluster
@@ -228,7 +189,7 @@ type Summarizer struct {
 
 // NewSummarizer returns a summarizer holding at most maxClusters
 // micro-clusters of the given dimensionality.
-func NewSummarizer(maxClusters, dims int, opts ...SummarizerOption) (*Summarizer, error) {
+func NewSummarizer(maxClusters, dims int) (*Summarizer, error) {
 	if maxClusters <= 0 {
 		return nil, fmt.Errorf("cluster: maxClusters must be positive, got %d", maxClusters)
 	}
@@ -243,12 +204,6 @@ func NewSummarizer(maxClusters, dims int, opts ...SummarizerOption) (*Summarizer
 		// never reallocates.
 		clusters: make([]Micro, 0, maxClusters+1),
 		cent:     centroidTable{dims: dims},
-	}
-	for _, o := range opts {
-		o.apply(&s.opts)
-	}
-	if s.opts.radiusFloor < 0 {
-		return nil, fmt.Errorf("cluster: radius floor %v must be non-negative", s.opts.radiusFloor)
 	}
 	return s, nil
 }
@@ -279,15 +234,10 @@ func (s *Summarizer) Observe(p vec.Vec, weight float64) error {
 	if !validWeight(weight) {
 		return weightError(weight)
 	}
-	s.observed++
 
 	if len(s.clusters) > 0 {
 		best, bestD2 := s.cent.nearest(len(s.clusters), p)
-		radius := s.clusters[best].StdDev()
-		if radius < s.opts.radiusFloor {
-			radius = s.opts.radiusFloor
-		}
-		if math.Sqrt(bestD2) <= radius {
+		if math.Sqrt(bestD2) <= s.clusters[best].StdDev() {
 			s.clusters[best].Absorb(p, weight)
 			s.cent.set(best, &s.clusters[best])
 			return nil
@@ -370,18 +320,6 @@ func (s *Summarizer) ClustersInto(dst []Micro) []Micro {
 // Len returns the current number of micro-clusters.
 func (s *Summarizer) Len() int { return len(s.clusters) }
 
-// Observed returns how many observations the summarizer has consumed.
-func (s *Summarizer) Observed() int64 { return s.observed }
-
-// TotalWeight returns the summed weight across clusters.
-func (s *Summarizer) TotalWeight() float64 {
-	var w float64
-	for i := range s.clusters {
-		w += s.clusters[i].Weight
-	}
-	return w
-}
-
 // Decay scales every cluster's mass by factor in (0, 1], exponentially
 // aging out old accesses so the summary tracks *recent* usage as the
 // paper requires. Clusters whose count rounds to zero are dropped. This
@@ -426,5 +364,4 @@ func (s *Summarizer) Reset() {
 		s.clusters[i] = Micro{}
 	}
 	s.clusters = s.clusters[:0]
-	s.observed = 0
 }

@@ -12,12 +12,12 @@ import (
 
 func TestMicroCentroidAndStdDev(t *testing.T) {
 	m := NewMicro(2)
-	m.Absorb(vec.Of(0, 0), 1)
-	m.Absorb(vec.Of(2, 0), 1)
-	m.Absorb(vec.Of(0, 2), 1)
-	m.Absorb(vec.Of(2, 2), 1)
+	m.Absorb(vec.Vec{0, 0}, 1)
+	m.Absorb(vec.Vec{2, 0}, 1)
+	m.Absorb(vec.Vec{0, 2}, 1)
+	m.Absorb(vec.Vec{2, 2}, 1)
 	c := m.Centroid()
-	if !c.Equal(vec.Of(1, 1)) {
+	if !c.Equal(vec.Vec{1, 1}) {
 		t.Errorf("centroid = %v, want (1,1)", c)
 	}
 	// Each dim has variance 1, so RMS deviation = sqrt(2).
@@ -41,7 +41,7 @@ func TestMicroEmpty(t *testing.T) {
 
 func TestMicroAbsorbLazyInit(t *testing.T) {
 	var m Micro // zero value, no dims yet
-	m.Absorb(vec.Of(1, 2, 3), 5)
+	m.Absorb(vec.Vec{1, 2, 3}, 5)
 	if m.Dims() != 3 || m.Count != 1 || m.Weight != 5 {
 		t.Errorf("lazy init failed: %+v", m)
 	}
@@ -49,33 +49,26 @@ func TestMicroAbsorbLazyInit(t *testing.T) {
 
 func TestMergeMicroAdditive(t *testing.T) {
 	a := NewMicro(2)
-	a.Absorb(vec.Of(0, 0), 1)
-	a.Absorb(vec.Of(2, 2), 1)
+	a.Absorb(vec.Vec{0, 0}, 1)
+	a.Absorb(vec.Vec{2, 2}, 1)
 	b := NewMicro(2)
-	b.Absorb(vec.Of(4, 4), 3)
+	b.Absorb(vec.Vec{4, 4}, 3)
 
-	m, err := MergeMicro(a, b)
-	if err != nil {
-		t.Fatal(err)
+	absorbMicro(&a, &b)
+	if a.Count != 3 || a.Weight != 5 {
+		t.Errorf("merged count=%d weight=%v", a.Count, a.Weight)
 	}
-	if m.Count != 3 || m.Weight != 5 {
-		t.Errorf("merged count=%d weight=%v", m.Count, m.Weight)
-	}
-	want := vec.Of(2, 2) // (0+2+4)/3
-	if !m.Centroid().Equal(want) {
-		t.Errorf("merged centroid = %v, want %v", m.Centroid(), want)
-	}
-
-	if _, err := MergeMicro(NewMicro(2), NewMicro(3)); err == nil {
-		t.Error("dim mismatch should fail")
+	want := vec.Vec{2, 2} // (0+2+4)/3
+	if !a.Centroid().Equal(want) {
+		t.Errorf("merged centroid = %v, want %v", a.Centroid(), want)
 	}
 }
 
 func TestMicroCloneIndependent(t *testing.T) {
 	a := NewMicro(2)
-	a.Absorb(vec.Of(1, 1), 1)
+	a.Absorb(vec.Vec{1, 1}, 1)
 	c := a.Clone()
-	c.Absorb(vec.Of(9, 9), 1)
+	c.Absorb(vec.Vec{9, 9}, 1)
 	if a.Count != 1 {
 		t.Error("clone aliases original")
 	}
@@ -88,9 +81,6 @@ func TestNewSummarizerValidation(t *testing.T) {
 	if _, err := NewSummarizer(4, 0); err == nil {
 		t.Error("dims=0 should fail")
 	}
-	if _, err := NewSummarizer(4, 2, WithRadiusFloor(-1)); err == nil {
-		t.Error("negative radius floor should fail")
-	}
 }
 
 func TestSummarizerObserveValidation(t *testing.T) {
@@ -98,19 +88,19 @@ func TestSummarizerObserveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Observe(vec.Of(1, 2, 3), 1); err == nil {
+	if err := s.Observe(vec.Vec{1, 2, 3}, 1); err == nil {
 		t.Error("dim mismatch should fail")
 	}
-	if err := s.Observe(vec.Of(math.NaN(), 0), 1); err == nil {
+	if err := s.Observe(vec.Vec{math.NaN(), 0}, 1); err == nil {
 		t.Error("NaN observation should fail")
 	}
-	if err := s.Observe(vec.Of(1, 2), -1); err == nil {
+	if err := s.Observe(vec.Vec{1, 2}, -1); err == nil {
 		t.Error("negative weight should fail")
 	}
 	// A NaN or infinite weight would sit in Micro.Weight through every
 	// Decay and reach the coordinator's k-means.
 	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := s.Observe(vec.Of(1, 2), w); err == nil {
+		if err := s.Observe(vec.Vec{1, 2}, w); err == nil {
 			t.Errorf("weight %v should fail", w)
 		}
 	}
@@ -126,7 +116,7 @@ func TestSummarizerCapRespected(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
-		p := vec.Of(r.Float64()*200, r.Float64()*200)
+		p := vec.Vec{r.Float64() * 200, r.Float64() * 200}
 		if err := s.Observe(p, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -134,32 +124,31 @@ func TestSummarizerCapRespected(t *testing.T) {
 			t.Fatalf("cluster count %d exceeds cap 5", s.Len())
 		}
 	}
-	if s.Observed() != 1000 {
-		t.Errorf("Observed = %d", s.Observed())
-	}
 	// Mass conservation: every observation is in some cluster.
 	var count int64
+	var w float64
 	for _, c := range s.Clusters() {
 		count += c.Count
+		w += c.Weight
 	}
 	if count != 1000 {
 		t.Errorf("total count %d, want 1000", count)
 	}
-	if w := s.TotalWeight(); w != 1000 {
+	if w != 1000 {
 		t.Errorf("total weight %v, want 1000", w)
 	}
 }
 
 func TestSummarizerFindsSeparatedGroups(t *testing.T) {
-	s, err := NewSummarizer(4, 2, WithRadiusFloor(2))
+	s, err := NewSummarizer(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(2))
-	centers := []vec.Vec{vec.Of(0, 0), vec.Of(100, 0), vec.Of(0, 100)}
+	centers := []vec.Vec{vec.Vec{0, 0}, vec.Vec{100, 0}, vec.Vec{0, 100}}
 	for i := 0; i < 600; i++ {
 		c := centers[i%3]
-		p := vec.Of(c[0]+r.NormFloat64(), c[1]+r.NormFloat64())
+		p := vec.Vec{c[0] + r.NormFloat64(), c[1] + r.NormFloat64()}
 		if err := s.Observe(p, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +170,7 @@ func TestSummarizerFindsSeparatedGroups(t *testing.T) {
 
 func TestSummarizerClustersAreCopies(t *testing.T) {
 	s, _ := NewSummarizer(4, 2)
-	if err := s.Observe(vec.Of(1, 1), 1); err != nil {
+	if err := s.Observe(vec.Vec{1, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	cs := s.Clusters()
@@ -194,7 +183,7 @@ func TestSummarizerClustersAreCopies(t *testing.T) {
 func TestSummarizerDecay(t *testing.T) {
 	s, _ := NewSummarizer(4, 2)
 	for i := 0; i < 100; i++ {
-		if err := s.Observe(vec.Of(5, 5), 2); err != nil {
+		if err := s.Observe(vec.Vec{5, 5}, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,21 +222,21 @@ func TestSummarizerDecay(t *testing.T) {
 
 func TestSummarizerReset(t *testing.T) {
 	s, _ := NewSummarizer(4, 2)
-	if err := s.Observe(vec.Of(1, 1), 1); err != nil {
+	if err := s.Observe(vec.Vec{1, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	s.Reset()
-	if s.Len() != 0 || s.Observed() != 0 {
+	if s.Len() != 0 {
 		t.Error("reset did not clear state")
 	}
 }
 
 func TestSummarizerSingleClusterAbsorbsDuplicates(t *testing.T) {
-	// The paper's rule with zero radius floor: a repeat of the exact same
+	// The paper's absorption rule: a repeat of the exact same
 	// point is at distance 0 <= stddev 0, so it must absorb, not churn.
 	s, _ := NewSummarizer(3, 2)
 	for i := 0; i < 10; i++ {
-		if err := s.Observe(vec.Of(7, 7), 1); err != nil {
+		if err := s.Observe(vec.Vec{7, 7}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +249,7 @@ func TestEncodeDecodeMicros(t *testing.T) {
 	s, _ := NewSummarizer(8, 3)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
-		if err := s.Observe(vec.Of(r.Float64()*100, r.Float64()*100, r.Float64()*10), r.Float64()); err != nil {
+		if err := s.Observe(vec.Vec{r.Float64() * 100, r.Float64() * 100, r.Float64() * 10}, r.Float64()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,8 +299,8 @@ func TestDecodeMicrosRejectsCorrupt(t *testing.T) {
 	for name, m := range map[string]Micro{
 		"NaN weight":  {Count: 1, Weight: math.NaN(), Sum: vec.New(2), Sum2: vec.New(2)},
 		"+Inf weight": {Count: 1, Weight: math.Inf(1), Sum: vec.New(2), Sum2: vec.New(2)},
-		"NaN sum":     {Count: 1, Weight: 1, Sum: vec.Of(math.NaN(), 0), Sum2: vec.New(2)},
-		"Inf sum2":    {Count: 1, Weight: 1, Sum: vec.New(2), Sum2: vec.Of(0, math.Inf(-1))},
+		"NaN sum":     {Count: 1, Weight: 1, Sum: vec.Vec{math.NaN(), 0}, Sum2: vec.New(2)},
+		"Inf sum2":    {Count: 1, Weight: 1, Sum: vec.New(2), Sum2: vec.Vec{0, math.Inf(-1)}},
 	} {
 		b, err := EncodeMicros([]Micro{m})
 		if err != nil {
@@ -320,24 +309,6 @@ func TestDecodeMicrosRejectsCorrupt(t *testing.T) {
 		if _, err := DecodeMicros(b); err == nil || !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("%s: err = %v, want a non-finite refusal", name, err)
 		}
-	}
-}
-
-func TestEncodeDecodeCoordinates(t *testing.T) {
-	ps := []vec.Vec{vec.Of(1, 2), vec.Of(3, 4)}
-	b, err := EncodeCoordinates(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeCoordinates(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || !back[1].Equal(vec.Of(3, 4)) {
-		t.Errorf("round trip failed: %v", back)
-	}
-	if _, err := DecodeCoordinates([]byte{1, 2, 3}); err == nil {
-		t.Error("corrupt bytes should fail")
 	}
 }
 
@@ -351,7 +322,7 @@ func TestOnlineSummaryBandwidthBounded(t *testing.T) {
 		s, _ := NewSummarizer(10, 3)
 		var raw []vec.Vec
 		for i := 0; i < n; i++ {
-			p := vec.Of(r.Float64()*100, r.Float64()*100, r.Float64()*5)
+			p := vec.Vec{r.Float64() * 100, r.Float64() * 100, r.Float64() * 5}
 			if err := s.Observe(p, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -382,7 +353,7 @@ func TestQuickSummarizerMassConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		maxC := 1 + r.Intn(10)
-		s, err := NewSummarizer(maxC, 2, WithRadiusFloor(r.Float64()*5))
+		s, err := NewSummarizer(maxC, 2)
 		if err != nil {
 			return false
 		}
@@ -391,19 +362,21 @@ func TestQuickSummarizerMassConservation(t *testing.T) {
 		for i := 0; i < n; i++ {
 			w := r.Float64() * 3
 			wantW += w
-			p := vec.Of(r.NormFloat64()*50, r.NormFloat64()*50)
+			p := vec.Vec{r.NormFloat64() * 50, r.NormFloat64() * 50}
 			if s.Observe(p, w) != nil {
 				return false
 			}
 		}
 		var count int64
+		var gotW float64
 		for _, c := range s.Clusters() {
 			if sd := c.StdDev(); sd < 0 || math.IsNaN(sd) || math.IsInf(sd, 0) {
 				return false
 			}
 			count += c.Count
+			gotW += c.Weight
 		}
-		return count == int64(n) && math.Abs(s.TotalWeight()-wantW) < 1e-6 && s.Len() <= maxC
+		return count == int64(n) && math.Abs(gotW-wantW) < 1e-6 && s.Len() <= maxC
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -417,19 +390,17 @@ func TestQuickMergePreservesMoments(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a, b := NewMicro(3), NewMicro(3)
 		for i := 0; i < 1+r.Intn(20); i++ {
-			a.Absorb(vec.Of(r.NormFloat64(), r.NormFloat64(), r.NormFloat64()), 1)
+			a.Absorb(vec.Vec{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}, 1)
 		}
 		for i := 0; i < 1+r.Intn(20); i++ {
-			b.Absorb(vec.Of(r.NormFloat64(), r.NormFloat64(), r.NormFloat64()), 1)
+			b.Absorb(vec.Vec{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}, 1)
 		}
-		m, err := MergeMicro(a, b)
-		if err != nil {
-			return false
-		}
-		wantSum := a.Sum.Add(b.Sum)
-		wantSum2 := a.Sum2.Add(b.Sum2)
-		return m.Sum.Equal(wantSum) && m.Sum2.Equal(wantSum2) &&
-			m.Count == a.Count+b.Count
+		wantSum, wantSum2 := a.Sum.Clone(), a.Sum2.Clone()
+		wantSum.AddInPlace(b.Sum)
+		wantSum2.AddInPlace(b.Sum2)
+		wantCount := a.Count + b.Count
+		absorbMicro(&a, &b)
+		return a.Sum.Equal(wantSum) && a.Sum2.Equal(wantSum2) && a.Count == wantCount
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

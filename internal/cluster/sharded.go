@@ -38,7 +38,7 @@ type ingestShard struct {
 // power-of-two shard count. Each shard holds up to maxClusters clusters
 // of the given dimensionality; Summary merges them back down to
 // maxClusters. shards == 1 degenerates to a locked Summarizer.
-func NewSharded(shards, maxClusters, dims int, opts ...SummarizerOption) (*Sharded, error) {
+func NewSharded(shards, maxClusters, dims int) (*Sharded, error) {
 	if shards <= 0 || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("cluster: shard count %d must be a positive power of two", shards)
 	}
@@ -49,7 +49,7 @@ func NewSharded(shards, maxClusters, dims int, opts ...SummarizerOption) (*Shard
 		dims:        dims,
 	}
 	for i := range s.shards {
-		sum, err := NewSummarizer(maxClusters, dims, opts...)
+		sum, err := NewSummarizer(maxClusters, dims)
 		if err != nil {
 			return nil, err
 		}
@@ -57,9 +57,6 @@ func NewSharded(shards, maxClusters, dims int, opts ...SummarizerOption) (*Shard
 	}
 	return s, nil
 }
-
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
 
 // ShardOf returns the shard index a client hashes to. Fibonacci hashing
 // on the client id spreads sequential ids uniformly; taking bits 16..31
@@ -182,30 +179,6 @@ func (s *Sharded) Reset() {
 		sh.sum.Reset()
 		sh.mu.Unlock()
 	}
-}
-
-// Observed returns the total observation count across shards.
-func (s *Sharded) Observed() int64 {
-	var n int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.sum.Observed()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// TotalWeight returns the summed cluster weight across shards.
-func (s *Sharded) TotalWeight() float64 {
-	var w float64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		w += sh.sum.TotalWeight()
-		sh.mu.Unlock()
-	}
-	return w
 }
 
 // Len returns the current total micro-cluster count across shards.

@@ -120,7 +120,7 @@ func TestShardedCentroidsMatchUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	centers := make([]vec.Vec, blobs)
 	for b := range centers {
-		centers[b] = vec.Of(float64(b)*100, float64((b*37)%3)*100, float64((b*53)%5)*50)
+		centers[b] = vec.Vec{float64(b) * 100, float64((b*37)%3) * 100, float64((b*53)%5) * 50}
 	}
 	const accesses = 4000
 	ids := make([]int, accesses)

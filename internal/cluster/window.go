@@ -85,7 +85,6 @@ type snapshotRec struct {
 type WindowedSummarizer struct {
 	maxClusters int
 	dims        int
-	opts        summarizerOptions
 	clusters    []trackedMicro
 	cent        centroidTable // row i: clusters[i]'s centroid, as in Summarizer
 	nextID      uint64
@@ -98,7 +97,7 @@ type WindowedSummarizer struct {
 }
 
 // NewWindowedSummarizer mirrors NewSummarizer with snapshot support.
-func NewWindowedSummarizer(maxClusters, dims int, opts ...SummarizerOption) (*WindowedSummarizer, error) {
+func NewWindowedSummarizer(maxClusters, dims int) (*WindowedSummarizer, error) {
 	if maxClusters <= 0 {
 		return nil, fmt.Errorf("cluster: maxClusters must be positive, got %d", maxClusters)
 	}
@@ -110,12 +109,6 @@ func NewWindowedSummarizer(maxClusters, dims int, opts ...SummarizerOption) (*Wi
 		dims:              dims,
 		cent:              centroidTable{dims: dims},
 		snapshotsPerOrder: 2, // CluStream's α=2, l=2 gives 2 per order
-	}
-	for _, o := range opts {
-		o.apply(&w.opts)
-	}
-	if w.opts.radiusFloor < 0 {
-		return nil, fmt.Errorf("cluster: radius floor %v must be non-negative", w.opts.radiusFloor)
 	}
 	return w, nil
 }
@@ -135,11 +128,7 @@ func (w *WindowedSummarizer) Observe(p vec.Vec, weight float64) error {
 
 	if len(w.clusters) > 0 {
 		best, bestD2 := w.cent.nearest(len(w.clusters), p)
-		radius := w.clusters[best].StdDev()
-		if radius < w.opts.radiusFloor {
-			radius = w.opts.radiusFloor
-		}
-		if math.Sqrt(bestD2) <= radius {
+		if math.Sqrt(bestD2) <= w.clusters[best].StdDev() {
 			w.clusters[best].Absorb(p, weight)
 			w.cent.set(best, &w.clusters[best].Micro)
 			return nil
@@ -228,10 +217,6 @@ func (w *WindowedSummarizer) prune() {
 	sort.Slice(kept, func(i, j int) bool { return kept[i].seq < kept[j].seq })
 	w.snapshots = kept
 }
-
-// SnapshotCount returns how many snapshots are retained (O(log n) of the
-// number taken).
-func (w *WindowedSummarizer) SnapshotCount() int { return len(w.snapshots) }
 
 // Window returns micro-clusters summarizing approximately the accesses
 // after (nowMs − horizonMs): the newest retained snapshot no younger

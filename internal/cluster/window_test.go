@@ -40,25 +40,22 @@ func TestNewWindowedSummarizerValidation(t *testing.T) {
 	if _, err := NewWindowedSummarizer(4, 0); err == nil {
 		t.Error("dims=0 should fail")
 	}
-	if _, err := NewWindowedSummarizer(4, 2, WithRadiusFloor(-1)); err == nil {
-		t.Error("negative floor should fail")
-	}
 }
 
 func TestWindowedObserveMatchesPlainSummarizer(t *testing.T) {
 	// Identical streams into both implementations must produce identical
 	// feature vectors (the windowed one only adds lineage tracking).
-	plain, err := NewSummarizer(5, 2, WithRadiusFloor(2))
+	plain, err := NewSummarizer(5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	windowed, err := NewWindowedSummarizer(5, 2, WithRadiusFloor(2))
+	windowed, err := NewWindowedSummarizer(5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
-		p := vec.Of(r.NormFloat64()*50, r.NormFloat64()*50)
+		p := vec.Vec{r.NormFloat64() * 50, r.NormFloat64() * 50}
 		if err := plain.Observe(p, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -82,14 +79,14 @@ func TestWindowedObserveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Observe(vec.Of(1), 1); err == nil {
+	if err := w.Observe(vec.Vec{1}, 1); err == nil {
 		t.Error("dim mismatch should fail")
 	}
-	if err := w.Observe(vec.Of(1, 2), -1); err == nil {
+	if err := w.Observe(vec.Vec{1, 2}, -1); err == nil {
 		t.Error("negative weight should fail")
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := w.Observe(vec.Of(1, 2), bad); err == nil {
+		if err := w.Observe(vec.Vec{1, 2}, bad); err == nil {
 			t.Errorf("weight %v should fail", bad)
 		}
 	}
@@ -99,14 +96,14 @@ func TestWindowedObserveValidation(t *testing.T) {
 }
 
 func TestWindowSubtraction(t *testing.T) {
-	w, err := NewWindowedSummarizer(8, 2, WithRadiusFloor(2))
+	w, err := NewWindowedSummarizer(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Phase 1 (t=0..100): 50 accesses near (0,0).
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 50; i++ {
-		if err := w.Observe(vec.Of(r.NormFloat64(), r.NormFloat64()), 1); err != nil {
+		if err := w.Observe(vec.Vec{r.NormFloat64(), r.NormFloat64()}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +112,7 @@ func TestWindowSubtraction(t *testing.T) {
 	}
 	// Phase 2 (t=100..200): 30 accesses near (100,100).
 	for i := 0; i < 30; i++ {
-		if err := w.Observe(vec.Of(100+r.NormFloat64(), 100+r.NormFloat64()), 1); err != nil {
+		if err := w.Observe(vec.Vec{100 + r.NormFloat64(), 100 + r.NormFloat64()}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +173,7 @@ func TestPyramidalRetentionLogarithmic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Observe(vec.Of(1, 1), 1); err != nil {
+	if err := w.Observe(vec.Vec{1, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	const snaps = 1024
@@ -186,7 +183,7 @@ func TestPyramidalRetentionLogarithmic(t *testing.T) {
 		}
 	}
 	// 2 per order over 1024 snapshots → at most 2·(log2(1024)+1) = 22.
-	if got := w.SnapshotCount(); got > 22 {
+	if got := len(w.snapshots); got > 22 {
 		t.Errorf("retained %d snapshots, want O(log n) <= 22", got)
 	}
 	// The most recent snapshot always survives.
@@ -212,14 +209,14 @@ func TestOrderHelper(t *testing.T) {
 func TestQuickWindowMassExact(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		w, err := NewWindowedSummarizer(1+r.Intn(8), 2, WithRadiusFloor(r.Float64()*3))
+		w, err := NewWindowedSummarizer(1+r.Intn(8), 2)
 		if err != nil {
 			return false
 		}
 		phase1 := 1 + r.Intn(100)
 		phase2 := 1 + r.Intn(100)
 		for i := 0; i < phase1; i++ {
-			if w.Observe(vec.Of(r.NormFloat64()*40, r.NormFloat64()*40), 1) != nil {
+			if w.Observe(vec.Vec{r.NormFloat64() * 40, r.NormFloat64() * 40}, 1) != nil {
 				return false
 			}
 		}
@@ -227,7 +224,7 @@ func TestQuickWindowMassExact(t *testing.T) {
 			return false
 		}
 		for i := 0; i < phase2; i++ {
-			if w.Observe(vec.Of(r.NormFloat64()*40, r.NormFloat64()*40), 1) != nil {
+			if w.Observe(vec.Vec{r.NormFloat64() * 40, r.NormFloat64() * 40}, 1) != nil {
 				return false
 			}
 		}

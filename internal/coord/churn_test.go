@@ -7,7 +7,7 @@ import (
 
 func TestEmbedLateJoinValidation(t *testing.T) {
 	m := testMatrix(t, 20, 50)
-	cfg := DefaultEmbedConfig()
+	cfg := defaultEmbedConfig()
 	cfg.LateJoinFrac = -0.1
 	if _, err := Embed(rand.New(rand.NewSource(1)), m, cfg); err == nil {
 		t.Error("negative fraction should fail")
@@ -20,7 +20,7 @@ func TestEmbedLateJoinValidation(t *testing.T) {
 
 func TestEmbedLateJoinersStillConverge(t *testing.T) {
 	m := testMatrix(t, 70, 51)
-	cfg := DefaultEmbedConfig()
+	cfg := defaultEmbedConfig()
 	cfg.Rounds = 400
 	cfg.LateJoinFrac = 0.3
 	emb, err := Embed(rand.New(rand.NewSource(2)), m, cfg)
@@ -54,7 +54,7 @@ func TestEmbedLateJoinersStillConverge(t *testing.T) {
 func TestEmbedChurnVsStable(t *testing.T) {
 	m := testMatrix(t, 60, 52)
 	run := func(frac float64) ErrorSummary {
-		cfg := DefaultEmbedConfig()
+		cfg := defaultEmbedConfig()
 		cfg.Rounds = 300
 		cfg.LateJoinFrac = frac
 		emb, err := Embed(rand.New(rand.NewSource(3)), m, cfg)

@@ -3,7 +3,7 @@
 // low-dimensional space such that the Euclidean distance between two
 // nodes' points approximates their round-trip time.
 //
-// Three systems are provided:
+// Two systems are provided:
 //
 //   - Vivaldi (Dabek et al., SIGCOMM 2004): the decentralized spring
 //     relaxation the paper cites as the representative baseline, with the
@@ -16,8 +16,6 @@
 //     a bounded per-neighbour sample history, weights online updates by a
 //     variance-derived reliability score, and periodically re-fits its
 //     coordinate against the retained samples.
-//   - GNP (Ng & Zhang, INFOCOM 2002): the landmark-based system discussed
-//     in related work, included as a baseline.
 package coord
 
 import (
@@ -35,11 +33,6 @@ import (
 type Coordinate struct {
 	Pos    vec.Vec
 	Height float64
-}
-
-// NewCoordinate returns the origin of a d-dimensional space.
-func NewCoordinate(d int) Coordinate {
-	return Coordinate{Pos: vec.New(d)}
 }
 
 // Clone returns an independent copy of c.

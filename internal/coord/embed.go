@@ -33,17 +33,6 @@ type EmbedConfig struct {
 	LateJoinFrac float64
 }
 
-// DefaultEmbedConfig returns a configuration that converges on the
-// 226-node matrices used throughout the experiments.
-func DefaultEmbedConfig() EmbedConfig {
-	return EmbedConfig{
-		Algorithm: AlgorithmRNP,
-		Dims:      3,
-		Rounds:    300,
-		NoiseFrac: 0.1,
-	}
-}
-
 func (c EmbedConfig) validate() error {
 	if c.Dims <= 0 {
 		return fmt.Errorf("coord: dims must be positive, got %d", c.Dims)

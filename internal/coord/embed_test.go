@@ -7,6 +7,17 @@ import (
 	"github.com/georep/georep/internal/latency"
 )
 
+// defaultEmbedConfig is a configuration that converges on the 226-node
+// matrices used throughout the experiments.
+func defaultEmbedConfig() EmbedConfig {
+	return EmbedConfig{
+		Algorithm: AlgorithmRNP,
+		Dims:      3,
+		Rounds:    300,
+		NoiseFrac: 0.1,
+	}
+}
+
 func testMatrix(t *testing.T, n int, seed int64) *latency.Matrix {
 	t.Helper()
 	cfg := latency.DefaultGenerateConfig()
@@ -20,7 +31,7 @@ func testMatrix(t *testing.T, n int, seed int64) *latency.Matrix {
 
 func TestEmbedConfigValidation(t *testing.T) {
 	m := testMatrix(t, 10, 1)
-	base := DefaultEmbedConfig()
+	base := defaultEmbedConfig()
 	mutations := []struct {
 		name string
 		mut  func(*EmbedConfig)
@@ -47,7 +58,7 @@ func TestEmbedProducesUsefulCoordinates(t *testing.T) {
 	m := testMatrix(t, 60, 2)
 	for _, algo := range []Algorithm{AlgorithmVivaldi, AlgorithmRNP} {
 		t.Run(algo.String(), func(t *testing.T) {
-			cfg := DefaultEmbedConfig()
+			cfg := defaultEmbedConfig()
 			cfg.Algorithm = algo
 			emb, err := Embed(rand.New(rand.NewSource(3)), m, cfg)
 			if err != nil {
@@ -79,7 +90,7 @@ func TestEmbedProducesUsefulCoordinates(t *testing.T) {
 
 func TestEmbedDeterministic(t *testing.T) {
 	m := testMatrix(t, 30, 4)
-	cfg := DefaultEmbedConfig()
+	cfg := defaultEmbedConfig()
 	cfg.Rounds = 50
 	a, err := Embed(rand.New(rand.NewSource(5)), m, cfg)
 	if err != nil {
@@ -98,7 +109,7 @@ func TestEmbedDeterministic(t *testing.T) {
 
 func TestEmbedWithNeighborSet(t *testing.T) {
 	m := testMatrix(t, 40, 6)
-	cfg := DefaultEmbedConfig()
+	cfg := defaultEmbedConfig()
 	cfg.NeighborSet = 8
 	emb, err := Embed(rand.New(rand.NewSource(7)), m, cfg)
 	if err != nil {
@@ -119,7 +130,7 @@ func TestEmbedWithNeighborSet(t *testing.T) {
 func TestRNPBeatsOrMatchesVivaldiUnderNoise(t *testing.T) {
 	m := testMatrix(t, 80, 8)
 	run := func(algo Algorithm) ErrorSummary {
-		cfg := DefaultEmbedConfig()
+		cfg := defaultEmbedConfig()
 		cfg.Algorithm = algo
 		cfg.NoiseFrac = 0.25 // unstable platform, RNP's target regime
 		cfg.Rounds = 400
@@ -147,74 +158,5 @@ func TestEvalErrorMismatch(t *testing.T) {
 	emb := &Embedding{Coords: make([]Coordinate, 5)}
 	if _, err := EvalError(emb, m); err == nil {
 		t.Error("node count mismatch should fail")
-	}
-}
-
-func TestGNPEmbed(t *testing.T) {
-	m := testMatrix(t, 50, 11)
-	r := rand.New(rand.NewSource(12))
-	rtt := func(i, j int) float64 { return m.RTT(i, j) }
-	landmarks, err := ChooseLandmarks(r, m.N(), 12, rtt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultGNPConfig()
-	coords, err := GNPEmbed(r, m.N(), landmarks, rtt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emb := &Embedding{Coords: coords}
-	s, err := EvalError(emb, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.MedianRel > 0.5 {
-		t.Errorf("GNP median relative error %v too high", s.MedianRel)
-	}
-}
-
-func TestGNPEmbedValidation(t *testing.T) {
-	rtt := func(i, j int) float64 { return 1 }
-	r := rand.New(rand.NewSource(13))
-	if _, err := GNPEmbed(r, 10, []int{0, 1}, rtt, GNPConfig{Dims: 5, Iterations: 10}); err == nil {
-		t.Error("too few landmarks should fail")
-	}
-	if _, err := GNPEmbed(r, 10, []int{0, 1, 2}, rtt, GNPConfig{Dims: 0, Iterations: 10}); err == nil {
-		t.Error("zero dims should fail")
-	}
-	if _, err := GNPEmbed(r, 10, []int{0, 1, 2, 99}, rtt, GNPConfig{Dims: 2, Iterations: 10}); err == nil {
-		t.Error("out-of-range landmark should fail")
-	}
-	if _, err := GNPEmbed(r, 10, []int{0, 1, 2, 2}, rtt, GNPConfig{Dims: 2, Iterations: 10}); err == nil {
-		t.Error("duplicate landmark should fail")
-	}
-	if _, err := GNPEmbed(r, 10, []int{0, 1, 2, 3}, rtt, GNPConfig{Dims: 2, Iterations: 0}); err == nil {
-		t.Error("zero iterations should fail")
-	}
-}
-
-func TestChooseLandmarksSpread(t *testing.T) {
-	m := testMatrix(t, 40, 14)
-	r := rand.New(rand.NewSource(15))
-	rtt := func(i, j int) float64 { return m.RTT(i, j) }
-	ls, err := ChooseLandmarks(r, m.N(), 8, rtt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ls) != 8 {
-		t.Fatalf("got %d landmarks", len(ls))
-	}
-	seen := make(map[int]bool)
-	for _, l := range ls {
-		if seen[l] {
-			t.Fatalf("duplicate landmark %d", l)
-		}
-		seen[l] = true
-	}
-	if _, err := ChooseLandmarks(r, 5, 6, rtt); err == nil {
-		t.Error("k > n should fail")
-	}
-	if _, err := ChooseLandmarks(r, 5, 0, rtt); err == nil {
-		t.Error("k = 0 should fail")
 	}
 }

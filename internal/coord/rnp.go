@@ -256,9 +256,6 @@ func (n *RNP) Coordinate() Coordinate { return n.coord.Clone() }
 // ErrorEstimate returns the node's relative error estimate.
 func (n *RNP) ErrorEstimate() float64 { return n.localErr }
 
-// PeerCount returns how many neighbours the node currently remembers.
-func (n *RNP) PeerCount() int { return len(n.peers) }
-
 // hashCoordinate derives a stable identity from a coordinate by
 // quantizing its components; good enough to recognize a repeat neighbour
 // whose coordinate moved only slightly between contacts is NOT the goal —

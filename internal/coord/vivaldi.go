@@ -24,7 +24,6 @@ type Vivaldi struct {
 	coord    Coordinate
 	localErr float64
 	rng      *rand.Rand
-	updates  int
 }
 
 var _ Node = (*Vivaldi)(nil)
@@ -91,7 +90,6 @@ func (v *Vivaldi) Update(remote Coordinate, remoteErr, rttMs float64) {
 			v.coord.Height = minHeight
 		}
 	}
-	v.updates++
 }
 
 // Coordinate returns a copy of the node's current coordinate.
@@ -99,9 +97,6 @@ func (v *Vivaldi) Coordinate() Coordinate { return v.coord.Clone() }
 
 // ErrorEstimate returns the node's current relative error estimate.
 func (v *Vivaldi) ErrorEstimate() float64 { return v.localErr }
-
-// Updates returns how many measurements the node has consumed.
-func (v *Vivaldi) Updates() int { return v.updates }
 
 func absFloat(x float64) float64 {
 	if x < 0 {

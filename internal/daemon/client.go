@@ -44,9 +44,6 @@ func DialNode(addr string, timeout time.Duration, opts ...transport.ClientOption
 	return &Client{c: c, addr: addr}, nil
 }
 
-// Addr returns the daemon's address.
-func (c *Client) Addr() string { return c.addr }
-
 // Close closes the connection.
 func (c *Client) Close() error { return c.c.Close() }
 
@@ -117,14 +114,9 @@ func (c *Client) MicrosCtx(ctx context.Context) ([]cluster.Micro, int, error) {
 	return c.MicrosObjectCtx(ctx, "")
 }
 
-// MicrosObject fetches one object's summary from a node running with
-// per-object summaries (georepd -objects), decoded, with its wire size.
-func (c *Client) MicrosObject(object string) ([]cluster.Micro, int, error) {
-	return c.MicrosObjectCtx(context.Background(), object)
-}
-
-// MicrosObjectCtx is MicrosObject with trace propagation; an empty
-// object asks for the node-wide summary.
+// MicrosObjectCtx fetches one object's summary from a node running with
+// per-object summaries (georepd -objects), decoded, with its wire size;
+// an empty object asks for the node-wide summary.
 func (c *Client) MicrosObjectCtx(ctx context.Context, object string) ([]cluster.Micro, int, error) {
 	var resp MicrosResponse
 	if _, err := c.c.CallContext(ctx, MethodMicros, MicrosRequest{Object: object}, &resp); err != nil {

@@ -482,10 +482,6 @@ func (n *Node) Metrics() *metrics.Registry { return n.reg }
 // Snapshot captures the node's current metrics.
 func (n *Node) Snapshot() metrics.Snapshot { return n.reg.Snapshot() }
 
-// Store exposes the node's local store (for preloading data in tests and
-// examples).
-func (n *Node) Store() *store.Store { return n.store }
-
 func (n *Node) registerHandlers() error {
 	handlers := map[string]transport.Handler{
 		MethodGet:       n.handleGet,

@@ -76,7 +76,7 @@ func TestGetPutDeleteCycle(t *testing.T) {
 	if _, _, err := c.Get(7, []float64{1, 2}, "obj"); err == nil {
 		t.Error("get after delete should fail")
 	}
-	if n.Store().Len() != 0 {
+	if n.store.Len() != 0 {
 		t.Error("store not empty after delete")
 	}
 }
@@ -220,7 +220,7 @@ func TestPoisonedGetRefused(t *testing.T) {
 
 func TestPreloadedStore(t *testing.T) {
 	n, c := startNode(t, Config{ID: 1, MicroClusters: 4, Dims: 2})
-	if err := n.Store().Put(store.Object{ID: "pre", Data: []byte("loaded"), Version: 1}); err != nil {
+	if err := n.store.Put(store.Object{ID: "pre", Data: []byte("loaded"), Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	resp, _, err := c.Get(1, []float64{0, 0}, "pre")

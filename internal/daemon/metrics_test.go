@@ -110,7 +110,7 @@ func TestMetricsAdvanceAcrossEpoch(t *testing.T) {
 	if end0.Counters["daemon_rpc_decay_total"] != 1 {
 		t.Errorf("daemon_rpc_decay_total = %d, want 1", end0.Counters["daemon_rpc_decay_total"])
 	}
-	if _, err := n1.Store().Get("obj"); err != nil {
+	if _, err := n1.store.Get("obj"); err != nil {
 		t.Fatalf("object did not arrive at migration target: %v", err)
 	}
 }

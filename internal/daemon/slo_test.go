@@ -87,7 +87,7 @@ func TestSLORPCPagesOnErrorBurn(t *testing.T) {
 	if page.PinnedTrace == "" {
 		t.Fatal("page transition did not pin a trace")
 	}
-	tr, ok := rec.Trace(page.PinnedTrace)
+	tr, ok := traceByID(rec, page.PinnedTrace)
 	if !ok {
 		t.Fatalf("pinned trace %s not retained", page.PinnedTrace)
 	}

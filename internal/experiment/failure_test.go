@@ -196,7 +196,12 @@ func TestFailureSyntheticTraces(t *testing.T) {
 	if res.DegradedEpochs == 0 {
 		t.Fatal("scenario produced no degraded epochs; the trace assertions below are vacuous")
 	}
-	anom := rec.Anomalous()
+	var anom []trace.Trace
+	for _, tr := range rec.Traces() {
+		if tr.Anomaly != "" {
+			anom = append(anom, tr)
+		}
+	}
 	if len(anom) == 0 {
 		t.Fatal("no anomalous traces pinned")
 	}
@@ -229,11 +234,14 @@ func TestFailureSyntheticTraces(t *testing.T) {
 	traces := rec.Traces()
 	var prevStart int64 = -1
 	for _, tr := range traces {
-		if s := tr.Start(); s <= prevStart {
-			t.Fatalf("epoch roots not ordered by sim time: %d after %d", s, prevStart)
-		} else {
-			prevStart = s
+		start := tr.Spans[0].StartNs
+		for _, s := range tr.Spans {
+			start = min(start, s.StartNs)
 		}
+		if start <= prevStart {
+			t.Fatalf("epoch roots not ordered by sim time: %d after %d", start, prevStart)
+		}
+		prevStart = start
 	}
 	// Identical seeds and configs must produce identical span trees.
 	rec2 := trace.NewFlightRecorder(trace.DefaultRecent, trace.DefaultAnomalous)

@@ -125,8 +125,6 @@ type Injector struct {
 	mu      sync.Mutex
 	epoch   int
 	attempt map[[2]int]uint64 // per-link coin-flip counter
-	dropped uint64
-	delayed uint64
 }
 
 // NewInjector builds an injector over a validated plan; a nil plan
@@ -151,16 +149,6 @@ func (in *Injector) SetEpoch(e int) {
 	in.mu.Unlock()
 }
 
-// Epoch returns the current epoch.
-func (in *Injector) Epoch() int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.epoch
-}
-
 // AdvanceEpoch increments the epoch and returns the new value.
 func (in *Injector) AdvanceEpoch() int {
 	if in == nil {
@@ -170,16 +158,6 @@ func (in *Injector) AdvanceEpoch() int {
 	defer in.mu.Unlock()
 	in.epoch++
 	return in.epoch
-}
-
-// Dropped returns how many traversals the injector has dropped.
-func (in *Injector) Dropped() uint64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.dropped
 }
 
 // NodeDown reports whether a node is crashed at the current epoch.
@@ -243,11 +221,9 @@ func (in *Injector) Verdict(src, dst int) Verdict {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if (src != Wild && in.nodeDownLocked(src)) || (dst != Wild && in.nodeDownLocked(dst)) {
-		in.dropped++
 		return Verdict{Drop: true}
 	}
 	if src != Wild && dst != Wild && in.partitionedLocked(src, dst) {
-		in.dropped++
 		return Verdict{Drop: true}
 	}
 	var extra float64
@@ -263,14 +239,10 @@ func (in *Injector) Verdict(src, dst int) Verdict {
 			n := in.attempt[key]
 			in.attempt[key] = n + 1
 			if coin(in.plan.Seed, in.epoch, src, dst, n) < l.DropProb {
-				in.dropped++
 				return Verdict{Drop: true}
 			}
 		}
 		extra += l.ExtraMs
-	}
-	if extra > 0 {
-		in.delayed++
 	}
 	return Verdict{ExtraMs: extra}
 }

@@ -166,6 +166,3 @@ func (s *Sampler) Sample(i, j int) float64 {
 	}
 	return v
 }
-
-// Base returns the underlying matrix.
-func (s *Sampler) Base() *Matrix { return s.m }

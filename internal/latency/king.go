@@ -19,7 +19,8 @@ import (
 // Missing entries are repaired so downstream code sees a complete
 // matrix: a missing (i,j) takes the value of (j,i) when present, else
 // the median of the row's valid entries, else the global median.
-// Asymmetric pairs are symmetrized by averaging.
+// Asymmetric pairs are symmetrized by averaging. A NaN or infinite entry
+// is refused by position, and the result passes Validate.
 func ReadKing(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
@@ -46,6 +47,9 @@ func ReadKing(r io.Reader) (*Matrix, error) {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, fmt.Errorf("latency: king value %q: %w", f, err)
+			}
+			if !finite(v) {
+				return nil, fmt.Errorf("latency: non-finite king value %q at (%d,%d)", f, len(rows), i)
 			}
 			if v < 0 {
 				row[i] = -1 // missing
@@ -127,6 +131,9 @@ func ReadKing(r io.Reader) (*Matrix, error) {
 			}
 			m.SetRTT(i, j, v)
 		}
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -80,6 +80,11 @@ func TestReadKingErrors(t *testing.T) {
 		"extra rows":   "0 1\n1 0\n1 1\n",
 		"short rows":   "0 1 1\n1 0 1\n",
 		"all missing":  "0 -1\n-1 0\n",
+		"NaN":          "0 NaN\nNaN 0\n",
+		"Inf":          "0 Inf\nInf 0\n",
+		"-Inf":         "0 -Inf\n10 0\n",
+		"infinity":     "0 10\ninfinity 0\n",
+		"NaN diagonal": "NaN 10\n10 0\n",
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {

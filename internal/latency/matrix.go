@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -52,7 +53,8 @@ func (m *Matrix) SetRTT(i, j int, ms float64) {
 	m.rtt[j*m.n+i] = ms
 }
 
-// Validate checks symmetry, a zero diagonal, and non-negative entries.
+// Validate checks a zero diagonal and finite, symmetric, non-negative
+// entries.
 func (m *Matrix) Validate() error {
 	for i := 0; i < m.n; i++ {
 		if d := m.RTT(i, i); d != 0 {
@@ -60,6 +62,9 @@ func (m *Matrix) Validate() error {
 		}
 		for j := i + 1; j < m.n; j++ {
 			a, b := m.RTT(i, j), m.RTT(j, i)
+			if !finite(a) || !finite(b) {
+				return fmt.Errorf("latency: non-finite RTT at (%d,%d): %v vs %v", i, j, a, b)
+			}
 			if a != b {
 				return fmt.Errorf("latency: asymmetric pair (%d,%d): %v vs %v", i, j, a, b)
 			}
@@ -71,32 +76,8 @@ func (m *Matrix) Validate() error {
 	return nil
 }
 
-// Submatrix returns a new matrix restricted to the given node indices, in
-// the given order. Indices may not repeat.
-func (m *Matrix) Submatrix(idx []int) (*Matrix, error) {
-	seen := make(map[int]bool, len(idx))
-	for _, v := range idx {
-		if v < 0 || v >= m.n {
-			return nil, fmt.Errorf("latency: index %d out of range [0,%d)", v, m.n)
-		}
-		if seen[v] {
-			return nil, fmt.Errorf("latency: duplicate index %d", v)
-		}
-		seen[v] = true
-	}
-	sub, err := NewMatrix(len(idx))
-	if err != nil {
-		return nil, err
-	}
-	for a, i := range idx {
-		for b, j := range idx {
-			if a != b {
-				sub.SetRTT(a, b, m.RTT(i, j))
-			}
-		}
-	}
-	return sub, nil
-}
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // OffDiagonal returns all upper-triangle RTT values, useful for summary
 // statistics and CDFs.
@@ -193,7 +174,9 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Read parses a matrix in the format produced by WriteTo. Asymmetric
-// inputs (common in raw measurement dumps) are symmetrized by averaging.
+// inputs (common in raw measurement dumps) are symmetrized by averaging;
+// a NaN or infinite entry is refused by position, and the result passes
+// Validate.
 func Read(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -216,6 +199,9 @@ func Read(r io.Reader) (*Matrix, error) {
 			if err != nil {
 				return nil, fmt.Errorf("latency: bad value %q: %w", f, err)
 			}
+			if !finite(v) {
+				return nil, fmt.Errorf("latency: non-finite value %q at (%d,%d)", f, len(raw)/n, len(raw)%n)
+			}
 			raw = append(raw, v)
 		}
 	}
@@ -233,6 +219,9 @@ func Read(r io.Reader) (*Matrix, error) {
 			}
 			m.SetRTT(i, j, avg)
 		}
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -90,8 +90,10 @@ func TestHistogramExemplars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ObserveExemplar(5, "trace-fast")
-	h.ObserveExemplar(500, "trace-slow")
+	h.Observe(5)
+	h.AttachExemplar(5, "trace-fast")
+	h.Observe(500)
+	h.AttachExemplar(500, "trace-slow")
 	h.Observe(600) // untraced: must not clobber the exemplar
 
 	tail := h.TailExemplars(100)
@@ -146,7 +148,7 @@ func TestHistogramExemplars(t *testing.T) {
 	}
 	// Nil histogram stays a no-op.
 	var nilH *Histogram
-	nilH.ObserveExemplar(1, "x")
+	nilH.Observe(1)
 	nilH.AttachExemplar(1, "x")
 	if nilH.TailExemplars(0) != nil {
 		t.Fatal("nil histogram returned exemplars")

@@ -234,108 +234,18 @@ func (h *History) Len() int {
 	return h.n
 }
 
-// Cap returns the ring capacity.
-func (h *History) Cap() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.times)
-}
-
 // idx maps logical sample k (0 = oldest, n-1 = newest) to a ring
 // index. Caller holds mu.
 func (h *History) idx(k int) int {
 	return (h.head - h.n + k + 2*len(h.times)) % len(h.times)
 }
 
-// window returns the logical range [lo, n) of samples with time >=
-// sinceNs, extended one sample earlier when possible so deltas cover
-// the full window. Caller holds mu.
-func (h *History) window(sinceNs int64) (lo int) {
-	lo = h.n
-	for k := h.n - 1; k >= 0; k-- {
-		if h.times[h.idx(k)] < sinceNs {
-			break
-		}
-		lo = k
-	}
-	if lo > 0 {
-		lo-- // baseline sample just before the window
-	}
-	return lo
-}
-
-// CounterDelta returns the total increase of the named counter across
-// samples taken at or after sinceNs (using the sample just before as
-// the baseline). A decrease between adjacent samples is treated as a
-// counter reset: the later value counts in full. ok is false when the
-// series is unknown or fewer than two samples cover the range.
-func (h *History) CounterDelta(name string, sinceNs int64) (delta int64, ok bool) {
-	if h == nil {
-		return 0, false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.counters[name]
-	if s == nil || h.n < 2 {
-		return 0, false
-	}
-	lo := h.window(sinceNs)
-	if lo >= h.n-1 {
-		return 0, false
-	}
-	prev := s.vals[h.idx(lo)]
-	for k := lo + 1; k < h.n; k++ {
-		cur := s.vals[h.idx(k)]
-		if cur >= prev {
-			delta += cur - prev
-		} else {
-			delta += cur // reset: everything since restart counts
-		}
-		prev = cur
-	}
-	return delta, true
-}
-
-// GaugeOverFraction returns what fraction of samples at or after
-// sinceNs had the named gauge strictly above bound. NaN samples
-// (before the gauge existed) are excluded from the denominator. ok is
-// false when no samples cover the range.
-func (h *History) GaugeOverFraction(name string, sinceNs int64, bound float64) (frac float64, ok bool) {
-	if h == nil {
-		return 0, false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.gauges[name]
-	if s == nil || h.n == 0 {
-		return 0, false
-	}
-	var total, over int
-	for k := 0; k < h.n; k++ {
-		i := h.idx(k)
-		if h.times[i] < sinceNs {
-			continue
-		}
-		v := s.vals[i]
-		if math.IsNaN(v) {
-			continue
-		}
-		total++
-		if v > bound {
-			over++
-		}
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return float64(over) / float64(total), true
-}
-
-// windowsOf computes window() for every since time at once, filling
-// los and returning the smallest lo. Sample times are ascending in
-// logical order, so each window start is a binary search rather than a
-// ring scan. Caller holds mu.
+// windowsOf finds, for every since time at once, the logical range
+// [los[w], n) of samples with time >= since, extended one sample earlier
+// when possible so deltas cover the full window, and returns the
+// smallest lo. Sample times are ascending in logical order, so each
+// window start is a binary search rather than a ring scan. Caller holds
+// mu.
 func (h *History) windowsOf(sinces []int64, los []int) (minLo int) {
 	minLo = h.n
 	for w, since := range sinces {
@@ -360,14 +270,17 @@ func (h *History) windowsOf(sinces []int64, los []int) (minLo int) {
 	return minLo
 }
 
-// CounterDeltas is the batched CounterDelta: one locked scan over the
-// widest window yields the delta for every since time at once, with
-// identical reset semantics (a pair's contribution does not depend on
-// which windows contain it, and a window's delta is the sum of its
-// pairs). The SLO engine asks for the same series over four burn
-// windows plus the budget period every tick, so this is its hot-path
-// shape: zero allocations for up to eight windows. Windows with too
-// few samples report a zero delta (an empty window burns nothing).
+// CounterDeltas returns the total increase of the named counter in each
+// window: for every since time, across samples taken at or after it,
+// using the sample just before as the baseline. A decrease between
+// adjacent samples is treated as a counter reset: the later value counts
+// in full. One locked scan over the widest window yields every delta at
+// once (a pair's contribution does not depend on which windows contain
+// it, and a window's delta is the sum of its pairs). The SLO engine asks
+// for the same series over four burn windows plus the budget period
+// every tick, so this is its hot-path shape: zero allocations for up to
+// eight windows. Windows with too few samples report a zero delta (an
+// empty window burns nothing).
 func (h *History) CounterDeltas(name string, sinces []int64, out []int64) bool {
 	if h == nil || len(sinces) == 0 || len(sinces) != len(out) {
 		return false
@@ -430,10 +343,11 @@ func (h *History) CounterDeltas(name string, sinces []int64, out []int64) bool {
 	return true
 }
 
-// HistDeltas is the batched HistDelta: one locked scan fills a window
-// view per since time. Bucket slices in out are reused when their
-// capacity allows, so a caller holding its scratch across ticks
-// evaluates every window without allocating.
+// HistDeltas fills a window view per since time with the named
+// histogram's increments across samples at or after it (reset-aware,
+// like CounterDeltas), in one locked scan. Bucket slices in out are
+// reused when their capacity allows, so a caller holding its scratch
+// across ticks evaluates every window without allocating.
 func (h *History) HistDeltas(name string, sinces []int64, out []HistWindow) bool {
 	if h == nil || len(sinces) == 0 || len(sinces) != len(out) {
 		return false
@@ -521,8 +435,10 @@ func (h *History) HistDeltas(name string, sinces []int64, out []HistWindow) bool
 	return true
 }
 
-// GaugeOverFractions is the batched GaugeOverFraction: one locked scan
-// counts over/total per since time. Windows with no samples report 0.
+// GaugeOverFractions reports, per since time, what fraction of samples
+// at or after it had the named gauge strictly above bound, in one locked
+// scan. NaN samples (before the gauge existed) are excluded from the
+// denominator; windows with no samples report 0.
 func (h *History) GaugeOverFractions(name string, sinces []int64, bound float64, out []float64) bool {
 	if h == nil || len(sinces) == 0 || len(sinces) != len(out) {
 		return false
@@ -592,13 +508,6 @@ type HistWindow struct {
 	Sum     float64
 }
 
-// Quantile estimates the q-quantile of the windowed observations by
-// linear interpolation within buckets (lower edge 0 for the first
-// bucket; the overflow bucket reports its lower bound).
-func (w HistWindow) Quantile(q float64) float64 {
-	return BucketQuantile(w.Bounds, w.Buckets, q)
-}
-
 // OverBound estimates how many windowed observations exceeded bound,
 // interpolating within the bucket that straddles it.
 func (w HistWindow) OverBound(bound float64) float64 {
@@ -627,50 +536,6 @@ func (w HistWindow) OverBound(bound float64) float64 {
 		}
 	}
 	return over
-}
-
-// HistDelta returns the named histogram's increments across samples at
-// or after sinceNs (reset-aware, like CounterDelta). ok is false when
-// the series is unknown or fewer than two samples cover the range.
-// The returned Buckets slice is freshly allocated.
-func (h *History) HistDelta(name string, sinceNs int64) (w HistWindow, ok bool) {
-	if h == nil {
-		return HistWindow{}, false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.hists[name]
-	if s == nil || h.n < 2 {
-		return HistWindow{}, false
-	}
-	lo := h.window(sinceNs)
-	if lo >= h.n-1 {
-		return HistWindow{}, false
-	}
-	nb := len(s.bounds) + 1
-	w = HistWindow{Bounds: s.bounds, Buckets: make([]int64, nb)}
-	pi := h.idx(lo)
-	for k := lo + 1; k < h.n; k++ {
-		ci := h.idx(k)
-		reset := s.count[ci] < s.count[pi]
-		for b := 0; b < nb; b++ {
-			cur, prev := s.counts[ci*nb+b], s.counts[pi*nb+b]
-			if reset || cur < prev {
-				w.Buckets[b] += cur
-			} else {
-				w.Buckets[b] += cur - prev
-			}
-		}
-		if reset {
-			w.Count += s.count[ci]
-			w.Sum += s.sum[ci]
-		} else {
-			w.Count += s.count[ci] - s.count[pi]
-			w.Sum += s.sum[ci] - s.sum[pi]
-		}
-		pi = ci
-	}
-	return w, true
 }
 
 // BucketQuantile estimates the q-quantile from bucket increment counts

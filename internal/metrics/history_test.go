@@ -8,6 +8,138 @@ import (
 
 func ns(sec int) int64 { return int64(sec) * 1e9 }
 
+// The single-window queries below are the reference the batched
+// CounterDeltas / HistDeltas / GaugeOverFractions are checked against:
+// one window per call, scanned sample by sample.
+
+// window returns the logical range [lo, n) of samples with time >=
+// sinceNs, extended one sample earlier when possible so deltas cover
+// the full window. Caller holds mu.
+func (h *History) window(sinceNs int64) (lo int) {
+	lo = h.n
+	for k := h.n - 1; k >= 0; k-- {
+		if h.times[h.idx(k)] < sinceNs {
+			break
+		}
+		lo = k
+	}
+	if lo > 0 {
+		lo-- // baseline sample just before the window
+	}
+	return lo
+}
+
+// CounterDelta returns the total increase of the named counter across
+// samples taken at or after sinceNs (using the sample just before as
+// the baseline). A decrease between adjacent samples is treated as a
+// counter reset: the later value counts in full. ok is false when the
+// series is unknown or fewer than two samples cover the range.
+func (h *History) CounterDelta(name string, sinceNs int64) (delta int64, ok bool) {
+	if h == nil {
+		return 0, false
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.counters[name]
+	if s == nil || h.n < 2 {
+		return 0, false
+	}
+	lo := h.window(sinceNs)
+	if lo >= h.n-1 {
+		return 0, false
+	}
+	prev := s.vals[h.idx(lo)]
+	for k := lo + 1; k < h.n; k++ {
+		cur := s.vals[h.idx(k)]
+		if cur >= prev {
+			delta += cur - prev
+		} else {
+			delta += cur // reset: everything since restart counts
+		}
+		prev = cur
+	}
+	return delta, true
+}
+
+// GaugeOverFraction returns what fraction of samples at or after
+// sinceNs had the named gauge strictly above bound. NaN samples
+// (before the gauge existed) are excluded from the denominator. ok is
+// false when no samples cover the range.
+func (h *History) GaugeOverFraction(name string, sinceNs int64, bound float64) (frac float64, ok bool) {
+	if h == nil {
+		return 0, false
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.gauges[name]
+	if s == nil || h.n == 0 {
+		return 0, false
+	}
+	var total, over int
+	for k := 0; k < h.n; k++ {
+		i := h.idx(k)
+		if h.times[i] < sinceNs {
+			continue
+		}
+		v := s.vals[i]
+		if math.IsNaN(v) {
+			continue
+		}
+		total++
+		if v > bound {
+			over++
+		}
+	}
+	if total == 0 {
+		return 0, false
+	}
+	return float64(over) / float64(total), true
+}
+
+// HistDelta returns the named histogram's increments across samples at
+// or after sinceNs (reset-aware, like CounterDelta). ok is false when
+// the series is unknown or fewer than two samples cover the range.
+// The returned Buckets slice is freshly allocated.
+func (h *History) HistDelta(name string, sinceNs int64) (w HistWindow, ok bool) {
+	if h == nil {
+		return HistWindow{}, false
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.hists[name]
+	if s == nil || h.n < 2 {
+		return HistWindow{}, false
+	}
+	lo := h.window(sinceNs)
+	if lo >= h.n-1 {
+		return HistWindow{}, false
+	}
+	nb := len(s.bounds) + 1
+	w = HistWindow{Bounds: s.bounds, Buckets: make([]int64, nb)}
+	pi := h.idx(lo)
+	for k := lo + 1; k < h.n; k++ {
+		ci := h.idx(k)
+		reset := s.count[ci] < s.count[pi]
+		for b := 0; b < nb; b++ {
+			cur, prev := s.counts[ci*nb+b], s.counts[pi*nb+b]
+			if reset || cur < prev {
+				w.Buckets[b] += cur
+			} else {
+				w.Buckets[b] += cur - prev
+			}
+		}
+		if reset {
+			w.Count += s.count[ci]
+			w.Sum += s.sum[ci]
+		} else {
+			w.Count += s.count[ci] - s.count[pi]
+			w.Sum += s.sum[ci] - s.sum[pi]
+		}
+		pi = ci
+	}
+	return w, true
+}
+
 func TestHistoryCounterDelta(t *testing.T) {
 	reg := NewRegistry()
 	h := NewHistory(reg, 8)
@@ -74,8 +206,8 @@ func TestHistoryRingWraparound(t *testing.T) {
 		g.Set(float64(s))
 		h.Sample(ns(s))
 	}
-	if h.Len() != 4 || h.Cap() != 4 {
-		t.Fatalf("len/cap = %d/%d; want 4/4", h.Len(), h.Cap())
+	if h.Len() != 4 || len(h.times) != 4 {
+		t.Fatalf("len/cap = %d/%d; want 4/4", h.Len(), len(h.times))
 	}
 	// Only samples 6..9 remain: deltas visible = 3.
 	if d, ok := h.CounterDelta("reqs", 0); !ok || d != 3 {
@@ -120,7 +252,7 @@ func TestHistoryHistDeltaQuantile(t *testing.T) {
 	if !ok || w.Count != 100 {
 		t.Fatalf("windowed count = %d, %v; want 100, true", w.Count, ok)
 	}
-	if q := w.Quantile(0.5); q <= 40 || q > 80 {
+	if q := BucketQuantile(w.Bounds, w.Buckets, 0.5); q <= 40 || q > 80 {
 		t.Fatalf("windowed p50 = %v; want in (40,80]", q)
 	}
 }

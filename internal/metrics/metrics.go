@@ -14,7 +14,6 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -154,15 +153,6 @@ func (h *Histogram) Observe(v float64) {
 	atomicAddFloat(&h.sumBits, v)
 	atomicMinFloat(&h.minBits, v)
 	atomicMaxFloat(&h.maxBits, v)
-}
-
-// ObserveExemplar records one value and, when traceID is non-empty,
-// remembers it as the bucket's exemplar. Only traced requests should
-// pass a traceID: the exemplar store costs one small allocation, which
-// is fine at trace-sampling rates but not per-access.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.Observe(v)
-	h.AttachExemplar(v, traceID)
 }
 
 // AttachExemplar links traceID to the bucket that v falls in without
@@ -444,18 +434,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// WriteJSON writes the registry snapshot as indented JSON, expvar-style:
-// one flat object keyed by metric name. Infinities in histogram bounds
-// are encoded as the string "+Inf".
-func (r *Registry) WriteJSON(w io.Writer) error {
-	b, err := MarshalSnapshot(r.Snapshot())
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }
 
 // jsonBucket mirrors BucketCount with an Inf-safe upper bound.

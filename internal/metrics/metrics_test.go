@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"sync"
@@ -36,7 +35,7 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	r.Histogram("z", LatencyBuckets()).Observe(1)
 	var ring *TraceRing
 	ring.Add(EpochTrace{})
-	if ring.Len() != 0 || ring.Total() != 0 || ring.Snapshot() != nil {
+	if ring.Snapshot() != nil {
 		t.Fatal("nil ring is not a no-op")
 	}
 	s := r.Snapshot()
@@ -164,18 +163,18 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	h.Observe(5)
 	h.Observe(500) // overflow bucket: exercises the +Inf encoding
 
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	b, err := MarshalSnapshot(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	out := string(b)
 	for _, want := range []string{`"requests_total": 7`, `"latency_ms"`, `"+Inf"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON missing %q:\n%s", want, out)
 		}
 	}
 
-	s, err := UnmarshalSnapshot(buf.Bytes())
+	s, err := UnmarshalSnapshot(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +195,10 @@ func TestTraceRingWraps(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		ring.Add(EpochTrace{Epoch: i})
 	}
-	if ring.Len() != 3 || ring.Total() != 5 {
-		t.Fatalf("len/total = %d/%d, want 3/5", ring.Len(), ring.Total())
-	}
 	got := ring.Snapshot()
+	if len(got) != 3 {
+		t.Fatalf("ring holds %d, want 3", len(got))
+	}
 	want := []int{3, 4, 5}
 	for i, e := range got {
 		if e.Epoch != want[i] {
@@ -213,8 +212,8 @@ func TestTraceRingDefaultCapacity(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ring.Add(EpochTrace{Epoch: i})
 	}
-	if ring.Len() != 64 {
-		t.Fatalf("default-capacity ring holds %d, want 64", ring.Len())
+	if n := len(ring.Snapshot()); n != 64 {
+		t.Fatalf("default-capacity ring holds %d, want 64", n)
 	}
 }
 
@@ -249,7 +248,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if s.Count != goroutines*perG {
 		t.Fatalf("histogram count = %d, want %d", s.Count, goroutines*perG)
 	}
-	if ring.Total() != goroutines*perG/100 {
-		t.Fatalf("ring total = %d, want %d", ring.Total(), goroutines*perG/100)
+	if n := len(ring.Snapshot()); n != 8 {
+		t.Fatalf("ring holds %d, want a full window of 8", n)
 	}
 }

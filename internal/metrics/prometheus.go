@@ -8,21 +8,16 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders a snapshot in the Prometheus text exposition
-// format (version 0.0.4): counters and gauges as single samples,
-// histograms as cumulative `_bucket{le="..."}` series plus `_sum` and
-// `_count`. Metric names are sanitized to the Prometheus charset
-// (dots and dashes become underscores), output is sorted by name so
-// successive scrapes diff cleanly.
-func WritePrometheus(w io.Writer, s Snapshot) error {
-	return WritePrometheusPrefixed(w, s, "")
-}
-
-// WritePrometheusPrefixed is WritePrometheus with a namespace prefix
-// prepended to every metric name ("georep_" on the daemon endpoint,
-// so the families scrape consistently across a fleet). Names that
-// already carry the prefix are not doubled — exporters that adopted
-// the convention early keep their names.
+// WritePrometheusPrefixed renders a snapshot in the Prometheus text
+// exposition format (version 0.0.4): counters and gauges as single
+// samples, histograms as cumulative `_bucket{le="..."}` series plus
+// `_sum` and `_count`. Metric names are sanitized to the Prometheus
+// charset (dots and dashes become underscores), output is sorted by
+// name so successive scrapes diff cleanly. prefix is prepended to every
+// metric name ("georep_" on the daemon endpoint, so the families scrape
+// consistently across a fleet); names that already carry it are not
+// doubled — exporters that adopted the convention early keep their
+// names.
 func WritePrometheusPrefixed(w io.Writer, s Snapshot, prefix string) error {
 	var b strings.Builder
 	pref := func(name string) string {

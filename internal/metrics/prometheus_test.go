@@ -20,7 +20,7 @@ func TestWritePrometheusExposition(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
+	if err := WritePrometheusPrefixed(&b, r.Snapshot(), ""); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -59,7 +59,7 @@ func TestPrometheusTextValid(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
+	if err := WritePrometheusPrefixed(&b, r.Snapshot(), ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,7 +144,7 @@ func TestPromFloat(t *testing.T) {
 
 func TestWritePrometheusEmptySnapshot(t *testing.T) {
 	var b strings.Builder
-	if err := WritePrometheus(&b, Snapshot{}); err != nil {
+	if err := WritePrometheusPrefixed(&b, Snapshot{}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 0 {
@@ -156,7 +156,7 @@ func TestWritePrometheusEmptyHistogramConsistent(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("empty.ms", []float64{1, 2})
 	var b strings.Builder
-	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
+	if err := WritePrometheusPrefixed(&b, r.Snapshot(), ""); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -181,6 +181,6 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var sb strings.Builder
-		_ = WritePrometheus(&sb, s)
+		_ = WritePrometheusPrefixed(&sb, s, "")
 	}
 }

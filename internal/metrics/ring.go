@@ -38,10 +38,9 @@ type EpochTrace struct {
 // TraceRing is a bounded ring of the most recent epoch traces. It is
 // safe for concurrent use; a nil TraceRing ignores all operations.
 type TraceRing struct {
-	mu    sync.Mutex
-	buf   []EpochTrace
-	next  int
-	total int
+	mu   sync.Mutex
+	buf  []EpochTrace
+	next int
 }
 
 // NewTraceRing returns a ring keeping the last n epochs (n <= 0 defaults
@@ -66,27 +65,6 @@ func (t *TraceRing) Add(e EpochTrace) {
 		t.buf[t.next] = e
 		t.next = (t.next + 1) % cap(t.buf)
 	}
-	t.total++
-}
-
-// Len returns how many traces the ring currently holds.
-func (t *TraceRing) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
-// Total returns how many traces were ever added, including evicted ones.
-func (t *TraceRing) Total() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // Snapshot returns the retained traces oldest-first.

@@ -63,8 +63,8 @@ func TestAssignWithCapacityRespectsLimit(t *testing.T) {
 	// Tight capacity on skewed demand must spill: all 40 clients in one
 	// blob, two replicas (one local, one remote), capacity 20 each.
 	skewed := planeInstance(rand.New(rand.NewSource(4)),
-		[]vec.Vec{vec.Of(0, 0)}, 40,
-		[]vec.Vec{vec.Of(1, 1), vec.Of(200, 200)}, 2)
+		[]vec.Vec{vec.Vec{0, 0}}, 40,
+		[]vec.Vec{vec.Vec{1, 1}, vec.Vec{200, 200}}, 2)
 	sa, err := AssignWithCapacity(skewed, []int{skewed.Candidates[0], skewed.Candidates[1]}, 20)
 	if err != nil {
 		t.Fatal(err)

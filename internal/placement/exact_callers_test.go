@@ -72,7 +72,7 @@ func TestExactSearchCallersMatchBruteForce(t *testing.T) {
 		for c := range coords {
 			ids[c] = c
 			coords[c] = coord.Coordinate{
-				Pos:    vec.Of(math.Round(r.NormFloat64()*160)/2, math.Round(r.NormFloat64()*160)/2),
+				Pos:    vec.Vec{math.Round(r.NormFloat64()*160) / 2, math.Round(r.NormFloat64()*160) / 2},
 				Height: float64(r.Intn(4)) / 2,
 			}
 			if c > 0 && r.Intn(3) == 0 {
@@ -84,7 +84,7 @@ func TestExactSearchCallersMatchBruteForce(t *testing.T) {
 		for i, nm := 0, 1+r.Intn(12); i < nm; i++ {
 			m := cluster.NewMicro(2)
 			for a, hits := 0, 1+r.Intn(5); a < hits; a++ {
-				m.Absorb(vec.Of(math.Round(r.NormFloat64()*180)/2, math.Round(r.NormFloat64()*180)/2), float64(1+r.Intn(3)))
+				m.Absorb(vec.Vec{math.Round(r.NormFloat64()*180) / 2, math.Round(r.NormFloat64()*180) / 2}, float64(1+r.Intn(3)))
 			}
 			micros = append(micros, m)
 			if r.Intn(3) == 0 {

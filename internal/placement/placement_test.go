@@ -19,7 +19,7 @@ func planeInstance(r *rand.Rand, blobs []vec.Vec, clientsPerBlob int, candidates
 	var clientIdx, candIdx []int
 	for _, b := range blobs {
 		for i := 0; i < clientsPerBlob; i++ {
-			p := vec.Of(b[0]+r.NormFloat64(), b[1]+r.NormFloat64())
+			p := vec.Vec{b[0] + r.NormFloat64(), b[1] + r.NormFloat64()}
 			clientIdx = append(clientIdx, len(positions))
 			positions = append(positions, p)
 		}
@@ -45,11 +45,11 @@ func planeInstance(r *rand.Rand, blobs []vec.Vec, clientsPerBlob int, candidates
 // threeBlobInstance: three well-separated user populations and a
 // candidate DC near each plus several decoys far from everyone.
 func threeBlobInstance(r *rand.Rand, k int) *Instance {
-	blobs := []vec.Vec{vec.Of(0, 0), vec.Of(100, 0), vec.Of(0, 100)}
+	blobs := []vec.Vec{vec.Vec{0, 0}, vec.Vec{100, 0}, vec.Vec{0, 100}}
 	candidates := []vec.Vec{
-		vec.Of(1, 1), vec.Of(99, 1), vec.Of(1, 99), // near blobs
-		vec.Of(500, 500), vec.Of(-400, 300), vec.Of(300, -400), // decoys
-		vec.Of(50, 50), vec.Of(200, 200), // middling
+		vec.Vec{1, 1}, vec.Vec{99, 1}, vec.Vec{1, 99}, // near blobs
+		vec.Vec{500, 500}, vec.Vec{-400, 300}, vec.Vec{300, -400}, // decoys
+		vec.Vec{50, 50}, vec.Vec{200, 200}, // middling
 	}
 	return planeInstance(r, blobs, 30, candidates, k)
 }
@@ -98,7 +98,7 @@ func TestInstanceValidate(t *testing.T) {
 
 func TestMeanAccessDelayHandComputed(t *testing.T) {
 	// Two clients at 0 and 10 on a line; replica at 4.
-	positions := []vec.Vec{vec.Of(0), vec.Of(10), vec.Of(4)}
+	positions := []vec.Vec{vec.Vec{0}, vec.Vec{10}, vec.Vec{4}}
 	coords := make([]coord.Coordinate, 3)
 	for i, p := range positions {
 		coords[i] = coord.Coordinate{Pos: p}
@@ -302,8 +302,8 @@ func TestHotZoneHandlesUniformClients(t *testing.T) {
 	// All clients at the same point: single occupied cell; fill logic
 	// must still produce K distinct replicas.
 	r := rand.New(rand.NewSource(8))
-	in := planeInstance(r, []vec.Vec{vec.Of(5, 5)}, 40,
-		[]vec.Vec{vec.Of(5, 5), vec.Of(50, 50), vec.Of(100, 100)}, 2)
+	in := planeInstance(r, []vec.Vec{vec.Vec{5, 5}}, 40,
+		[]vec.Vec{vec.Vec{5, 5}, vec.Vec{50, 50}, vec.Vec{100, 100}}, 2)
 	got, err := (HotZone{CellsPerDim: 4}).Place(nil, in)
 	if err != nil {
 		t.Fatal(err)
@@ -335,8 +335,8 @@ func TestCandidateSelectionAvoidsSlowAccessLinks(t *testing.T) {
 	// mechanism that lets the online algorithm dodge PlanetLab's bad
 	// hosts.
 	r := rand.New(rand.NewSource(31))
-	in := planeInstance(r, []vec.Vec{vec.Of(0, 0)}, 40,
-		[]vec.Vec{vec.Of(5, 0), vec.Of(-5, 0)}, 1)
+	in := planeInstance(r, []vec.Vec{vec.Vec{0, 0}}, 40,
+		[]vec.Vec{vec.Vec{5, 0}, vec.Vec{-5, 0}}, 1)
 	// Give the first candidate a 200 ms access penalty, and make the
 	// ground truth reflect it too.
 	slow := in.Candidates[0]

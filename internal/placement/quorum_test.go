@@ -15,11 +15,11 @@ func lineInstance(clientXs, candXs []float64, k int) *Instance {
 	var clients, cands []int
 	for _, x := range clientXs {
 		clients = append(clients, len(positions))
-		positions = append(positions, vec.Of(x, 0))
+		positions = append(positions, vec.Vec{x, 0})
 	}
 	for _, x := range candXs {
 		cands = append(cands, len(positions))
-		positions = append(positions, vec.Of(x, 0))
+		positions = append(positions, vec.Vec{x, 0})
 	}
 	coords := make([]coord.Coordinate, len(positions))
 	for i, p := range positions {

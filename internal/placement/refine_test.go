@@ -277,7 +277,7 @@ func refineK4Fixture(tb testing.TB) (*Service, *Object, []cluster.Micro, []int) 
 	coords := make([]coord.Coordinate, 16)
 	ids := make([]int, len(coords))
 	for i := range coords {
-		coords[i] = coord.Coordinate{Pos: vec.Of(r.NormFloat64()*80, r.NormFloat64()*80, r.NormFloat64()*80), Height: r.Float64() * 5}
+		coords[i] = coord.Coordinate{Pos: vec.Vec{r.NormFloat64() * 80, r.NormFloat64() * 80, r.NormFloat64() * 80}, Height: r.Float64() * 5}
 		ids[i] = i
 	}
 	svc, err := NewService(ServiceConfig{
@@ -293,7 +293,7 @@ func refineK4Fixture(tb testing.TB) (*Service, *Object, []cluster.Micro, []int) 
 	for i := range micros {
 		micros[i] = cluster.NewMicro(3)
 		for a := 0; a < 1+r.Intn(30); a++ {
-			micros[i].Absorb(vec.Of(r.NormFloat64()*90, r.NormFloat64()*90, r.NormFloat64()*90), 1)
+			micros[i].Absorb(vec.Vec{r.NormFloat64() * 90, r.NormFloat64() * 90, r.NormFloat64() * 90}, 1)
 		}
 	}
 	sig := make([]float64, len(ids))
@@ -364,7 +364,7 @@ func TestRefineLedgerDigestPinned(t *testing.T) {
 	ids := make([]int, cands)
 	for i := range coords {
 		a := 2 * math.Pi * float64(i) / cands
-		coords[i] = coord.Coordinate{Pos: vec.Of(100*math.Cos(a), 100*math.Sin(a)), Height: float64(i % 3)}
+		coords[i] = coord.Coordinate{Pos: vec.Vec{100 * math.Cos(a), 100 * math.Sin(a)}, Height: float64(i % 3)}
 		ids[i] = i
 	}
 	dir := t.TempDir()
@@ -399,7 +399,7 @@ func TestRefineLedgerDigestPinned(t *testing.T) {
 				// advancing a twelfth of a turn every two epochs.
 				turn := float64(i)/objects + float64(a%3)/3 + float64(e/2)/12
 				rad := 60 + 50*r.Float64()
-				p := vec.Of(rad*math.Cos(2*math.Pi*turn)+r.NormFloat64()*8, rad*math.Sin(2*math.Pi*turn)+r.NormFloat64()*8)
+				p := vec.Vec{rad*math.Cos(2*math.Pi*turn) + r.NormFloat64()*8, rad*math.Sin(2*math.Pi*turn) + r.NormFloat64()*8}
 				if _, err := o.Record(coord.Coordinate{Pos: p}, 1+float64(a%4)); err != nil {
 					t.Fatal(err)
 				}

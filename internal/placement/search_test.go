@@ -30,7 +30,7 @@ func randomSearchInstance(r *rand.Rand, nodes, numCand, k int) *Instance {
 	}
 	coords := make([]coord.Coordinate, nodes)
 	for i := range coords {
-		coords[i] = coord.Coordinate{Pos: vec.Of(r.NormFloat64(), r.NormFloat64()), Height: 0}
+		coords[i] = coord.Coordinate{Pos: vec.Vec{r.NormFloat64(), r.NormFloat64()}, Height: 0}
 	}
 	perm := r.Perm(nodes)
 	cands := append([]int(nil), perm[:numCand]...)

@@ -161,8 +161,8 @@ type Object struct {
 	mu  sync.Mutex // guards mgr and lastDec
 	mgr *replica.Manager
 
-	idx     int // registration index: the deterministic tie-breaker
-	lastDec replica.Decision
+	idx     int              // registration index: the deterministic tie-breaker
+	lastDec replica.Decision // the most recent epoch's decision
 
 	// Epoch-scratch grouping state, touched only under the service lock:
 	sig      []float64 // this epoch's demand signature
@@ -373,25 +373,11 @@ func (s *Service) Register(id, class string) (*Object, error) {
 	return o, nil
 }
 
-// Lookup returns a registered object's handle, or nil.
-func (s *Service) Lookup(id string) *Object {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byID[id]
-}
-
 // Objects returns the number of registered objects.
 func (s *Service) Objects() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.objects)
-}
-
-// Epoch returns how many epochs have completed.
-func (s *Service) Epoch() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
 }
 
 // Record routes one access to the object's closest replica and folds it
@@ -402,15 +388,6 @@ func (o *Object) Record(client coord.Coordinate, weight float64) (int, error) {
 	return o.mgr.Record(client, weight)
 }
 
-// RecordBatchAt folds a batch of accesses into a specific replica's
-// summary (see replica.Manager.RecordBatchAt) — the planet-scale ingest
-// path.
-func (o *Object) RecordBatchAt(rep int, clients []int, weights []float64) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.mgr.RecordBatchAt(rep, clients, weights)
-}
-
 // RecordObserved reports the object's measured mean access delay for the
 // epoch in progress (ledger ground truth).
 func (o *Object) RecordObserved(meanMs float64, accesses int64) {
@@ -419,26 +396,11 @@ func (o *Object) RecordObserved(meanMs float64, accesses int64) {
 	o.mgr.RecordObserved(meanMs, accesses)
 }
 
-// Route returns the replica that would serve a client, without
-// recording.
-func (o *Object) Route(client coord.Coordinate) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.mgr.Route(client)
-}
-
 // Replicas returns the object's current replica locations.
 func (o *Object) Replicas() []int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.mgr.Replicas()
-}
-
-// LastDecision returns the object's most recent epoch decision.
-func (o *Object) LastDecision() replica.Decision {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.lastDec
 }
 
 // LastProvenance returns the provenance record the object's most recent

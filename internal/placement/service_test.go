@@ -23,7 +23,7 @@ import (
 func svcCoords(xs ...float64) []coord.Coordinate {
 	out := make([]coord.Coordinate, len(xs))
 	for i, x := range xs {
-		out[i] = coord.Coordinate{Pos: vec.Of(x, 0)}
+		out[i] = coord.Coordinate{Pos: vec.Vec{x, 0}}
 	}
 	return out
 }
@@ -45,7 +45,7 @@ func feed(t testing.TB, o *Object, seedBase int64, epoch, idx int) {
 	center := []float64{10, 95, 190}[idx%3]
 	for a := 0; a < 30; a++ {
 		pos := center + r.Float64()*20 - 10
-		if _, err := o.Record(coord.Coordinate{Pos: vec.Of(pos, 0)}, 1); err != nil {
+		if _, err := o.Record(coord.Coordinate{Pos: vec.Vec{pos, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestSingletonByteIdentity(t *testing.T) {
 				}
 				decs := make([]replica.Decision, objects)
 				for i, o := range objs {
-					decs[i] = o.LastDecision()
+					decs[i] = o.lastDec
 				}
 				svcDecs = append(svcDecs, decs)
 			}
@@ -151,7 +151,7 @@ func TestSingletonByteIdentity(t *testing.T) {
 				center := []float64{10, 95, 190}[idx%3]
 				for a := 0; a < 30; a++ {
 					pos := center + r.Float64()*20 - 10
-					if _, err := m.Record(coord.Coordinate{Pos: vec.Of(pos, 0)}, 1); err != nil {
+					if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{pos, 0}}, 1); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -371,7 +371,7 @@ func TestCapacityDisplacement(t *testing.T) {
 	// equal demand → registration order breaks the tie, a wins.
 	for _, o := range []*Object{a, b} {
 		for i := 0; i < 40; i++ {
-			if _, err := o.Record(coord.Coordinate{Pos: vec.Of(10, 0)}, 1); err != nil {
+			if _, err := o.Record(coord.Coordinate{Pos: vec.Vec{10, 0}}, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -383,11 +383,11 @@ func TestCapacityDisplacement(t *testing.T) {
 	if st.Displaced == 0 {
 		t.Fatalf("no displacement under full contention: %+v", st)
 	}
-	if a.LastDecision().Displaced != 0 {
-		t.Errorf("earlier-registered equal-demand object was displaced: %+v", a.LastDecision())
+	if a.lastDec.Displaced != 0 {
+		t.Errorf("earlier-registered equal-demand object was displaced: %+v", a.lastDec)
 	}
-	if b.LastDecision().Displaced == 0 {
-		t.Errorf("later-registered object kept contested slots: %+v", b.LastDecision())
+	if b.lastDec.Displaced == 0 {
+		t.Errorf("later-registered object kept contested slots: %+v", b.lastDec)
 	}
 	// Slots stay exclusive: across both objects every node holds at most
 	// its capacity.
@@ -459,7 +459,7 @@ func TestCapacityDisplacementDeterministic(t *testing.T) {
 		disp := make([]int, len(objs))
 		for i, o := range objs {
 			placements[i] = o.Replicas()
-			disp[i] = o.LastDecision().Displaced
+			disp[i] = o.lastDec.Displaced
 		}
 		return placements, disp
 	}
@@ -528,7 +528,7 @@ func TestServiceConcurrentStress(t *testing.T) {
 				mu.Lock()
 				o := handles[r.Intn(len(handles))]
 				mu.Unlock()
-				_, _ = o.Record(coord.Coordinate{Pos: vec.Of(r.Float64()*200, 0)}, 1)
+				_, _ = o.Record(coord.Coordinate{Pos: vec.Vec{r.Float64() * 200, 0}}, 1)
 			}
 		}(g)
 	}
@@ -573,7 +573,7 @@ func TestServiceValidation(t *testing.T) {
 		{"infinite position", func(c *ServiceConfig) { c.Coords[2].Pos[0] = math.Inf(1) }},
 		{"negative height", func(c *ServiceConfig) { c.Coords[4].Height = -1 }},
 		{"NaN height", func(c *ServiceConfig) { c.Coords[0].Height = math.NaN() }},
-		{"wrong dimension", func(c *ServiceConfig) { c.Coords[1].Pos = vec.Of(50, 0, 0) }},
+		{"wrong dimension", func(c *ServiceConfig) { c.Coords[1].Pos = vec.Vec{50, 0, 0} }},
 	}
 	for _, tc := range badCandidates {
 		cfg := svcConfig(2)
@@ -584,7 +584,7 @@ func TestServiceValidation(t *testing.T) {
 	}
 	// A node that is not a candidate is not the service's to judge.
 	spare := svcConfig(2)
-	spare.Coords = append(spare.Coords, coord.Coordinate{Pos: vec.Of(math.NaN(), 0)})
+	spare.Coords = append(spare.Coords, coord.Coordinate{Pos: vec.Vec{math.NaN(), 0}})
 	if _, err := NewService(spare); err != nil {
 		t.Errorf("invalid non-candidate node rejected: %v", err)
 	}

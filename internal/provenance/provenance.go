@@ -299,16 +299,6 @@ func (r *Record) Finalize(chosenCostMs float64) {
 	}
 }
 
-// Empty reports whether the record carries nothing worth persisting — a
-// zero-value record on an epoch that captured no provenance.
-func (r *Record) Empty() bool {
-	return r == nil || (r.Reason == ReasonSteady && !r.Held &&
-		r.ChosenCostMs == 0 && r.ReadMs == 0 && r.WriteMs == 0 && r.MigrateMs == 0 &&
-		len(r.PerDC) == 0 && len(r.Counterfactuals) == 0 &&
-		r.GateBurn == 0 && r.GateMissing == 0 && r.GateDrift == 0 && r.GateOccupancy == 0 &&
-		r.BestAltMs == 0 && r.RegretMs == 0 && (r.RegretRatio == 0 || r.RegretRatio == 1))
-}
-
 // Validate checks the structural invariants the ledger decoder enforces
 // on untrusted bytes. isCandidate reports node-id membership in the
 // record's candidate set (nil skips membership checks).

@@ -142,24 +142,6 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestEmpty(t *testing.T) {
-	var r Record
-	if !r.Empty() {
-		t.Fatal("zero record not Empty")
-	}
-	r.Finalize(0)
-	if !r.Empty() {
-		t.Fatal("finalized zero record not Empty (ratio 1 should still count)")
-	}
-	r.GateBurn = 2
-	if r.Empty() {
-		t.Fatal("record with a gate input reported Empty")
-	}
-	if (*Record)(nil).Empty() != true {
-		t.Fatal("nil record not Empty")
-	}
-}
-
 func TestEstimatorObserve(t *testing.T) {
 	reg := metrics.NewRegistry()
 	e := NewEstimator(reg)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/georep/georep/internal/cluster"
 	"github.com/georep/georep/internal/coord"
 	"github.com/georep/georep/internal/metrics"
 	"github.com/georep/georep/internal/vec"
@@ -24,7 +23,7 @@ func loadNear(t *testing.T, m *Manager, seed int64, n int, xs ...float64) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		x := xs[i%len(xs)] + rng.Float64()*4
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(x, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{x, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,11 +173,7 @@ func TestUnreachableReplicaSkipsDecay(t *testing.T) {
 	loadNear(t, m, 7, 100, 2, 95)
 	down := m.Replicas()[1]
 	weightOf := func(rep int) float64 {
-		enc, err := m.servers[rep].ExportEncoded()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms, err := cluster.DecodeMicros(enc)
+		ms, err := m.servers[rep].ExportInto(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,10 +58,10 @@ func TestGroupsMigrateIndependently(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// "videos" demand sits at x≈150, "images" demand at x≈0.
 	for i := 0; i < 200; i++ {
-		if _, err := g.Record("videos", coord.Coordinate{Pos: vec.Of(148+rng.Float64()*4, 0)}, 1); err != nil {
+		if _, err := g.Record("videos", coord.Coordinate{Pos: vec.Vec{148 + rng.Float64()*4, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.Record("images", coord.Coordinate{Pos: vec.Of(rng.Float64()*4, 0)}, 1); err != nil {
+		if _, err := g.Record("images", coord.Coordinate{Pos: vec.Vec{rng.Float64() * 4, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

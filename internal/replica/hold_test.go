@@ -25,7 +25,7 @@ func TestHoldMigrationsGate(t *testing.T) {
 			if i%2 == 0 {
 				x = 148 + rng.Float64()*4
 			}
-			if _, err := m.Record(coord.Coordinate{Pos: vec.Of(x, 0)}, 1); err != nil {
+			if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{x, 0}}, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -36,7 +36,7 @@ func ingestFixture(t testing.TB, nodes int) ([]int, []vec.Vec, []float64) {
 func TestRecordBatchMatchesRecord(t *testing.T) {
 	clients, pos, weights := ingestFixture(t, 32)
 
-	one, err := NewServer(5, 8, 3)
+	one, err := NewServer(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRecordBatchMatchesRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	batch, err := NewServer(5, 8, 3)
+	batch, err := NewServer(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,11 @@ func TestRecordBatchMatchesRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if one.Accesses() != batch.Accesses() {
-		t.Fatalf("accesses %d vs %d", one.Accesses(), batch.Accesses())
-	}
-	a, err := one.Export()
+	a, err := one.ExportInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := batch.Export()
+	b, err := batch.ExportInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +75,14 @@ func TestRecordBatchMatchesRecord(t *testing.T) {
 // carries the same mass as the unsharded one for the same batch.
 func TestShardedServerPreservesTotals(t *testing.T) {
 	clients, pos, weights := ingestFixture(t, 32)
-	base, err := NewServer(5, 8, 3)
+	base, err := NewServer(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := base.RecordBatch(clients, pos, weights); err != nil {
 		t.Fatal(err)
 	}
-	baseMs, err := base.Export()
+	baseMs, err := base.ExportInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +94,14 @@ func TestShardedServerPreservesTotals(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4, 8, 16} {
-		srv, err := NewShardedServer(5, shards, 8, 3)
+		srv, err := NewShardedServer(shards, 8, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := srv.RecordBatch(clients, pos, weights); err != nil {
 			t.Fatal(err)
 		}
-		ms, err := srv.Export()
+		ms, err := srv.ExportInto(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,26 +120,23 @@ func TestShardedServerPreservesTotals(t *testing.T) {
 		if math.Abs(weight-wantWeight) > 1e-9*wantWeight {
 			t.Fatalf("shards=%d: weight %v, want %v", shards, weight, wantWeight)
 		}
-		if srv.Accesses() != int64(len(clients)) {
-			t.Fatalf("shards=%d: accesses %d", shards, srv.Accesses())
-		}
 	}
 }
 
 // TestShardedServerSingleRecord: the id-less Record path still lands in
 // some shard and totals survive export and decay.
 func TestShardedServerSingleRecord(t *testing.T) {
-	srv, err := NewShardedServer(1, 4, 8, 3)
+	srv, err := NewShardedServer(4, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := vec.Of(1, 2, 3)
+	p := vec.Vec{1, 2, 3}
 	for i := 0; i < 100; i++ {
 		if err := srv.Record(p, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ms, err := srv.Export()
+	ms, err := srv.ExportInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,18 +153,18 @@ func TestShardedServerSingleRecord(t *testing.T) {
 }
 
 func TestRecordBatchErrors(t *testing.T) {
-	srv, err := NewServer(0, 4, 3)
+	srv, err := NewServer(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := []vec.Vec{vec.Of(1, 2, 3)}
+	pos := []vec.Vec{vec.Vec{1, 2, 3}}
 	if err := srv.RecordBatch([]int{0}, pos, []float64{1, 2}); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	if err := srv.RecordBatch([]int{3}, pos, nil); err == nil {
 		t.Error("out-of-range client accepted")
 	}
-	sh, err := NewShardedServer(0, 4, 4, 3)
+	sh, err := NewShardedServer(4, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +178,7 @@ func batchManager(t testing.TB, shards int) (*Manager, []coord.Coordinate) {
 	const n = 24
 	coords := make([]coord.Coordinate, n)
 	for i := range coords {
-		coords[i] = coord.Coordinate{Pos: vec.Of(float64(i%6)*20, float64(i/6)*20), Height: 1}
+		coords[i] = coord.Coordinate{Pos: vec.Vec{float64(i%6) * 20, float64(i/6) * 20}, Height: 1}
 	}
 	cand := []int{0, 1, 2, 3}
 	mgr, err := NewManager(Config{K: 2, M: 8, Dims: 2, IngestShards: shards}, cand, coords, nil)
@@ -223,7 +217,7 @@ func TestManagerRecordBatchAt(t *testing.T) {
 func TestManagerShardedConfig(t *testing.T) {
 	coords := make([]coord.Coordinate, 8)
 	for i := range coords {
-		coords[i] = coord.Coordinate{Pos: vec.Of(float64(i), 0)}
+		coords[i] = coord.Coordinate{Pos: vec.Vec{float64(i), 0}}
 	}
 	cand := []int{0, 1}
 	if _, err := NewManager(Config{K: 1, M: 4, Dims: 2, IngestShards: 3}, cand, coords, nil); err == nil {
@@ -242,7 +236,7 @@ func TestManagerShardedConfig(t *testing.T) {
 // Decay run. Meaningful under -race.
 func TestShardedServerConcurrentRecordBatch(t *testing.T) {
 	clients, pos, weights := ingestFixture(t, 32)
-	srv, err := NewShardedServer(3, 8, 8, 3)
+	srv, err := NewShardedServer(8, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +262,7 @@ func TestShardedServerConcurrentRecordBatch(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := srv.Export(); err != nil {
+		if _, err := srv.ExportInto(nil); err != nil {
 			t.Error(err)
 			break
 		}
@@ -279,7 +273,7 @@ func TestShardedServerConcurrentRecordBatch(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	ms, err := srv.Export()
+	ms, err := srv.ExportInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,14 +109,14 @@ type Config struct {
 }
 
 // newServer builds a server in the configured recency/sharding mode.
-func (c Config) newServer(node int) (*Server, error) {
+func (c Config) newServer() (*Server, error) {
 	if c.WindowEpochs > 0 {
-		return NewWindowedServer(node, c.M, c.Dims, c.WindowEpochs)
+		return NewWindowedServer(c.M, c.Dims, c.WindowEpochs)
 	}
 	if c.IngestShards > 1 {
-		return NewShardedServer(node, c.IngestShards, c.M, c.Dims)
+		return NewShardedServer(c.IngestShards, c.M, c.Dims)
 	}
-	return NewServer(node, c.M, c.Dims)
+	return NewServer(c.M, c.Dims)
 }
 
 func (c *Config) fillDefaults() {
@@ -407,7 +407,7 @@ func NewManager(cfg Config, candidates []int, coords []coord.Coordinate, initial
 		m.provEst = provenance.NewEstimator(cfg.Metrics)
 	}
 	for _, rep := range m.replicas {
-		srv, err := cfg.newServer(rep)
+		srv, err := cfg.newServer()
 		if err != nil {
 			return nil, err
 		}
@@ -856,7 +856,7 @@ func (m *Manager) applyPlacement(newReps []int) error {
 			next[rep] = srv
 			continue
 		}
-		srv, err := m.cfg.newServer(rep)
+		srv, err := m.cfg.newServer()
 		if err != nil {
 			return err
 		}

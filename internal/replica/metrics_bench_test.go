@@ -6,6 +6,7 @@ import (
 
 	"github.com/georep/georep/internal/coord"
 	"github.com/georep/georep/internal/metrics"
+	"github.com/georep/georep/internal/vec"
 )
 
 // benchManager builds a manager over synthetic coordinates, instrumented
@@ -20,7 +21,7 @@ func benchManager(b *testing.B, reg *metrics.Registry) (*Manager, []coord.Coordi
 	)
 	rng := rand.New(rand.NewSource(42))
 	randCoord := func() coord.Coordinate {
-		c := coord.NewCoordinate(dims)
+		c := coord.Coordinate{Pos: vec.New(dims)}
 		for i := range c.Pos {
 			c.Pos[i] = rng.NormFloat64() * 50
 		}

@@ -22,7 +22,7 @@ func TestQuickManagerInvariants(t *testing.T) {
 		coords := make([]coord.Coordinate, nodes)
 		for i := range coords {
 			coords[i] = coord.Coordinate{
-				Pos:    vec.Of(r.NormFloat64()*100, r.NormFloat64()*100),
+				Pos:    vec.Vec{r.NormFloat64() * 100, r.NormFloat64() * 100},
 				Height: r.Float64() * 5,
 			}
 		}
@@ -70,7 +70,7 @@ func TestQuickManagerInvariants(t *testing.T) {
 			accesses := r.Intn(200)
 			for a := 0; a < accesses; a++ {
 				client := coord.Coordinate{
-					Pos: vec.Of(r.NormFloat64()*100, r.NormFloat64()*100),
+					Pos: vec.Vec{r.NormFloat64() * 100, r.NormFloat64() * 100},
 				}
 				if _, err := m.Record(client, r.Float64()*3); err != nil {
 					return false
@@ -105,7 +105,7 @@ func TestQuickAdoptedMigrationsEstimateJustified(t *testing.T) {
 			return false
 		}
 		for i := 0; i < 100; i++ {
-			client := coord.Coordinate{Pos: vec.Of(r.Float64()*160, 0)}
+			client := coord.Coordinate{Pos: vec.Vec{r.Float64() * 160, 0}}
 			if _, err := m.Record(client, 1); err != nil {
 				return false
 			}

@@ -25,7 +25,7 @@ func TestProvenanceCaptureMigration(t *testing.T) {
 		if i%2 == 0 {
 			x = 148 + rng.Float64()*4
 		}
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(x, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{x, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func TestProvenanceQuorumGated(t *testing.T) {
 	m := managerFixture(t, Config{K: 2, M: 6, Dims: 2, Quorum: 0.9, Provenance: true})
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(40, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{40, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestProvenanceOffDisablesCapture(t *testing.T) {
 	m := managerFixture(t, Config{K: 2, M: 6, Dims: 2})
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 50; i++ {
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(60, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{60, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestProvenanceSteadyStateAllocs(t *testing.T) {
 		epoch := func() {
 			for i := 0; i < 120; i++ {
 				x := 40 + float64(i%8)
-				if _, err := m.Record(coord.Coordinate{Pos: vec.Of(x, 0)}, 1); err != nil {
+				if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{x, 0}}, 1); err != nil {
 					t.Fatal(err)
 				}
 			}

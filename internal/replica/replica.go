@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"github.com/georep/georep/internal/cluster"
 	"github.com/georep/georep/internal/coord"
@@ -25,32 +24,28 @@ import (
 // snapshots and exports exactly the accesses of the last W epochs —
 // slightly costlier, exact.
 type Server struct {
-	node     int
 	sum      *cluster.Summarizer
 	win      *cluster.WindowedSummarizer
 	shards   *cluster.Sharded
 	winEpoch float64 // virtual clock: one unit per epoch (windowed mode)
 	horizon  float64 // window length in epochs (windowed mode)
 	seq      int     // round-robin shard key for id-less single records
-	// accesses is atomic: sharded servers accept RecordBatch from
-	// concurrent goroutines.
-	accesses atomic.Int64
 }
 
-// NewServer creates the summarizer state for a replica hosted at the
-// given node with a budget of m micro-clusters over dims-dimensional
-// client coordinates, using exponential-decay recency.
-func NewServer(node, m, dims int) (*Server, error) {
+// NewServer creates the summarizer state for one replica with a budget
+// of m micro-clusters over dims-dimensional client coordinates, using
+// exponential-decay recency.
+func NewServer(m, dims int) (*Server, error) {
 	s, err := cluster.NewSummarizer(m, dims)
 	if err != nil {
 		return nil, err
 	}
-	return &Server{node: node, sum: s}, nil
+	return &Server{sum: s}, nil
 }
 
 // NewWindowedServer creates a server whose summaries cover exactly the
 // last windowEpochs epochs via CluStream pyramidal snapshots.
-func NewWindowedServer(node, m, dims, windowEpochs int) (*Server, error) {
+func NewWindowedServer(m, dims, windowEpochs int) (*Server, error) {
 	if windowEpochs <= 0 {
 		return nil, fmt.Errorf("replica: windowEpochs must be positive, got %d", windowEpochs)
 	}
@@ -58,7 +53,7 @@ func NewWindowedServer(node, m, dims, windowEpochs int) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{node: node, win: w, horizon: float64(windowEpochs)}, nil
+	return &Server{win: w, horizon: float64(windowEpochs)}, nil
 }
 
 // NewShardedServer creates a server whose summarizer is partitioned
@@ -66,37 +61,30 @@ func NewWindowedServer(node, m, dims, windowEpochs int) (*Server, error) {
 // cluster.Sharded): batched ingest locks only the touched shards, and
 // the shards are merged back down to the m-cluster budget at export
 // time. Recency uses exponential decay, as with NewServer.
-func NewShardedServer(node, shards, m, dims int) (*Server, error) {
+func NewShardedServer(shards, m, dims int) (*Server, error) {
 	sh, err := cluster.NewSharded(shards, m, dims)
 	if err != nil {
 		return nil, err
 	}
-	return &Server{node: node, shards: sh}, nil
+	return &Server{shards: sh}, nil
 }
-
-// Node returns the data-center node hosting this replica.
-func (s *Server) Node() int { return s.node }
 
 // Record folds one client access into the summary. weight is the data
 // volume exchanged (paper: "the overall amount of data exchanged with
 // the users").
 func (s *Server) Record(clientPos vec.Vec, weight float64) error {
-	var err error
 	switch {
 	case s.win != nil:
-		err = s.win.Observe(clientPos, weight)
+		return s.win.Observe(clientPos, weight)
 	case s.shards != nil:
 		// The id-less single-record path spreads observations round-robin;
 		// any partition preserves the summary's additive totals.
-		err = s.shards.Observe(s.seq, clientPos, weight)
+		err := s.shards.Observe(s.seq, clientPos, weight)
 		s.seq++
+		return err
 	default:
-		err = s.sum.Observe(clientPos, weight)
+		return s.sum.Observe(clientPos, weight)
 	}
-	if err == nil {
-		s.accesses.Add(1)
-	}
-	return err
 }
 
 // RecordBatch folds a batch of accesses into the summary: clients[i]
@@ -110,11 +98,7 @@ func (s *Server) RecordBatch(clients []int, pos []vec.Vec, weights []float64) er
 		return fmt.Errorf("replica: batch of %d clients with %d weights", len(clients), len(weights))
 	}
 	if s.shards != nil {
-		if err := s.shards.ObserveBatch(clients, pos, weights); err != nil {
-			return err
-		}
-		s.accesses.Add(int64(len(clients)))
-		return nil
+		return s.shards.ObserveBatch(clients, pos, weights)
 	}
 	for i, c := range clients {
 		if c < 0 || c >= len(pos) {
@@ -133,22 +117,16 @@ func (s *Server) RecordBatch(clients []int, pos []vec.Vec, weights []float64) er
 		if err != nil {
 			return err
 		}
-		s.accesses.Add(1)
 	}
 	return nil
 }
 
-// Export returns a copy of the recency-scoped micro-clusters — what the
-// server ships to the coordinator.
-func (s *Server) Export() ([]cluster.Micro, error) {
-	return s.ExportInto(nil)
-}
-
-// ExportInto is Export reusing dst's backing (micro structs and their
-// vectors) where possible. The windowed and sharded paths still build
-// fresh summaries — their merge passes need owned storage — but the
-// plain path, one summarizer per object as a multi-object fleet runs,
-// re-allocates nothing in steady state.
+// ExportInto returns a copy of the recency-scoped micro-clusters — what
+// the server ships to the coordinator — reusing dst's backing (micro
+// structs and their vectors) where possible. The windowed and sharded
+// paths still build fresh summaries — their merge passes need owned
+// storage — but the plain path, one summarizer per object as a
+// multi-object fleet runs, re-allocates nothing in steady state.
 func (s *Server) ExportInto(dst []cluster.Micro) ([]cluster.Micro, error) {
 	if s.win != nil {
 		return s.win.Window(s.winEpoch, s.horizon)
@@ -158,19 +136,6 @@ func (s *Server) ExportInto(dst []cluster.Micro) ([]cluster.Micro, error) {
 	}
 	return s.sum.ClustersInto(dst), nil
 }
-
-// ExportEncoded returns the gob wire form of the summary, whose length is
-// the per-epoch bandwidth cost of the online approach.
-func (s *Server) ExportEncoded() ([]byte, error) {
-	ms, err := s.Export()
-	if err != nil {
-		return nil, err
-	}
-	return cluster.EncodeMicros(ms)
-}
-
-// Accesses returns the number of accesses recorded since creation.
-func (s *Server) Accesses() int64 { return s.accesses.Load() }
 
 // Decay marks an epoch boundary. In decay mode the summary ages by
 // factor (1 keeps everything, smaller forgets faster); in windowed mode

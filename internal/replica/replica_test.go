@@ -14,7 +14,7 @@ import (
 func lineCoords(xs ...float64) []coord.Coordinate {
 	out := make([]coord.Coordinate, len(xs))
 	for i, x := range xs {
-		out[i] = coord.Coordinate{Pos: vec.Of(x, 0)}
+		out[i] = coord.Coordinate{Pos: vec.Vec{x, 0}}
 	}
 	return out
 }
@@ -22,42 +22,36 @@ func lineCoords(xs ...float64) []coord.Coordinate {
 func microAt(x, y float64, count int64, weight float64) cluster.Micro {
 	m := cluster.NewMicro(2)
 	for i := int64(0); i < count; i++ {
-		m.Absorb(vec.Of(x, y), weight/float64(count))
+		m.Absorb(vec.Vec{x, y}, weight/float64(count))
 	}
 	return m
 }
 
 func TestServerRecordsAndExports(t *testing.T) {
-	s, err := NewServer(3, 4, 2)
+	s, err := NewServer(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Node() != 3 {
-		t.Errorf("Node = %d", s.Node())
-	}
 	for i := 0; i < 50; i++ {
-		if err := s.Record(vec.Of(1, 2), 10); err != nil {
+		if err := s.Record(vec.Vec{1, 2}, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.Accesses() != 50 {
-		t.Errorf("Accesses = %d", s.Accesses())
-	}
-	ms, err := s.Export()
+	ms, err := s.ExportInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ms) == 0 || ms[0].Count != 50 {
 		t.Errorf("export = %+v", ms)
 	}
-	enc, err := s.ExportEncoded()
+	enc, err := cluster.EncodeMicros(ms)
 	if err != nil || len(enc) == 0 {
 		t.Errorf("encode: %v, %d bytes", err, len(enc))
 	}
 	if err := s.Decay(0.5); err != nil {
 		t.Fatal(err)
 	}
-	ms, err = s.Export()
+	ms, err = s.ExportInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +61,13 @@ func TestServerRecordsAndExports(t *testing.T) {
 }
 
 func TestWindowedServerRecency(t *testing.T) {
-	s, err := NewWindowedServer(1, 6, 2, 1) // window = last 1 epoch
+	s, err := NewWindowedServer(6, 2, 1) // window = last 1 epoch
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Epoch 0: demand at (0,0).
 	for i := 0; i < 40; i++ {
-		if err := s.Record(vec.Of(0, 0), 1); err != nil {
+		if err := s.Record(vec.Vec{0, 0}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,14 +76,14 @@ func TestWindowedServerRecency(t *testing.T) {
 	}
 	// Epoch 1: demand at (100,100).
 	for i := 0; i < 25; i++ {
-		if err := s.Record(vec.Of(100, 100), 1); err != nil {
+		if err := s.Record(vec.Vec{100, 100}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Export at epoch end — before the boundary snapshot, exactly as the
 	// manager's EndEpoch does — covers only this epoch: 25 accesses at
 	// (100,100); the 40 old accesses are fully forgotten, not damped.
-	ms, err := s.Export()
+	ms, err := s.ExportInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +97,6 @@ func TestWindowedServerRecency(t *testing.T) {
 	if count != 25 {
 		t.Errorf("window count = %d, want 25", count)
 	}
-	if s.Accesses() != 65 {
-		t.Errorf("Accesses = %d, want 65", s.Accesses())
-	}
 }
 
 func TestManagerWindowedRecencyForgetsOldDemand(t *testing.T) {
@@ -116,7 +107,7 @@ func TestManagerWindowedRecencyForgetsOldDemand(t *testing.T) {
 
 	// Epoch 1: heavy demand at x≈0.
 	for i := 0; i < 300; i++ {
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(rng.Float64()*3, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{rng.Float64() * 3, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,7 +122,7 @@ func TestManagerWindowedRecencyForgetsOldDemand(t *testing.T) {
 	// accesses would still dominate (150 weight after 0.5 decay vs 40
 	// new); with an exact 1-epoch window they are gone entirely.
 	for i := 0; i < 40; i++ {
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(148+rng.Float64()*4, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{148 + rng.Float64()*4, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,19 +135,19 @@ func TestManagerWindowedRecencyForgetsOldDemand(t *testing.T) {
 }
 
 func TestNewWindowedServerValidation(t *testing.T) {
-	if _, err := NewWindowedServer(1, 4, 2, 0); err == nil {
+	if _, err := NewWindowedServer(4, 2, 0); err == nil {
 		t.Error("windowEpochs=0 should fail")
 	}
-	if _, err := NewWindowedServer(1, 0, 2, 1); err == nil {
+	if _, err := NewWindowedServer(0, 2, 1); err == nil {
 		t.Error("m=0 should fail")
 	}
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(0, 0, 2); err == nil {
+	if _, err := NewServer(0, 2); err == nil {
 		t.Error("m=0 should fail")
 	}
-	if _, err := NewServer(0, 4, 0); err == nil {
+	if _, err := NewServer(4, 0); err == nil {
 		t.Error("dims=0 should fail")
 	}
 }
@@ -282,7 +273,7 @@ func TestNewManagerValidation(t *testing.T) {
 func TestManagerRoutesToClosest(t *testing.T) {
 	m := managerFixture(t, Config{K: 2, M: 4, Dims: 2})
 	// Initial replicas: candidates 0 (x=0) and 1 (x=50).
-	client := coord.Coordinate{Pos: vec.Of(45, 0)}
+	client := coord.Coordinate{Pos: vec.Vec{45, 0}}
 	if got := m.Route(client); got != 1 {
 		t.Errorf("Route = %d, want 1", got)
 	}
@@ -304,7 +295,7 @@ func TestManagerMigratesTowardDemand(t *testing.T) {
 		if i%2 == 0 {
 			x = 148 + rng.Float64()*4
 		}
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(x, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{x, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +332,7 @@ func TestManagerHoldsWhenGainTooSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		// Demand mildly prefers x=100 over the current x=50 replica.
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(60+rng.Float64()*30, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{60 + rng.Float64()*30, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -373,7 +364,7 @@ func TestManagerEconomicVeto(t *testing.T) {
 	})
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(140+rng.Float64()*10, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{140 + rng.Float64()*10, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,7 +387,7 @@ func TestManagerDynamicK(t *testing.T) {
 
 	// Epoch 1: heavy demand (weight 300) → k should grow to 2.
 	for i := 0; i < 300; i++ {
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(rng.Float64()*150, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{rng.Float64() * 150, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -411,7 +402,7 @@ func TestManagerDynamicK(t *testing.T) {
 	// Several nearly-silent epochs → k shrinks back to 1. (Decay keeps
 	// residual weight around, so allow a few epochs.)
 	for e := 0; e < 6 && m.K() > 1; e++ {
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(10, 0)}, 0.1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{10, 0}}, 0.1); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := m.EndEpoch(rand.New(rand.NewSource(int64(9 + e)))); err != nil {
@@ -443,10 +434,10 @@ func TestManagerSilentEpochIsNoop(t *testing.T) {
 
 func TestManagerRecordAt(t *testing.T) {
 	m := managerFixture(t, Config{K: 2, M: 4, Dims: 2})
-	if err := m.RecordAt(0, vec.Of(1, 0), 1); err != nil {
+	if err := m.RecordAt(0, vec.Vec{1, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RecordAt(3, vec.Of(1, 0), 1); err == nil {
+	if err := m.RecordAt(3, vec.Vec{1, 0}, 1); err == nil {
 		t.Error("recording at a non-replica should fail")
 	}
 }
@@ -460,7 +451,7 @@ func TestManagerKeptReplicaRetainsSummary(t *testing.T) {
 		if i%2 == 0 {
 			x = 148 + rng.Float64()*4
 		}
-		if _, err := m.Record(coord.Coordinate{Pos: vec.Of(x, 0)}, 1); err != nil {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{x, 0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -478,8 +469,8 @@ func TestManagerKeptReplicaRetainsSummary(t *testing.T) {
 		t.Fatalf("replica at node 0 should be kept, got %v", reps)
 	}
 	// Node 0's summarizer survived the migration (decayed, not reset).
-	if m.servers[0].Accesses() == 0 {
-		t.Error("kept replica lost its summary")
+	if ms, err := m.servers[0].ExportInto(nil); err != nil || len(ms) == 0 {
+		t.Errorf("kept replica lost its summary: %v", err)
 	}
 }
 

@@ -120,6 +120,3 @@ func (l *Log) InstallSnapshot(seq, term uint64) {
 	l.snapSeq, l.snapTerm = seq, term
 	l.entries = l.entries[:0]
 }
-
-// Contains reports whether the log holds (or has compacted) seq.
-func (l *Log) Contains(seq uint64) bool { return seq >= 1 && seq <= l.Last() }

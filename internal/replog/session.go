@@ -32,21 +32,6 @@ const (
 	ReadBounded
 )
 
-// String names the mode.
-func (m ReadMode) String() string {
-	switch m {
-	case ReadNearest:
-		return "nearest"
-	case ReadLeader:
-		return "leader"
-	case ReadSession:
-		return "session"
-	case ReadBounded:
-		return "bounded"
-	}
-	return "unknown"
-}
-
 // ReadResult describes where a read was served and what it observed.
 type ReadResult struct {
 	// Node is the serving replica (-1 when no live replica exists).

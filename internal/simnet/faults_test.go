@@ -16,7 +16,7 @@ func TestFaultDropLosesSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetFaults(func(from, to NodeID) (bool, float64) { return true, 0 })
-	if err := s.Send(1, 2, "x"); err != nil {
+	if err := s.SendBatch(1, 2, 1, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(0); err != nil {
@@ -27,9 +27,6 @@ func TestFaultDropLosesSend(t *testing.T) {
 	}
 	if s.DroppedLegs() != 1 {
 		t.Errorf("DroppedLegs = %d, want 1", s.DroppedLegs())
-	}
-	if s.Delivered() != 0 {
-		t.Errorf("Delivered = %d, want 0", s.Delivered())
 	}
 }
 
@@ -110,11 +107,11 @@ func TestFaultRemovalRestoresDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetFaults(func(from, to NodeID) (bool, float64) { return true, 0 })
-	if err := s.Send(1, 2, "lost"); err != nil {
+	if err := s.SendBatch(1, 2, 1, "lost"); err != nil {
 		t.Fatal(err)
 	}
 	s.SetFaults(nil)
-	if err := s.Send(1, 2, "kept"); err != nil {
+	if err := s.SendBatch(1, 2, 1, "kept"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(0); err != nil {
@@ -139,7 +136,7 @@ func TestInjectorBackedRunIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() (delivered, dropped uint64, clock float64) {
+	run := func() (replies, dropped uint64, clock float64) {
 		inj, err := faults.NewInjector(plan)
 		if err != nil {
 			t.Fatal(err)
@@ -153,14 +150,14 @@ func TestInjectorBackedRunIsDeterministic(t *testing.T) {
 		}
 		s.SetFaults(injectorFaults(inj))
 		for i := 0; i < 50; i++ {
-			if err := s.Call(1, 2, i, nil); err != nil {
+			if err := s.Call(1, 2, i, func(any, float64) { replies++ }); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.Run(0); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return s.Delivered(), s.DroppedLegs(), s.Now()
+		return replies, s.DroppedLegs(), s.Now()
 	}
 	d1, x1, c1 := run()
 	d2, x2, c2 := run()

@@ -80,17 +80,14 @@ type FaultFunc func(from, to NodeID) (drop bool, extraMs float64)
 // Simulator owns the virtual clock and event queue. It is single-
 // threaded by design: handlers run inline during Run.
 type Simulator struct {
-	rtt       LatencyFunc
-	faults    FaultFunc
-	nodes     map[NodeID]*node
-	queue     eventHeap
-	clock     float64
-	seq       uint64
-	delivered uint64
-	dropped   uint64
-	batches   uint64
-	batched   uint64
-	running   bool
+	rtt     LatencyFunc
+	faults  FaultFunc
+	nodes   map[NodeID]*node
+	queue   eventHeap
+	clock   float64
+	seq     uint64
+	dropped uint64
+	running bool
 }
 
 // New creates a simulator over the given RTT oracle.
@@ -116,9 +113,6 @@ func (s *Simulator) SetFaults(f FaultFunc) { s.faults = f }
 // Now returns the current virtual time in milliseconds.
 func (s *Simulator) Now() float64 { return s.clock }
 
-// Delivered returns the number of one-way deliveries performed so far.
-func (s *Simulator) Delivered() uint64 { return s.delivered }
-
 // DroppedLegs returns the number of one-way legs lost to injected
 // faults so far.
 func (s *Simulator) DroppedLegs() uint64 { return s.dropped }
@@ -137,39 +131,6 @@ func (s *Simulator) push(at float64, fn func()) {
 	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn})
 }
 
-// Send delivers a one-way message after half the pair's RTT. The
-// destination's MessageHandler runs at arrival; a missing destination or
-// handler drops the message silently, modelling an unreachable host.
-func (s *Simulator) Send(from, to NodeID, payload any) error {
-	oneWay, err := s.oneWay(from, to)
-	if err != nil {
-		return err
-	}
-	if s.faults != nil {
-		drop, extra := s.faults(from, to)
-		if drop {
-			s.dropped++
-			return nil // lost in the network, like a real datagram
-		}
-		oneWay += extra
-	}
-	s.push(s.clock+oneWay, func() {
-		s.delivered++
-		if n, ok := s.nodes[to]; ok && n.onMessage != nil {
-			n.onMessage(s, Message{From: from, To: to, Payload: payload})
-		}
-	})
-	return nil
-}
-
-// Batches returns the number of aggregated frames delivered via
-// SendBatch so far.
-func (s *Simulator) Batches() uint64 { return s.batches }
-
-// BatchedMessages returns the total number of logical messages carried
-// by delivered SendBatch frames.
-func (s *Simulator) BatchedMessages() uint64 { return s.batched }
-
 // SendBatch delivers one aggregated frame carrying count logical
 // messages from one node to another, after half the pair's RTT. This is
 // how high-rate access streams traverse the simulator without one event
@@ -177,7 +138,8 @@ func (s *Simulator) BatchedMessages() uint64 { return s.batched }
 // destination into a single frame, so the event queue scales with the
 // number of (source, destination) pairs, not the access rate. Fault
 // injection rules once on the whole frame — a dropped frame loses every
-// message in it, like a lost jumbo datagram.
+// message in it, like a lost jumbo datagram. A destination without a
+// MessageHandler drops the frame silently, modelling an unreachable host.
 func (s *Simulator) SendBatch(from, to NodeID, count int, payload any) error {
 	if count <= 0 {
 		return fmt.Errorf("simnet: batch of %d messages", count)
@@ -195,9 +157,6 @@ func (s *Simulator) SendBatch(from, to NodeID, count int, payload any) error {
 		oneWay += extra
 	}
 	s.push(s.clock+oneWay, func() {
-		s.delivered++
-		s.batches++
-		s.batched += uint64(count)
 		if n, ok := s.nodes[to]; ok && n.onMessage != nil {
 			n.onMessage(s, Message{From: from, To: to, Payload: payload})
 		}
@@ -233,7 +192,6 @@ func (s *Simulator) Call(from, to NodeID, req any, done Reply) error {
 		oneWay += extra
 	}
 	s.push(s.clock+oneWay, func() {
-		s.delivered++
 		n, ok := s.nodes[to]
 		if !ok || n.onRequest == nil {
 			return
@@ -249,7 +207,6 @@ func (s *Simulator) Call(from, to NodeID, req any, done Reply) error {
 			back += extra
 		}
 		s.push(s.clock+back, func() {
-			s.delivered++
 			if done != nil {
 				done(resp, s.clock-sendTime)
 			}
@@ -300,28 +257,3 @@ func (s *Simulator) Run(maxEvents int) (int, error) {
 	}
 	return processed, nil
 }
-
-// RunUntil processes events with timestamps <= deadline (milliseconds),
-// leaving later events queued and advancing the clock to the deadline.
-func (s *Simulator) RunUntil(deadline float64) (int, error) {
-	if s.running {
-		return 0, fmt.Errorf("simnet: RunUntil re-entered from a handler")
-	}
-	s.running = true
-	defer func() { s.running = false }()
-
-	processed := 0
-	for len(s.queue) > 0 && s.queue[0].at <= deadline {
-		e := heap.Pop(&s.queue).(*event)
-		s.clock = e.at
-		e.fn()
-		processed++
-	}
-	if s.clock < deadline {
-		s.clock = deadline
-	}
-	return processed, nil
-}
-
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }

@@ -32,7 +32,7 @@ func TestSendDeliversAfterHalfRTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Send(1, 2, "hello"); err != nil {
+	if err := s.SendBatch(1, 2, 1, "hello"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(0); err != nil {
@@ -43,9 +43,6 @@ func TestSendDeliversAfterHalfRTT(t *testing.T) {
 	}
 	if got.From != 1 || got.To != 2 || got.Payload != "hello" {
 		t.Errorf("message = %+v", got)
-	}
-	if s.Delivered() != 1 {
-		t.Errorf("Delivered = %d", s.Delivered())
 	}
 }
 
@@ -100,10 +97,10 @@ func TestUnknownNodesRejected(t *testing.T) {
 	if err := s.AddNode(1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Send(1, 9, nil); err == nil {
+	if err := s.SendBatch(1, 9, 1, nil); err == nil {
 		t.Error("unknown destination should fail")
 	}
-	if err := s.Send(9, 1, nil); err == nil {
+	if err := s.SendBatch(9, 1, 1, nil); err == nil {
 		t.Error("unknown sender should fail")
 	}
 	if err := s.Call(9, 1, nil, nil); err == nil {
@@ -130,7 +127,7 @@ func TestBadLatencyOracle(t *testing.T) {
 		if err := s.AddNode(2, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Send(1, 2, nil); err == nil {
+		if err := s.SendBatch(1, 2, 1, nil); err == nil {
 			t.Errorf("latency %v should be rejected", bad)
 		}
 	}
@@ -199,36 +196,6 @@ func TestEventBudget(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New(fixedRTT(nil))
-	fired := make(map[float64]bool)
-	for _, d := range []float64{5, 15, 25} {
-		d := d
-		if err := s.After(d, func() { fired[d] = true }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := s.RunUntil(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || !fired[5] || !fired[15] || fired[25] {
-		t.Errorf("n=%d fired=%v", n, fired)
-	}
-	if s.Now() != 20 {
-		t.Errorf("clock = %v, want 20", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", s.Pending())
-	}
-	if _, err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if !fired[25] {
-		t.Error("remaining event never fired")
-	}
-}
-
 func TestNestedSchedulingFromHandlers(t *testing.T) {
 	s := New(fixedRTT(map[[2]NodeID]float64{{1, 2}: 10, {2, 3}: 10, {1, 3}: 10}))
 	var path []NodeID
@@ -236,7 +203,7 @@ func TestNestedSchedulingFromHandlers(t *testing.T) {
 		return func(sim *Simulator, m Message) {
 			path = append(path, m.To)
 			if next != 0 {
-				if err := sim.Send(m.To, next, m.Payload); err != nil {
+				if err := sim.SendBatch(m.To, next, 1, m.Payload); err != nil {
 					t.Errorf("relay send: %v", err)
 				}
 			}
@@ -251,7 +218,7 @@ func TestNestedSchedulingFromHandlers(t *testing.T) {
 	if err := s.AddNode(3, relay(0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Send(1, 2, "x"); err != nil {
+	if err := s.SendBatch(1, 2, 1, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(0); err != nil {

@@ -200,7 +200,8 @@ func TestEngineQuantileExemplars(t *testing.T) {
 	var trs []Transition
 	for s := 1; s <= 6; s++ {
 		for i := 0; i < 20; i++ {
-			hist.ObserveExemplar(500, "trace-slow-epoch")
+			hist.Observe(500)
+			hist.AttachExemplar(500, "trace-slow-epoch")
 		}
 		h.Sample(sec(s))
 		trs = append(trs, e.Evaluate(sec(s))...)

@@ -42,9 +42,6 @@ func NewAlias(weights []float64) (*Alias, error) {
 	return a, nil
 }
 
-// N returns the number of items the sampler draws from.
-func (a *Alias) N() int { return len(a.prob) }
-
 // Reweight rebuilds the alias tables for a new weight vector of the same
 // length. It allocates nothing, so per-epoch activity shifts are free of
 // GC pressure. Weights must be finite, non-negative, and not all zero.

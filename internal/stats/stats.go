@@ -1,6 +1,6 @@
 // Package stats provides the small set of descriptive statistics and
 // deterministic random-sampling helpers the experiment harness needs:
-// means, percentiles, CDFs, a streaming accumulator, and a bounded Zipf
+// means, percentiles, a streaming accumulator, and a bounded Zipf
 // sampler for object-popularity workloads.
 package stats
 
@@ -103,26 +103,6 @@ func Median(xs []float64) (float64, error) {
 	return Percentile(xs, 50)
 }
 
-// CDFPoint is one step of an empirical cumulative distribution.
-type CDFPoint struct {
-	Value    float64 // sample value
-	Fraction float64 // fraction of samples <= Value
-}
-
-// CDF returns the empirical CDF of xs as a sorted list of points.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, len(sorted))
-	for i, v := range sorted {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(sorted))}
-	}
-	return out
-}
-
 // FractionBelow returns the fraction of samples strictly at or below limit.
 func FractionBelow(xs []float64, limit float64) float64 {
 	if len(xs) == 0 {
@@ -143,18 +123,10 @@ type Accumulator struct {
 	n    int
 	sum  float64
 	sum2 float64
-	min  float64
-	max  float64
 }
 
 // Add records one sample.
 func (a *Accumulator) Add(x float64) {
-	if a.n == 0 || x < a.min {
-		a.min = x
-	}
-	if a.n == 0 || x > a.max {
-		a.max = x
-	}
 	a.n++
 	a.sum += x
 	a.sum2 += x * x
@@ -162,9 +134,6 @@ func (a *Accumulator) Add(x float64) {
 
 // N returns the number of samples recorded.
 func (a *Accumulator) N() int { return a.n }
-
-// Sum returns the running total of the samples.
-func (a *Accumulator) Sum() float64 { return a.sum }
 
 // Mean returns the mean of the recorded samples, or 0 when empty.
 func (a *Accumulator) Mean() float64 {
@@ -192,9 +161,6 @@ func (a *Accumulator) Variance() float64 {
 // StdDev returns the population standard deviation of the samples.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
-// MinMax returns the extreme samples seen so far.
-func (a *Accumulator) MinMax() (min, max float64) { return a.min, a.max }
-
 // Zipf draws integers in [0, n) with P(i) ∝ 1/(i+1)^s, the standard
 // object-popularity skew. It precomputes the CDF so draws are O(log n).
 type Zipf struct {
@@ -221,9 +187,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	}
 	return &Zipf{cdf: cdf}, nil
 }
-
-// N returns the number of items the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // Draw samples one index using r.
 func (z *Zipf) Draw(r *rand.Rand) int {

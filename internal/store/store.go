@@ -84,14 +84,6 @@ func (s *Store) Delete(id ObjectID) {
 	delete(s.objects, id)
 }
 
-// Has reports whether the object is present.
-func (s *Store) Has(id ObjectID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.objects[id]
-	return ok
-}
-
 // Keys returns all object IDs in sorted order.
 func (s *Store) Keys() []ObjectID {
 	s.mu.RLock()
@@ -174,18 +166,6 @@ func (c *Catalog) Replicas(id ObjectID) []int {
 	return append([]int(nil), reps...)
 }
 
-// Objects returns all cataloged object IDs in sorted order.
-func (c *Catalog) Objects() []ObjectID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]ObjectID, 0, len(c.placements))
-	for id := range c.placements {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // MigrationOp is one step of a placement change.
 type MigrationOp struct {
 	// Object is the object to act on.
@@ -252,49 +232,4 @@ func PlanMigration(id ObjectID, old, new []int) ([]MigrationOp, error) {
 		ops = append(ops, MigrationOp{Object: id, Copy: false, Target: n})
 	}
 	return ops, nil
-}
-
-// Fleet is a set of per-node stores used by the simulator and tests to
-// apply migration plans locally. Real deployments apply the same ops over
-// the transport instead.
-type Fleet struct {
-	mu     sync.RWMutex
-	stores map[int]*Store
-}
-
-// NewFleet returns an empty fleet.
-func NewFleet() *Fleet {
-	return &Fleet{stores: make(map[int]*Store)}
-}
-
-// Node returns (creating if needed) the store at a node.
-func (f *Fleet) Node(n int) *Store {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.stores[n]
-	if !ok {
-		s = New()
-		f.stores[n] = s
-	}
-	return s
-}
-
-// Apply executes a migration plan, returning the number of bytes copied.
-func (f *Fleet) Apply(ops []MigrationOp) (int64, error) {
-	var copied int64
-	for _, op := range ops {
-		if !op.Copy {
-			f.Node(op.Target).Delete(op.Object)
-			continue
-		}
-		obj, err := f.Node(op.Source).Get(op.Object)
-		if err != nil {
-			return copied, fmt.Errorf("store: migrate %s from %d: %w", op.Object, op.Source, err)
-		}
-		if err := f.Node(op.Target).Put(obj); err != nil && !errors.Is(err, ErrStaleWrite) {
-			return copied, fmt.Errorf("store: migrate %s to %d: %w", op.Object, op.Target, err)
-		}
-		copied += int64(len(obj.Data))
-	}
-	return copied, nil
 }

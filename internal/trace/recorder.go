@@ -14,28 +14,6 @@ type Trace struct {
 	Spans   []Span `json:"spans"`
 }
 
-// Start returns the earliest span start in the trace (0 when empty).
-func (t Trace) Start() int64 {
-	var min int64
-	for i, s := range t.Spans {
-		if i == 0 || s.StartNs < min {
-			min = s.StartNs
-		}
-	}
-	return min
-}
-
-// RootDur returns the duration of the trace's root span, or 0 if the
-// root is not in this (possibly partial, single-node) view.
-func (t Trace) RootDur() int64 {
-	for _, s := range t.Spans {
-		if s.Root() {
-			return s.DurNs
-		}
-	}
-	return 0
-}
-
 // FlightRecorder is a bounded, concurrency-safe store of recent span
 // trees. Two retention classes share it:
 //
@@ -69,16 +47,11 @@ type FlightRecorder struct {
 	// budget is over.
 	plain int
 	anom  int
-
-	totalSpans   int64
-	droppedSpans int64
-	evicted      int64
 }
 
 type entry struct {
 	spans   []Span
 	anomaly string
-	dropped int
 }
 
 // orderEnt mirrors one retained trace in eviction order. The class bit
@@ -135,12 +108,8 @@ func (f *FlightRecorder) Record(s Span) {
 		f.order = append(f.order, orderEnt{id: s.TraceID})
 		f.plain++
 	}
-	if len(e.spans) >= f.maxSpans {
-		e.dropped++
-		f.droppedSpans++
-	} else {
+	if len(e.spans) < f.maxSpans {
 		e.spans = append(e.spans, s)
-		f.totalSpans++
 	}
 	if s.Root() {
 		if len(f.durs) >= minP99Samples && s.DurNs > f.p99Locked() && e.anomaly == "" {
@@ -256,7 +225,6 @@ func (f *FlightRecorder) evictLocked() {
 			if oe.anom == anomalous {
 				delete(f.traces, oe.id)
 				f.order = append(f.order[:i], f.order[i+1:]...)
-				f.evicted++
 				return
 			}
 		}
@@ -281,17 +249,6 @@ func (f *FlightRecorder) Len() int {
 	return len(f.order)
 }
 
-// Stats reports recorder totals: spans recorded, spans dropped by the
-// per-trace cap, and traces evicted by retention.
-func (f *FlightRecorder) Stats() (spans, dropped, evicted int64) {
-	if f == nil {
-		return 0, 0, 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.totalSpans, f.droppedSpans, f.evicted
-}
-
 // Traces returns every retained trace, oldest-first, spans in recorded
 // order. The result is a deep-enough copy: callers may sort and filter
 // freely.
@@ -309,31 +266,6 @@ func (f *FlightRecorder) Traces() []Trace {
 			Anomaly: e.anomaly,
 			Spans:   append([]Span(nil), e.spans...),
 		})
-	}
-	return out
-}
-
-// Trace returns one retained trace by ID.
-func (f *FlightRecorder) Trace(id string) (Trace, bool) {
-	if f == nil {
-		return Trace{}, false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	e, ok := f.traces[id]
-	if !ok {
-		return Trace{}, false
-	}
-	return Trace{TraceID: id, Anomaly: e.anomaly, Spans: append([]Span(nil), e.spans...)}, true
-}
-
-// Anomalous returns only the pinned traces, oldest-first.
-func (f *FlightRecorder) Anomalous() []Trace {
-	var out []Trace
-	for _, t := range f.Traces() {
-		if t.Anomaly != "" {
-			out = append(out, t)
-		}
 	}
 	return out
 }

@@ -10,6 +10,27 @@ func span(traceID, spanID, parentID string, start, dur int64) Span {
 	return Span{TraceID: traceID, SpanID: spanID, ParentID: parentID, Name: "s", StartNs: start, DurNs: dur}
 }
 
+// byID returns one retained trace by ID.
+func byID(f *FlightRecorder, id string) (Trace, bool) {
+	for _, tr := range f.Traces() {
+		if tr.TraceID == id {
+			return tr, true
+		}
+	}
+	return Trace{}, false
+}
+
+// anomalous returns only the pinned traces, oldest-first.
+func anomalous(f *FlightRecorder) []Trace {
+	var out []Trace
+	for _, tr := range f.Traces() {
+		if tr.Anomaly != "" {
+			out = append(out, tr)
+		}
+	}
+	return out
+}
+
 func TestFlightRecorderRetainsAndEvictsOldestFirst(t *testing.T) {
 	f := NewFlightRecorder(3, 2)
 	for i := 0; i < 5; i++ {
@@ -24,9 +45,6 @@ func TestFlightRecorderRetainsAndEvictsOldestFirst(t *testing.T) {
 			t.Fatalf("slot %d = %s, want %s (oldest-first eviction broken)", i, traces[i].TraceID, want)
 		}
 	}
-	if _, _, evicted := f.Stats(); evicted != 2 {
-		t.Fatalf("evicted = %d, want 2", evicted)
-	}
 }
 
 func TestAnomalousTracesSurviveRecentEviction(t *testing.T) {
@@ -36,14 +54,14 @@ func TestAnomalousTracesSurviveRecentEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.Record(span(fmt.Sprintf("ok%d", i), "a", "", int64(i+1), 1))
 	}
-	got, ok := f.Trace("bad")
+	got, ok := byID(f, "bad")
 	if !ok {
 		t.Fatal("anomalous trace evicted by recent churn")
 	}
 	if got.Anomaly != "degraded" {
 		t.Fatalf("anomaly = %q", got.Anomaly)
 	}
-	anom := f.Anomalous()
+	anom := anomalous(f)
 	if len(anom) != 1 || anom[0].TraceID != "bad" {
 		t.Fatalf("Anomalous() = %+v", anom)
 	}
@@ -56,14 +74,14 @@ func TestAnomalousBudgetEvictsOldestAnomalous(t *testing.T) {
 		f.Record(span(id, "s", "", int64(i), 1))
 		f.MarkAnomalous(id, "degraded")
 	}
-	if _, ok := f.Trace("a0"); ok {
+	if _, ok := byID(f, "a0"); ok {
 		t.Fatal("oldest anomalous trace should be evicted")
 	}
-	if _, ok := f.Trace("a3"); !ok {
+	if _, ok := byID(f, "a3"); !ok {
 		t.Fatal("newest anomalous trace missing")
 	}
-	if len(f.Anomalous()) != 2 {
-		t.Fatalf("anomalous count %d", len(f.Anomalous()))
+	if len(anomalous(f)) != 2 {
+		t.Fatalf("anomalous count %d", len(anomalous(f)))
 	}
 }
 
@@ -72,7 +90,7 @@ func TestFirstAnomalyReasonWins(t *testing.T) {
 	f.Record(span("t", "a", "", 0, 1))
 	f.MarkAnomalous("t", "below_quorum")
 	f.MarkAnomalous("t", "migrated")
-	got, _ := f.Trace("t")
+	got, _ := byID(f, "t")
 	if got.Anomaly != "below_quorum" {
 		t.Fatalf("anomaly = %q, want first reason", got.Anomaly)
 	}
@@ -84,12 +102,9 @@ func TestPerTraceSpanCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.Record(span("t", fmt.Sprintf("s%d", i), "root", int64(i), 1))
 	}
-	got, _ := f.Trace("t")
+	got, _ := byID(f, "t")
 	if len(got.Spans) != 3 {
 		t.Fatalf("span cap: kept %d", len(got.Spans))
-	}
-	if _, dropped, _ := f.Stats(); dropped != 7 {
-		t.Fatalf("dropped = %d", dropped)
 	}
 }
 
@@ -100,7 +115,7 @@ func TestRollingP99MarksSlowRoots(t *testing.T) {
 		f.Record(span(fmt.Sprintf("fast%d", i), "r", "", int64(i), 10))
 	}
 	f.Record(span("slow", "r", "", 1000, 10_000_000))
-	got, ok := f.Trace("slow")
+	got, ok := byID(f, "slow")
 	if !ok {
 		t.Fatal("slow trace missing")
 	}
@@ -108,7 +123,7 @@ func TestRollingP99MarksSlowRoots(t *testing.T) {
 		t.Fatalf("anomaly = %q, want latency_above_p99", got.Anomaly)
 	}
 	// A fast root in a fresh window must NOT be marked.
-	if tr, _ := f.Trace("fast5"); tr.Anomaly != "" {
+	if tr, _ := byID(f, "fast5"); tr.Anomaly != "" {
 		t.Fatalf("fast trace marked anomalous: %q", tr.Anomaly)
 	}
 }
@@ -117,7 +132,7 @@ func TestP99NotAppliedBeforeMinSamples(t *testing.T) {
 	f := NewFlightRecorder(64, 16)
 	f.Record(span("a", "r", "", 0, 1))
 	f.Record(span("b", "r", "", 1, 1_000_000))
-	if tr, _ := f.Trace("b"); tr.Anomaly != "" {
+	if tr, _ := byID(f, "b"); tr.Anomaly != "" {
 		t.Fatalf("p99 rule fired with %d samples", 2)
 	}
 }
@@ -136,13 +151,6 @@ func TestNilFlightRecorderSafe(t *testing.T) {
 	f.MarkAnomalous("t", "x")
 	if f.Len() != 0 || f.Traces() != nil {
 		t.Fatal("nil recorder not inert")
-	}
-	if _, ok := f.Trace("t"); ok {
-		t.Fatal("nil recorder returned a trace")
-	}
-	s, d, e := f.Stats()
-	if s != 0 || d != 0 || e != 0 {
-		t.Fatal("nil recorder stats nonzero")
 	}
 }
 
@@ -204,9 +212,5 @@ func TestConcurrentWritersEvictionOrder(t *testing.T) {
 			t.Fatalf("writer %d order inverted: %d after %d", w, i, prev)
 		}
 		lastSeen[key] = i
-	}
-	spans, _, evicted := f.Stats()
-	if spans == 0 || evicted == 0 {
-		t.Fatalf("stats spans=%d evicted=%d", spans, evicted)
 	}
 }

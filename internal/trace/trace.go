@@ -1,8 +1,8 @@
 // Package trace is a span-based distributed tracing layer for the
 // replica-placement runtime. One coordinator epoch produces a single
 // span tree spanning every node it touched: the epoch root on the
-// coordinator, one collection span per replica (including retries,
-// circuit-breaker trips, and failover hops at the transport layer),
+// coordinator, one collection span per replica (including retries and
+// circuit-breaker trips at the transport layer),
 // the k-means macro-clustering, and the migration decision. Trace and
 // span IDs travel in the transport wire frames (W3C-trace-context
 // style: a 16-byte trace ID and 8-byte span IDs, hex encoded), so the
@@ -40,7 +40,7 @@ const (
 	KindClient   = "client"   // client side of one RPC (all attempts)
 	KindAttempt  = "attempt"  // one RPC attempt on the wire
 	KindServer   = "server"   // server side of one RPC
-	KindFailover = "failover" // failover read chain across replicas
+	KindFailover = "failover" // a replication-log leader election
 )
 
 // Attr is one key/value attribute on a span.
@@ -54,16 +54,6 @@ type Attr struct {
 // where every span tree becomes recorder-retained garbage. JSON
 // round-trips as an object, so wire format and exports are unchanged.
 type Attrs []Attr
-
-// Get returns the value for key ("" when absent).
-func (a Attrs) Get(key string) string {
-	for _, kv := range a {
-		if kv.Key == key {
-			return kv.Value
-		}
-	}
-	return ""
-}
 
 // Set replaces key's value or appends it, returning the updated list.
 // The first append sizes the backing array for the usual handful of
@@ -143,9 +133,6 @@ type Span struct {
 	Err     string `json:"err,omitempty"`
 }
 
-// End returns the span's end time in Unix nanoseconds.
-func (s Span) End() int64 { return s.StartNs + s.DurNs }
-
 // Root reports whether the span is a trace root (no parent).
 func (s Span) Root() bool { return s.ParentID == "" }
 
@@ -220,14 +207,6 @@ func New(rec Recorder, node string, opts ...Option) *Tracer {
 
 // Enabled reports whether spans will be recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
-
-// Node returns the tracer's node name ("" for a nil tracer).
-func (t *Tracer) Node() string {
-	if t == nil {
-		return ""
-	}
-	return t.node
-}
 
 // ids returns n random bytes hex-encoded (n must be 8 or 16). Both
 // buffers live on the stack so minting an ID costs exactly the one

@@ -30,13 +30,20 @@ func newTestTracer(rec Recorder) (*Tracer, *int64) {
 	), now
 }
 
+// attr returns the value for key ("" when absent).
+func attr(a Attrs, key string) string {
+	for _, kv := range a {
+		if kv.Key == key {
+			return kv.Value
+		}
+	}
+	return ""
+}
+
 func TestNilTracerIsNoop(t *testing.T) {
 	var tr *Tracer
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports enabled")
-	}
-	if tr.Node() != "" {
-		t.Fatal("nil tracer has node")
 	}
 	sp := tr.StartRoot("x", KindEpoch)
 	if sp != nil {
@@ -101,14 +108,11 @@ func TestSpanTreeStructure(t *testing.T) {
 	if r.DurNs != 40 {
 		t.Fatalf("root dur %d", r.DurNs)
 	}
-	if c.Attrs.Get("replica") != "dc3" || c.Err != "link down" {
+	if attr(c.Attrs, "replica") != "dc3" || c.Err != "link down" {
 		t.Fatalf("child attrs/err: %+v", c)
 	}
 	if c.Node != "test" {
 		t.Fatalf("node %q", c.Node)
-	}
-	if c.End() != 25 {
-		t.Fatalf("End() = %d", c.End())
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // trip with one).
 func BenchmarkCall(b *testing.B) {
 	s := NewServer()
-	if err := s.Handle("echo", func(body []byte) ([]byte, error) {
+	if err := s.HandleTimed("echo", func(body []byte) ([]byte, error) {
 		return body, nil
-	}); err != nil {
+	}, nil); err != nil {
 		b.Fatal(err)
 	}
 	if err := s.Listen("127.0.0.1:0"); err != nil {

@@ -124,12 +124,12 @@ func TestBodyBuffersArePerMessage(t *testing.T) {
 		mu   sync.Mutex
 		seen [][]byte // requests on one connection are served in order
 	)
-	if err := s.Handle("keep", func(body []byte) ([]byte, error) {
+	if err := s.HandleTimed("keep", func(body []byte) ([]byte, error) {
 		mu.Lock()
 		seen = append(seen, body)
 		mu.Unlock()
 		return body, nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Dial(addr, time.Second)
@@ -163,9 +163,9 @@ func TestBodyBuffersArePerMessage(t *testing.T) {
 // buffer, call after call, and lets go of a buffer a large body grew.
 func TestRequestBufferReuse(t *testing.T) {
 	s, addr := startServer(t)
-	if err := s.Handle("len", func(body []byte) ([]byte, error) {
+	if err := s.HandleTimed("len", func(body []byte) ([]byte, error) {
 		return Marshal(len(body))
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Dial(addr, time.Second)

@@ -58,7 +58,7 @@ func FuzzTransportFrame(f *testing.F) {
 	// One shared server outlives all fuzz executions; if any input
 	// wedges or kills it, the subsequent well-formed call fails.
 	srv := NewServer()
-	if err := srv.Handle("echo", func(b []byte) ([]byte, error) { return b, nil }); err != nil {
+	if err := srv.HandleTimed("echo", func(b []byte) ([]byte, error) { return b, nil }, nil); err != nil {
 		f.Fatal(err)
 	}
 	if err := srv.Listen("127.0.0.1:0"); err != nil {

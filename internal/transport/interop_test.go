@@ -408,11 +408,11 @@ func TestTracedCallSameTreeOverFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		root.End()
-		cli, ok := cliRec.Trace(root.Context().TraceID)
+		cli, ok := traceByID(cliRec, root.Context().TraceID)
 		if !ok {
 			t.Fatalf("%s: client side missing", when)
 		}
-		srvSide, ok := srvRec.Trace(root.Context().TraceID)
+		srvSide, ok := traceByID(srvRec, root.Context().TraceID)
 		if !ok {
 			t.Fatalf("%s: trace context did not cross the wire", when)
 		}

@@ -17,12 +17,12 @@ import (
 func startFaultServer(t *testing.T, opts ...ServerOption) *Server {
 	t.Helper()
 	s := NewServer(opts...)
-	if err := s.Handle("echo", func(b []byte) ([]byte, error) { return b, nil }); err != nil {
+	if err := s.HandleTimed("echo", func(b []byte) ([]byte, error) { return b, nil }, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Handle("fail", func([]byte) ([]byte, error) {
+	if err := s.HandleTimed("fail", func([]byte) ([]byte, error) {
 		return nil, errors.New("application says no")
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Listen("127.0.0.1:0"); err != nil {
@@ -231,7 +231,7 @@ func TestRedialAfterServerRestart(t *testing.T) {
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		s2 := NewServer()
-		if err := s2.Handle("echo", func(b []byte) ([]byte, error) { return b, nil }); err != nil {
+		if err := s2.HandleTimed("echo", func(b []byte) ([]byte, error) { return b, nil }, nil); err != nil {
 			t.Error(err)
 			return
 		}

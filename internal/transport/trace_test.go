@@ -33,7 +33,7 @@ type legacyResponse struct {
 func startEchoServer(t *testing.T, opts ...ServerOption) *Server {
 	t.Helper()
 	srv := NewServer(opts...)
-	if err := srv.Handle("echo", func(b []byte) ([]byte, error) { return b, nil }); err != nil {
+	if err := srv.HandleTimed("echo", func(b []byte) ([]byte, error) { return b, nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
@@ -133,7 +133,7 @@ func TestWireCompatTracingClientToLegacyServer(t *testing.T) {
 	}
 	root.End()
 
-	got, ok := rec.Trace(root.Context().TraceID)
+	got, ok := traceByID(rec, root.Context().TraceID)
 	if !ok {
 		t.Fatal("client trace missing")
 	}
@@ -167,11 +167,11 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 	root.End()
 	traceID := root.Context().TraceID
 
-	cli, ok := cliRec.Trace(traceID)
+	cli, ok := traceByID(cliRec, traceID)
 	if !ok {
 		t.Fatal("client side missing")
 	}
-	srvSide, ok := srvRec.Trace(traceID)
+	srvSide, ok := traceByID(srvRec, traceID)
 	if !ok {
 		t.Fatal("server side missing: trace context did not cross the wire")
 	}
@@ -254,7 +254,7 @@ func TestRetryVisibleAsAttemptSpans(t *testing.T) {
 	}
 	root.End()
 
-	cli, _ := cliRec.Trace(root.Context().TraceID)
+	cli, _ := traceByID(cliRec, root.Context().TraceID)
 	var attempts []trace.Span
 	for _, s := range cli.Spans {
 		if s.Kind == trace.KindAttempt {
@@ -277,7 +277,7 @@ func TestRetryVisibleAsAttemptSpans(t *testing.T) {
 	}
 	// Server side: the dropped delivery and the served retry each have a
 	// span; the drop names the fault.
-	srvSide, ok := srvRec.Trace(root.Context().TraceID)
+	srvSide, ok := traceByID(srvRec, root.Context().TraceID)
 	if !ok {
 		t.Fatal("server side missing")
 	}
@@ -326,4 +326,14 @@ func TestConcurrentTracedClients(t *testing.T) {
 	if srvRec.Len() == 0 {
 		t.Fatal("no server traces recorded")
 	}
+}
+
+// traceByID returns one trace retained by rec.
+func traceByID(rec *trace.FlightRecorder, id string) (trace.Trace, bool) {
+	for _, tr := range rec.Traces() {
+		if tr.TraceID == id {
+			return tr, true
+		}
+	}
+	return trace.Trace{}, false
 }

@@ -62,21 +62,10 @@ type Handler func(body []byte) ([]byte, error)
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("transport: server closed")
 
-// DelayFunc returns the artificial delay to add to a request, keyed by
-// method. Used to emulate WAN latency between local processes.
-type DelayFunc func(method string) time.Duration
-
 // ServerOption configures a Server.
 type ServerOption interface {
 	apply(*Server)
 }
-
-type delayOption struct{ fn DelayFunc }
-
-func (o delayOption) apply(s *Server) { s.delay = o.fn }
-
-// WithDelay installs an artificial per-request delay.
-func WithDelay(fn DelayFunc) ServerOption { return delayOption{fn: fn} }
 
 // serverMetrics are the server's metric handles, resolved once so the
 // per-request path does no registry lookups. Nil handles are no-ops.
@@ -109,7 +98,7 @@ type serverMetricsOption struct{ reg *metrics.Registry }
 func (o serverMetricsOption) apply(s *Server) { s.met = newServerMetrics(o.reg) }
 
 // WithMetrics instruments the server: request/error counts, request and
-// response body bytes, and handler latency (excluding any artificial
+// response body bytes, and handler latency (excluding any injected fault
 // delay), all recorded into the given registry.
 func WithMetrics(reg *metrics.Registry) ServerOption { return serverMetricsOption{reg: reg} }
 
@@ -160,7 +149,6 @@ func WithServerLogger(log *slog.Logger) ServerOption { return serverLoggerOption
 type Server struct {
 	mu       sync.RWMutex
 	handlers map[string]handlerEntry
-	delay    DelayFunc
 	faults   ServerFaultFunc
 	met      serverMetrics
 	tracer   *trace.Tracer
@@ -191,15 +179,11 @@ func NewServer(opts ...ServerOption) *Server {
 	return s
 }
 
-// Handle registers a method handler. Registering after Serve started is
-// allowed; re-registering a name replaces the handler.
-func (s *Server) Handle(method string, h Handler) error {
-	return s.HandleTimed(method, h, nil)
-}
-
-// HandleTimed is Handle with a histogram that also receives, in
-// milliseconds, the handler interval behind transport_server_handle_ms:
-// a caller's per-method latency without a second pair of clock reads.
+// HandleTimed registers a method handler. Registering after Serve
+// started is allowed; re-registering a name replaces the handler. A
+// non-nil lat also receives, in milliseconds, the handler interval
+// behind transport_server_handle_ms: a caller's per-method latency
+// without a second pair of clock reads.
 func (s *Server) HandleTimed(method string, h Handler, lat *metrics.Histogram) error {
 	if method == "" {
 		return errors.New("transport: empty method name")
@@ -326,9 +310,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				time.Sleep(act.Delay)
 			}
 		}
-		if s.delay != nil {
-			time.Sleep(s.delay(req.Method))
-		}
 
 		s.met.requests.Inc()
 		s.met.bytesIn.Add(int64(len(req.Body)))
@@ -419,7 +400,6 @@ type Client struct {
 	idempotent  map[string]bool
 	met         clientMetrics
 	tracer      *trace.Tracer
-	log         *slog.Logger
 
 	// Test seams; real clients use the clock.
 	now   func() time.Time
@@ -519,12 +499,6 @@ func WithBreaker(b Breaker) ClientOption {
 // are visible as siblings.
 func WithClientTracer(tr *trace.Tracer) ClientOption {
 	return clientOptionFunc(func(c *Client) { c.tracer = tr })
-}
-
-// WithClientLogger installs a structured logger for client events:
-// retries, breaker opens, and fast-fails.
-func WithClientLogger(log *slog.Logger) ClientOption {
-	return clientOptionFunc(func(c *Client) { c.log = log })
 }
 
 // WithIdempotent marks methods safe to retry: executing them more than
@@ -657,9 +631,6 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 		if c.breaker.Threshold > 0 && c.now().Before(c.openUntil) {
 			c.met.breakerFast.Inc()
 			c.met.errors.Inc()
-			if c.log != nil {
-				c.log.Debug("breaker fast-fail", "method", method, "target", c.addr)
-			}
 			err := fmt.Errorf("transport: call %s to %s: %w", method, c.addr, ErrCircuitOpen)
 			span.SetAttr("breaker", "open")
 			span.SetErr(err)
@@ -694,9 +665,6 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 				c.openUntil = c.now().Add(c.breaker.Cooldown)
 				c.consecFails = 0
 				c.met.breakerOpens.Inc()
-				if c.log != nil {
-					c.log.Warn("breaker opened", "target", c.addr, "cooldown", c.breaker.Cooldown)
-				}
 				span.SetAttr("breaker", "opened")
 			}
 		}
@@ -711,9 +679,6 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 			c.retriesLeft--
 		}
 		c.met.retries.Inc()
-		if c.log != nil {
-			c.log.Debug("retrying", "method", method, "target", c.addr, "attempt", attempt, "err", err)
-		}
 		c.sleep(c.retry.Backoff(attempt, c.rng))
 	}
 }

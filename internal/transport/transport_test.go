@@ -37,13 +37,13 @@ type echoResp struct {
 
 func registerEcho(t *testing.T, s *Server) {
 	t.Helper()
-	err := s.Handle("echo", func(body []byte) ([]byte, error) {
+	err := s.HandleTimed("echo", func(body []byte) ([]byte, error) {
 		var req echoReq
 		if err := Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
 		return Marshal(echoResp{Text: req.Text, N: req.N * 2})
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +91,9 @@ func TestCallUnknownMethod(t *testing.T) {
 
 func TestHandlerErrorPropagates(t *testing.T) {
 	s, addr := startServer(t)
-	if err := s.Handle("fail", func([]byte) ([]byte, error) {
+	if err := s.HandleTimed("fail", func([]byte) ([]byte, error) {
 		return nil, errors.New("kaboom")
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Dial(addr, time.Second)
@@ -113,29 +113,6 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	var resp echoResp
 	if _, err := c.Call("echo", echoReq{N: 1}, &resp); err != nil || resp.N != 2 {
 		t.Errorf("follow-up call: %v %+v", err, resp)
-	}
-}
-
-func TestInjectedDelayShowsInRTT(t *testing.T) {
-	const delay = 40 * time.Millisecond
-	s, addr := startServer(t, WithDelay(func(string) time.Duration { return delay }))
-	registerEcho(t, s)
-	c, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var resp echoResp
-	rtt, err := c.Call("echo", echoReq{}, &resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rtt < delay {
-		t.Errorf("rtt %v below injected delay %v", rtt, delay)
-	}
-	if rtt > delay*5 {
-		t.Errorf("rtt %v wildly above injected delay %v", rtt, delay)
 	}
 }
 
@@ -172,10 +149,10 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestHandleValidation(t *testing.T) {
 	s := NewServer()
-	if err := s.Handle("", func([]byte) ([]byte, error) { return nil, nil }); err == nil {
+	if err := s.HandleTimed("", func([]byte) ([]byte, error) { return nil, nil }, nil); err == nil {
 		t.Error("empty method should fail")
 	}
-	if err := s.Handle("x", nil); err == nil {
+	if err := s.HandleTimed("x", nil, nil); err == nil {
 		t.Error("nil handler should fail")
 	}
 }
@@ -220,13 +197,13 @@ func TestDialFailure(t *testing.T) {
 func TestNilRequestAndResponse(t *testing.T) {
 	s, addr := startServer(t)
 	called := false
-	if err := s.Handle("ping", func(body []byte) ([]byte, error) {
+	if err := s.HandleTimed("ping", func(body []byte) ([]byte, error) {
 		called = true
 		if len(body) != 0 {
 			return nil, fmt.Errorf("unexpected body %d bytes", len(body))
 		}
 		return nil, nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Dial(addr, time.Second)

@@ -18,13 +18,6 @@ func New(d int) Vec {
 	return make(Vec, d)
 }
 
-// Of returns a vector with the given components.
-func Of(xs ...float64) Vec {
-	v := make(Vec, len(xs))
-	copy(v, xs)
-	return v
-}
-
 // Clone returns an independent copy of v.
 func (v Vec) Clone() Vec {
 	c := make(Vec, len(v))
@@ -39,16 +32,6 @@ func checkDim(a, b Vec) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: dimension mismatch %d vs %d", len(a), len(b)))
 	}
-}
-
-// Add returns a new vector v + w.
-func (v Vec) Add(w Vec) Vec {
-	checkDim(v, w)
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
 }
 
 // Sub returns a new vector v - w.

@@ -12,7 +12,7 @@ func almostEqual(a, b float64) bool {
 }
 
 func TestOfAndClone(t *testing.T) {
-	v := Of(1, 2, 3)
+	v := Vec{1, 2, 3}
 	c := v.Clone()
 	c[0] = 99
 	if v[0] != 1 {
@@ -24,58 +24,55 @@ func TestOfAndClone(t *testing.T) {
 }
 
 func TestAddSub(t *testing.T) {
-	a := Of(1, 2)
-	b := Of(3, -4)
-	if got := a.Add(b); !got.Equal(Of(4, -2)) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := a.Sub(b); !got.Equal(Of(-2, 6)) {
+	a := Vec{1, 2}
+	b := Vec{3, -4}
+	if got := a.Sub(b); !got.Equal(Vec{-2, 6}) {
 		t.Errorf("Sub = %v", got)
 	}
 	// Originals untouched.
-	if !a.Equal(Of(1, 2)) || !b.Equal(Of(3, -4)) {
+	if !a.Equal(Vec{1, 2}) || !b.Equal(Vec{3, -4}) {
 		t.Errorf("inputs mutated: a=%v b=%v", a, b)
 	}
 }
 
 func TestInPlaceOps(t *testing.T) {
-	a := Of(1, 2)
-	a.AddInPlace(Of(1, 1))
-	if !a.Equal(Of(2, 3)) {
+	a := Vec{1, 2}
+	a.AddInPlace(Vec{1, 1})
+	if !a.Equal(Vec{2, 3}) {
 		t.Errorf("AddInPlace = %v", a)
 	}
-	a.SubInPlace(Of(2, 2))
-	if !a.Equal(Of(0, 1)) {
+	a.SubInPlace(Vec{2, 2})
+	if !a.Equal(Vec{0, 1}) {
 		t.Errorf("SubInPlace = %v", a)
 	}
 	a.ScaleInPlace(5)
-	if !a.Equal(Of(0, 5)) {
+	if !a.Equal(Vec{0, 5}) {
 		t.Errorf("ScaleInPlace = %v", a)
 	}
-	a.AddScaled(2, Of(1, 1))
-	if !a.Equal(Of(2, 7)) {
+	a.AddScaled(2, Vec{1, 1})
+	if !a.Equal(Vec{2, 7}) {
 		t.Errorf("AddScaled = %v", a)
 	}
 }
 
 func TestDotNormDist(t *testing.T) {
-	a := Of(3, 4)
+	a := Vec{3, 4}
 	if got := a.Norm(); !almostEqual(got, 5) {
 		t.Errorf("Norm = %v, want 5", got)
 	}
-	if got := a.Dot(Of(1, 1)); !almostEqual(got, 7) {
+	if got := a.Dot(Vec{1, 1}); !almostEqual(got, 7) {
 		t.Errorf("Dot = %v, want 7", got)
 	}
-	if got := a.Dist(Of(0, 0)); !almostEqual(got, 5) {
+	if got := a.Dist(Vec{0, 0}); !almostEqual(got, 5) {
 		t.Errorf("Dist = %v, want 5", got)
 	}
-	if got := a.Dist2(Of(0, 0)); !almostEqual(got, 25) {
+	if got := a.Dist2(Vec{0, 0}); !almostEqual(got, 25) {
 		t.Errorf("Dist2 = %v, want 25", got)
 	}
 }
 
 func TestUnit(t *testing.T) {
-	u := Of(0, 3).Unit()
+	u := Vec{0, 3}.Unit()
 	if !almostEqual(u.Norm(), 1) {
 		t.Errorf("Unit norm = %v", u.Norm())
 	}
@@ -86,20 +83,20 @@ func TestUnit(t *testing.T) {
 }
 
 func TestIsFinite(t *testing.T) {
-	if !Of(1, 2).IsFinite() {
+	if !(Vec{1, 2}).IsFinite() {
 		t.Error("finite vector reported non-finite")
 	}
-	if Of(math.NaN(), 0).IsFinite() {
+	if (Vec{math.NaN(), 0}).IsFinite() {
 		t.Error("NaN vector reported finite")
 	}
-	if Of(math.Inf(1), 0).IsFinite() {
+	if (Vec{math.Inf(1), 0}).IsFinite() {
 		t.Error("Inf vector reported finite")
 	}
 }
 
 func TestMean(t *testing.T) {
-	m := Mean([]Vec{Of(0, 0), Of(2, 4)})
-	if !m.Equal(Of(1, 2)) {
+	m := Mean([]Vec{Vec{0, 0}, Vec{2, 4}})
+	if !m.Equal(Vec{1, 2}) {
 		t.Errorf("Mean = %v", m)
 	}
 	if Mean(nil) != nil {
@@ -108,12 +105,12 @@ func TestMean(t *testing.T) {
 }
 
 func TestWeightedMean(t *testing.T) {
-	m := WeightedMean([]Vec{Of(0, 0), Of(10, 10)}, []float64{1, 3})
+	m := WeightedMean([]Vec{Vec{0, 0}, Vec{10, 10}}, []float64{1, 3})
 	if !almostEqual(m[0], 7.5) || !almostEqual(m[1], 7.5) {
 		t.Errorf("WeightedMean = %v, want (7.5,7.5)", m)
 	}
 	// All-zero weights degrade to the plain mean.
-	m = WeightedMean([]Vec{Of(0, 0), Of(4, 4)}, []float64{0, 0})
+	m = WeightedMean([]Vec{Vec{0, 0}, Vec{4, 4}}, []float64{0, 0})
 	if !almostEqual(m[0], 2) {
 		t.Errorf("WeightedMean zero weights = %v, want (2,2)", m)
 	}
@@ -122,10 +119,10 @@ func TestWeightedMean(t *testing.T) {
 func TestDimensionMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Add with mismatched dims should panic")
+			t.Fatal("Sub with mismatched dims should panic")
 		}
 	}()
-	Of(1).Add(Of(1, 2))
+	Vec{1}.Sub(Vec{1, 2})
 }
 
 func TestWeightedMeanMismatchPanics(t *testing.T) {
@@ -134,7 +131,7 @@ func TestWeightedMeanMismatchPanics(t *testing.T) {
 			t.Fatal("WeightedMean with mismatched lengths should panic")
 		}
 	}()
-	WeightedMean([]Vec{Of(1)}, []float64{1, 2})
+	WeightedMean([]Vec{Vec{1}}, []float64{1, 2})
 }
 
 func randomVec(r *rand.Rand, d int) Vec {
@@ -165,13 +162,15 @@ func TestQuickMetricProperties(t *testing.T) {
 	}
 }
 
-// Property: Add and Sub are inverses, Dist2 == Dist².
+// Property: AddInPlace and Sub are inverses, Dist2 == Dist².
 func TestQuickAddSubInverse(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	f := func(seed int64) bool {
 		d := 1 + int(seed%5+5)%5
 		a, b := randomVec(r, d), randomVec(r, d)
-		back := a.Add(b).Sub(b)
+		sum := a.Clone()
+		sum.AddInPlace(b)
+		back := sum.Sub(b)
 		for i := range a {
 			if !almostEqual(back[i], a[i]) {
 				return false
@@ -206,7 +205,8 @@ func TestQuickMeanMinimizesSSQ(t *testing.T) {
 		m := Mean(pts)
 		best := ssq(m, pts)
 		for trial := 0; trial < 20; trial++ {
-			cand := m.Add(randomVec(rr, 3).Scale(0.05))
+			cand := m.Clone()
+			cand.AddScaled(0.05, randomVec(rr, 3))
 			if ssq(cand, pts) < best-1e-6 {
 				return false
 			}
@@ -244,7 +244,7 @@ func TestBlockViewsAreContiguousAndIndependent(t *testing.T) {
 
 func TestCopyFrom(t *testing.T) {
 	dst := New(3)
-	src := Of(1, 2, 3)
+	src := Vec{1, 2, 3}
 	dst.CopyFrom(src)
 	if !dst.Equal(src) {
 		t.Fatalf("CopyFrom gave %v, want %v", dst, src)

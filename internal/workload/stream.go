@@ -1,14 +1,11 @@
 package workload
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"github.com/georep/georep/internal/stats"
 	"github.com/georep/georep/internal/wire"
@@ -107,145 +104,6 @@ func (s *StreamSpec) Validate() error {
 		}
 		if math.IsNaN(f.Mult) || math.IsInf(f.Mult, 0) || f.Mult < 0 {
 			return fmt.Errorf("workload: flash %d multiplier %v must be finite and >= 0", i, f.Mult)
-		}
-	}
-	return nil
-}
-
-// ParseStreamSpec parses the line-oriented stream-spec DSL:
-//
-//	clients 100000
-//	regions 8
-//	objects 1024
-//	zipf 0.9
-//	bytes 1500
-//	batch 4096
-//	rate 250000
-//	churn 0.02
-//	writes 0.15
-//	diurnal period=24 floor=0.1
-//	flash region=3 start=10 dur=2 x=5
-//
-// Blank lines and #-comments are ignored. The returned spec is already
-// validated; a successful parse never yields an invalid spec.
-func ParseStreamSpec(text string) (*StreamSpec, error) {
-	spec := &StreamSpec{}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" || strings.HasPrefix(raw, "#") {
-			continue
-		}
-		fields := strings.Fields(raw)
-		key, rest := fields[0], fields[1:]
-		var err error
-		switch key {
-		case "clients":
-			spec.Clients, err = oneInt(key, rest)
-		case "regions":
-			spec.Regions, err = oneInt(key, rest)
-		case "objects":
-			spec.Objects, err = oneInt(key, rest)
-		case "zipf":
-			spec.ZipfExponent, err = oneFloat(key, rest)
-		case "bytes":
-			spec.MeanObjectBytes, err = oneFloat(key, rest)
-		case "batch":
-			spec.BatchSize, err = oneInt(key, rest)
-		case "rate":
-			spec.Rate, err = oneInt(key, rest)
-		case "churn":
-			spec.Churn, err = oneFloat(key, rest)
-		case "writes":
-			spec.WriteFraction, err = oneFloat(key, rest)
-		case "diurnal":
-			err = parseKV(rest, map[string]func(string) error{
-				"period": setFloat(&spec.DiurnalPeriod),
-				"floor":  setFloat(&spec.DiurnalFloor),
-			})
-		case "flash":
-			f := FlashCrowd{Mult: 1}
-			err = parseKV(rest, map[string]func(string) error{
-				"region": setInt(&f.Region),
-				"start":  setInt(&f.Start),
-				"dur":    setInt(&f.Duration),
-				"x":      setFloat(&f.Mult),
-			})
-			spec.Flash = append(spec.Flash, f)
-		default:
-			return nil, fmt.Errorf("workload: line %d: unknown directive %q", line, key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: %v", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workload: %v", err)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return spec, nil
-}
-
-func oneInt(key string, rest []string) (int, error) {
-	if len(rest) != 1 {
-		return 0, fmt.Errorf("%s wants one value, got %d", key, len(rest))
-	}
-	v, err := strconv.Atoi(rest[0])
-	if err != nil {
-		return 0, fmt.Errorf("%s: %v", key, err)
-	}
-	return v, nil
-}
-
-func oneFloat(key string, rest []string) (float64, error) {
-	if len(rest) != 1 {
-		return 0, fmt.Errorf("%s wants one value, got %d", key, len(rest))
-	}
-	v, err := strconv.ParseFloat(rest[0], 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %v", key, err)
-	}
-	return v, nil
-}
-
-func setInt(dst *int) func(string) error {
-	return func(s string) error {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return err
-		}
-		*dst = v
-		return nil
-	}
-}
-
-func setFloat(dst *float64) func(string) error {
-	return func(s string) error {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return err
-		}
-		*dst = v
-		return nil
-	}
-}
-
-func parseKV(rest []string, setters map[string]func(string) error) error {
-	for _, kv := range rest {
-		eq := strings.IndexByte(kv, '=')
-		if eq < 0 {
-			return fmt.Errorf("want key=value, got %q", kv)
-		}
-		set, ok := setters[kv[:eq]]
-		if !ok {
-			return fmt.Errorf("unknown key %q", kv[:eq])
-		}
-		if err := set(kv[eq+1:]); err != nil {
-			return fmt.Errorf("%s: %v", kv[:eq], err)
 		}
 	}
 	return nil
@@ -402,16 +260,6 @@ func NewStream(spec StreamSpec, clients []ClientSpec) (*Stream, error) {
 // Seed re-seeds the stream's draw source, fixing the full access
 // sequence. Call immediately after NewStream for reproducible runs.
 func (s *Stream) Seed(seed int64) { s.rng = rand.New(rand.NewSource(seed)) }
-
-// Epoch returns the current epoch index.
-func (s *Stream) Epoch() int { return s.epoch }
-
-// Spec returns the stream's spec.
-func (s *Stream) Spec() StreamSpec { return s.spec }
-
-// RegionMass returns the current effective per-region activity masses
-// (read-only view, valid until the next Advance).
-func (s *Stream) RegionMass() []float64 { return s.effMass }
 
 // diurnalMult is the raised-cosine follow-the-sun multiplier for region
 // r at the current epoch; regions peak in ring order around the period.

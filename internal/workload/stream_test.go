@@ -3,23 +3,8 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
-
-const exampleSpec = `
-# planet-scale example
-clients 1000
-regions 4
-objects 64
-zipf 0.9
-bytes 1500
-batch 256
-rate 2048
-churn 0.02
-diurnal period=24 floor=0.1
-flash region=2 start=3 dur=2 x=5
-`
 
 func mustStream(t testing.TB, clients, regions int, mutate func(*StreamSpec)) *Stream {
 	t.Helper()
@@ -55,71 +40,39 @@ func mustStream(t testing.TB, clients, regions int, mutate func(*StreamSpec)) *S
 	return s
 }
 
-func TestParseStreamSpec(t *testing.T) {
-	spec, err := ParseStreamSpec(exampleSpec)
-	if err != nil {
-		t.Fatal(err)
+// TestStreamSpecValidateRejects: every malformed field of a stream spec
+// is refused by name before a stream is built.
+func TestStreamSpecValidateRejects(t *testing.T) {
+	base := StreamSpec{
+		Clients: 1000, Regions: 4, Objects: 64, ZipfExponent: 0.9,
+		MeanObjectBytes: 1500, BatchSize: 256, Rate: 2048, Churn: 0.02,
+		DiurnalPeriod: 24, DiurnalFloor: 0.1,
+		Flash: []FlashCrowd{{Region: 2, Start: 3, Duration: 2, Mult: 5}},
 	}
-	if spec.Clients != 1000 || spec.Regions != 4 || spec.Objects != 64 {
-		t.Fatalf("bad counts: %+v", spec)
+	if err := base.Validate(); err != nil {
+		t.Fatalf("base spec: %v", err)
 	}
-	if spec.ZipfExponent != 0.9 || spec.MeanObjectBytes != 1500 {
-		t.Fatalf("bad skew/bytes: %+v", spec)
+	cases := map[string]func(*StreamSpec){
+		"nan zipf":         func(s *StreamSpec) { s.ZipfExponent = math.NaN() },
+		"inf bytes":        func(s *StreamSpec) { s.MeanObjectBytes = math.Inf(1) },
+		"negative churn":   func(s *StreamSpec) { s.Churn = -0.5 },
+		"churn above one":  func(s *StreamSpec) { s.Churn = 1.5 },
+		"zero regions":     func(s *StreamSpec) { s.Regions = 0 },
+		"zero clients":     func(s *StreamSpec) { s.Clients = 0 },
+		"zero batch":       func(s *StreamSpec) { s.BatchSize = 0 },
+		"zero rate":        func(s *StreamSpec) { s.Rate = 0 },
+		"writes above one": func(s *StreamSpec) { s.WriteFraction = 1.5 },
+		"flash oob":        func(s *StreamSpec) { s.Flash[0].Region = 9 },
+		"flash neg mult":   func(s *StreamSpec) { s.Flash[0].Mult = -2 },
 	}
-	if spec.BatchSize != 256 || spec.Rate != 2048 || spec.Churn != 0.02 {
-		t.Fatalf("bad stream params: %+v", spec)
-	}
-	if spec.DiurnalPeriod != 24 || spec.DiurnalFloor != 0.1 {
-		t.Fatalf("bad diurnal: %+v", spec)
-	}
-	if len(spec.Flash) != 1 || spec.Flash[0] != (FlashCrowd{Region: 2, Start: 3, Duration: 2, Mult: 5}) {
-		t.Fatalf("bad flash: %+v", spec.Flash)
-	}
-}
-
-func TestParseStreamSpecRejects(t *testing.T) {
-	base := exampleSpec
-	cases := map[string]string{
-		"nan zipf":        strings.Replace(base, "zipf 0.9", "zipf NaN", 1),
-		"inf bytes":       strings.Replace(base, "bytes 1500", "bytes +Inf", 1),
-		"negative churn":  strings.Replace(base, "churn 0.02", "churn -0.5", 1),
-		"churn above one": strings.Replace(base, "churn 0.02", "churn 1.5", 1),
-		"zero regions":    strings.Replace(base, "regions 4", "regions 0", 1),
-		"zero clients":    strings.Replace(base, "clients 1000", "clients 0", 1),
-		"zero batch":      strings.Replace(base, "batch 256", "batch 0", 1),
-		"zero rate":       strings.Replace(base, "rate 2048", "rate 0", 1),
-		"flash oob":       strings.Replace(base, "flash region=2", "flash region=9", 1),
-		"flash neg mult":  strings.Replace(base, "x=5", "x=-2", 1),
-		"unknown key":     base + "\nwarp 9\n",
-		"bad kv":          strings.Replace(base, "period=24", "period", 1),
-	}
-	for name, text := range cases {
-		if _, err := ParseStreamSpec(text); err == nil {
+	for name, mutate := range cases {
+		spec := base
+		spec.Flash = append([]FlashCrowd(nil), base.Flash...)
+		mutate(&spec)
+		if err := spec.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-}
-
-// FuzzStreamSpec fuzzes the DSL parser: it must never panic, and any
-// spec it accepts must itself validate (the parser returns only valid
-// specs).
-func FuzzStreamSpec(f *testing.F) {
-	f.Add(exampleSpec)
-	f.Add("clients 1\nregions 1\nobjects 1\nbatch 1\nrate 1\n")
-	f.Add("zipf NaN\n")
-	f.Add("churn -1\n")
-	f.Add("flash region=0 start=0 dur=0 x=0\n")
-	f.Add("diurnal period=-3 floor=2\n")
-	f.Add("# comment only\n\n")
-	f.Fuzz(func(t *testing.T, text string) {
-		spec, err := ParseStreamSpec(text)
-		if err != nil {
-			return
-		}
-		if verr := spec.Validate(); verr != nil {
-			t.Fatalf("parser accepted invalid spec %+v: %v", spec, verr)
-		}
-	})
 }
 
 func TestSynthClients(t *testing.T) {
@@ -287,18 +240,6 @@ func TestStreamRejectsEmptyRegion(t *testing.T) {
 }
 
 func TestStreamWriteFraction(t *testing.T) {
-	// writes directive parses and validates.
-	spec, err := ParseStreamSpec(exampleSpec + "writes 0.25\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.WriteFraction != 0.25 {
-		t.Fatalf("WriteFraction = %v", spec.WriteFraction)
-	}
-	if _, err := ParseStreamSpec(exampleSpec + "writes 1.5\n"); err == nil {
-		t.Fatalf("out-of-range write fraction accepted")
-	}
-
 	// A mixed stream marks roughly the requested share of writes.
 	s := mustStream(t, 1000, 4, func(sp *StreamSpec) { sp.WriteFraction = 0.25 })
 	batch := make([]Access, 256)

@@ -107,24 +107,14 @@ func NewGenerator(r *rand.Rand, spec Spec) (*Generator, error) {
 	return g, nil
 }
 
-// ObjectBytes returns the size of an object.
-func (g *Generator) ObjectBytes(obj int) float64 { return g.objBytes[obj] }
-
 // Activity maps a region to a non-negative rate multiplier; nil means
 // uniform activity.
 type Activity func(region int) float64
 
-// Epoch draws n accesses: clients are sampled proportionally to
-// rate × regional activity, objects by Zipf popularity.
-func (g *Generator) Epoch(r *rand.Rand, n int, activity Activity) ([]Access, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("workload: negative access count %d", n)
-	}
-	return g.EpochInto(r, n, activity, make([]Access, n))
-}
-
-// EpochInto is Epoch writing into a caller-provided buffer: out is
-// resized to n (reusing its capacity when possible) and returned. The
+// EpochInto draws n accesses into a caller-provided buffer: clients are
+// sampled proportionally to rate × regional activity, objects by Zipf
+// popularity. out is resized to n (reusing its capacity when possible,
+// nil is fine) and returned. The
 // client-weight scratch lives on the generator, so a steady-state epoch
 // loop passing its previous buffer back in allocates nothing.
 func (g *Generator) EpochInto(r *rand.Rand, n int, activity Activity, out []Access) ([]Access, error) {

@@ -60,7 +60,7 @@ func TestEpochBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(3))
-	accesses, err := g.Epoch(r, 1000, nil)
+	accesses, err := g.EpochInto(r, 1000, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestEpochBasics(t *testing.T) {
 		if a.Bytes <= 0 {
 			t.Fatalf("non-positive bytes %v", a.Bytes)
 		}
-		if a.Bytes != g.ObjectBytes(a.Object) {
-			t.Fatalf("bytes %v do not match object size %v", a.Bytes, g.ObjectBytes(a.Object))
+		if a.Bytes != g.objBytes[a.Object] {
+			t.Fatalf("bytes %v do not match object size %v", a.Bytes, g.objBytes[a.Object])
 		}
 		clientSeen[a.Client]++
 	}
@@ -96,7 +96,7 @@ func TestEpochZipfSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accesses, err := g.Epoch(rand.New(rand.NewSource(5)), 5000, nil)
+	accesses, err := g.EpochInto(rand.New(rand.NewSource(5)), 5000, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestEpochActivityModulation(t *testing.T) {
 		}
 		return 1
 	}
-	accesses, err := g.Epoch(rand.New(rand.NewSource(7)), 3000, activity)
+	accesses, err := g.EpochInto(rand.New(rand.NewSource(7)), 3000, activity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +144,13 @@ func TestEpochErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(9))
-	if _, err := g.Epoch(r, -1, nil); err == nil {
+	if _, err := g.EpochInto(r, -1, nil, nil); err == nil {
 		t.Error("negative n should fail")
 	}
-	if _, err := g.Epoch(r, 10, func(int) float64 { return 0 }); err == nil {
+	if _, err := g.EpochInto(r, 10, func(int) float64 { return 0 }, nil); err == nil {
 		t.Error("all-zero activity should fail")
 	}
-	if _, err := g.Epoch(r, 10, func(int) float64 { return -1 }); err == nil {
+	if _, err := g.EpochInto(r, 10, func(int) float64 { return -1 }, nil); err == nil {
 		t.Error("negative activity should fail")
 	}
 }
@@ -160,7 +160,7 @@ func TestEpochZeroAccesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Epoch(rand.New(rand.NewSource(11)), 0, nil)
+	got, err := g.EpochInto(rand.New(rand.NewSource(11)), 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestQuickEpochWellFormed(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		accesses, err := g.Epoch(r, 200, nil)
+		accesses, err := g.EpochInto(r, 200, nil, nil)
 		if err != nil {
 			return false
 		}

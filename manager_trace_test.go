@@ -61,7 +61,12 @@ func TestManagerTracing(t *testing.T) {
 	if !rep.Degraded || rep.QuorumOK {
 		t.Fatalf("expected below-quorum epoch: %+v", rep)
 	}
-	anom := rec.Anomalous()
+	var anom []trace.Trace
+	for _, tr := range rec.Traces() {
+		if tr.Anomaly != "" {
+			anom = append(anom, tr)
+		}
+	}
 	if len(anom) != 1 {
 		t.Fatalf("anomalous traces: %d", len(anom))
 	}
@@ -73,7 +78,11 @@ func TestManagerTracing(t *testing.T) {
 	failed := map[string]bool{}
 	for _, s := range tr.Spans {
 		if s.Kind == trace.KindCollect && s.Err != "" {
-			failed[s.Attrs.Get("replica")] = true
+			for _, kv := range s.Attrs {
+				if kv.Key == "replica" {
+					failed[kv.Value] = true
+				}
+			}
 			if !strings.Contains(s.Err, "unreachable") && !strings.Contains(s.Err, "stale") {
 				t.Errorf("collect span err %q names no cause", s.Err)
 			}
