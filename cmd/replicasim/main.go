@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"time"
@@ -40,13 +41,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "replicasim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("replicasim", flag.ContinueOnError)
 	var (
 		fig         = fs.String("fig", "", "figure to reproduce: 1, 2, 3, rnp, drift, quorum, threshold, capacity, readwrite, routing, tail, strategies, failures, writepath, scale or multiobject")
@@ -63,7 +64,7 @@ func run(args []string) error {
 		faultSeed   = fs.Int64("fault-seed", 1, "seed for the failures scenario")
 		traceOut    = fs.String("trace-out", "", "write the failures or writepath run's per-epoch span trees as JSONL to this file (writepath exports the faulted pass, SLO pins included)")
 		traceChrome = fs.String("trace-chrome", "", "write the failures or writepath run's span trees in Chrome trace_event format to this file (load via chrome://tracing or Perfetto)")
-		ledgerOut   = fs.String("ledger-out", "", "write the drift/failures/scale run's epoch decisions as a durable ledger to this directory (audit with georepctl audit)")
+		ledgerOut   = fs.String("ledger-out", "", "write the drift, failures, scale or multiobject run's epoch decisions as a durable ledger to this directory (audit with georepctl audit)")
 		clients     = fs.Int("clients", 0, "scale figure: synthetic client population (0 = default 100k)")
 		rate        = fs.Int("rate", 0, "scale figure: accesses generated per epoch (0 = default 50k)")
 		shards      = fs.Int("ingest-shards", 0, "scale figure: per-replica ingest shards, power of two (0 = default 8)")
@@ -91,12 +92,12 @@ func run(args []string) error {
 	var worlds []*experiment.World
 	if needWorlds {
 		start := time.Now()
-		fmt.Printf("building %d worlds (%d nodes, %s coordinates)...\n", *runs, *nodes, *algo)
+		fmt.Fprintf(w, "building %d worlds (%d nodes, %s coordinates)...\n", *runs, *nodes, *algo)
 		worlds, err = experiment.BuildWorlds(*runs, setup)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("done in %s\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "done in %s\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
 	ks := make([]int, 0, *maxK)
@@ -110,33 +111,33 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		printFigure(fig, *csv)
+		printFigure(w, fig, *csv)
 	}
 	if *all || *fig == "2" {
 		fig, err := experiment.Figure2(worlds, 20, ks, experiment.PaperStrategies(*micro))
 		if err != nil {
 			return err
 		}
-		printFigure(fig, *csv)
+		printFigure(w, fig, *csv)
 	}
 	if *all || *fig == "3" {
 		fig, err := experiment.Figure3(worlds, 20, ks, []int{1, 2, 4, 7, 11})
 		if err != nil {
 			return err
 		}
-		printFigure(fig, *csv)
+		printFigure(w, fig, *csv)
 	}
 	if *all || *fig == "rnp" {
 		rows, err := experiment.CoordAccuracy(worlds, setup)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderAccuracy(rows))
+		fmt.Fprintln(w, experiment.RenderAccuracy(rows))
 	}
 	if *all || *fig == "drift" {
 		cfg := experiment.DefaultDriftConfig()
 		cfg.Setup.CoordAlgorithm = setup.CoordAlgorithm
-		led, closeLedger, err := openLedger(*ledgerOut, *fig == "drift")
+		led, closeLedger, err := openLedger(w, *ledgerOut, *fig == "drift")
 		if err != nil {
 			return err
 		}
@@ -148,7 +149,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderDrift(res))
+		fmt.Fprintln(w, experiment.RenderDrift(res))
 	}
 	if *all || *fig == "quorum" {
 		// The exhaustive quorum search is the expensive part; cap the
@@ -157,7 +158,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		printFigure(fig, *csv)
+		printFigure(w, fig, *csv)
 	}
 	if *all || *fig == "threshold" {
 		cfg := experiment.DefaultDriftConfig()
@@ -166,7 +167,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderThresholdSweep(rows))
+		fmt.Fprintln(w, experiment.RenderThresholdSweep(rows))
 	}
 	if *all || *fig == "readwrite" {
 		fig, err := experiment.ReadWriteAblation(worlds, 20, *micro,
@@ -174,14 +175,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		printFigure(fig, *csv)
+		printFigure(w, fig, *csv)
 	}
 	if *all || *fig == "capacity" {
 		fig, err := experiment.CapacityAblation(worlds, 20, 3, *micro, 6)
 		if err != nil {
 			return err
 		}
-		printFigure(fig, *csv)
+		printFigure(w, fig, *csv)
 	}
 	if *all || *fig == "strategies" {
 		fig, err := experiment.Figure2(worlds, 20, ks, experiment.AllStrategies(*micro))
@@ -189,21 +190,21 @@ func run(args []string) error {
 			return err
 		}
 		fig.Title = "All strategies: delay vs degree of replication (20 data centers)"
-		printFigure(fig, *csv)
+		printFigure(w, fig, *csv)
 	}
 	if *all || *fig == "tail" {
 		rows, err := experiment.TailAblation(worlds, 20, 3, *micro)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderTail(rows))
+		fmt.Fprintln(w, experiment.RenderTail(rows))
 	}
 	if *all || *fig == "routing" {
 		rows, err := experiment.RoutingAccuracy(worlds, 20, *micro, []int{2, 3, 5, 7})
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderRouting(rows))
+		fmt.Fprintln(w, experiment.RenderRouting(rows))
 	}
 	if *all || *fig == "failures" {
 		cfg := experiment.DefaultFailureConfig()
@@ -214,7 +215,7 @@ func run(args []string) error {
 			rec = trace.NewFlightRecorder(trace.DefaultRecent, trace.DefaultAnomalous)
 			cfg.Trace = rec
 		}
-		led, closeLedger, err := openLedger(*ledgerOut, *fig == "failures")
+		led, closeLedger, err := openLedger(w, *ledgerOut, *fig == "failures")
 		if err != nil {
 			return err
 		}
@@ -226,9 +227,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderFailure(res))
+		fmt.Fprintln(w, experiment.RenderFailure(res))
 		if rec != nil {
-			if err := exportTraces(rec.Traces(), *traceOut, *traceChrome); err != nil {
+			if err := exportTraces(w, rec.Traces(), *traceOut, *traceChrome); err != nil {
 				return err
 			}
 		}
@@ -250,9 +251,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderWritePath(res))
+		fmt.Fprintln(w, experiment.RenderWritePath(res))
 		if *traceOut != "" || *traceChrome != "" {
-			if err := exportTraces(res.Traces, *traceOut, *traceChrome); err != nil {
+			if err := exportTraces(w, res.Traces, *traceOut, *traceChrome); err != nil {
 				return err
 			}
 		}
@@ -269,7 +270,7 @@ func run(args []string) error {
 		if *shards > 0 {
 			cfg.IngestShards = *shards
 		}
-		led, closeLedger, err := openLedger(*ledgerOut, *fig == "scale")
+		led, closeLedger, err := openLedger(w, *ledgerOut, *fig == "scale")
 		if err != nil {
 			return err
 		}
@@ -281,7 +282,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderScale(res))
+		fmt.Fprintln(w, experiment.RenderScale(res))
 	}
 	if *all || *fig == "multiobject" {
 		cfg := experiment.DefaultMultiObjectConfig()
@@ -289,7 +290,7 @@ func run(args []string) error {
 		if *objects > 0 {
 			cfg.Objects = *objects
 		}
-		led, closeLedger, err := openLedger(*ledgerOut, *fig == "multiobject")
+		led, closeLedger, err := openLedger(w, *ledgerOut, *fig == "multiobject")
 		if err != nil {
 			return err
 		}
@@ -301,23 +302,24 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderMultiObject(res))
+		fmt.Fprintln(w, experiment.RenderMultiObject(res))
 	}
 	if *all || *table == "2" {
 		rows, err := experiment.Table2(rand.New(rand.NewSource(*seedTable)), experiment.DefaultCostConfig())
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderCostTable(rows))
+		fmt.Fprintln(w, experiment.RenderCostTable(rows))
 	}
 	return nil
 }
 
 // openLedger opens the -ledger-out directory for the figure that owns
 // it. enabled keeps -all runs from interleaving two experiments' epochs
-// in one ledger: only an explicitly requested drift/failures figure
-// writes. The returned close function is a no-op when disabled.
-func openLedger(dir string, enabled bool) (*ledger.Ledger, func() error, error) {
+// in one ledger: only an explicitly requested drift, failures, scale or
+// multiobject figure writes. The returned close function is a no-op
+// when disabled.
+func openLedger(w io.Writer, dir string, enabled bool) (*ledger.Ledger, func() error, error) {
 	if dir == "" || !enabled {
 		return nil, func() error { return nil }, nil
 	}
@@ -325,14 +327,14 @@ func openLedger(dir string, enabled bool) (*ledger.Ledger, func() error, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Printf("recording epoch ledger to %s\n", dir)
+	fmt.Fprintf(w, "recording epoch ledger to %s\n", dir)
 	return l, l.Close, nil
 }
 
 // exportTraces writes the collected span trees to the requested files:
 // JSONL (one span per line, replayable via trace.ReadJSONL and
 // georepctl trace -in) and Chrome trace_event JSON.
-func exportTraces(traces []trace.Trace, jsonlPath, chromePath string) error {
+func exportTraces(w io.Writer, traces []trace.Trace, jsonlPath, chromePath string) error {
 	if jsonlPath != "" {
 		f, err := os.Create(jsonlPath)
 		if err != nil {
@@ -345,7 +347,7 @@ func exportTraces(traces []trace.Trace, jsonlPath, chromePath string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d span trees to %s\n", len(traces), jsonlPath)
+		fmt.Fprintf(w, "wrote %d span trees to %s\n", len(traces), jsonlPath)
 	}
 	if chromePath != "" {
 		f, err := os.Create(chromePath)
@@ -359,16 +361,16 @@ func exportTraces(traces []trace.Trace, jsonlPath, chromePath string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote Chrome trace of %d trees to %s\n", len(traces), chromePath)
+		fmt.Fprintf(w, "wrote Chrome trace of %d trees to %s\n", len(traces), chromePath)
 	}
 	return nil
 }
 
 // printFigure emits a figure as aligned text or CSV.
-func printFigure(fig *experiment.Figure, asCSV bool) {
+func printFigure(w io.Writer, fig *experiment.Figure, asCSV bool) {
 	if asCSV {
-		fmt.Printf("# %s\n%s\n", fig.Title, fig.CSV())
+		fmt.Fprintf(w, "# %s\n%s\n", fig.Title, fig.CSV())
 		return
 	}
-	fmt.Println(fig.Render())
+	fmt.Fprintln(w, fig.Render())
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,36 +11,8 @@ import (
 	"github.com/georep/georep/internal/trace"
 )
 
-// The full paper-scale run is exercised out of band (results_paper_scale
-// .txt); these tests drive the CLI wiring at miniature scale.
-
-func TestRunFigure1Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	err := run([]string{"-fig", "1", "-runs", "1", "-nodes", "40"})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunFigure3Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	if err := run([]string{"-fig", "3", "-runs", "1", "-nodes", "40", "-maxk", "2"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunCoordFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	if err := run([]string{"-fig", "rnp", "-runs", "1", "-nodes", "30", "-coord", "vivaldi"}); err != nil {
-		t.Fatal(err)
-	}
-}
+// The figures themselves are pinned by golden_test.go; these tests
+// cover the CLI's error paths and the trace export formats.
 
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
@@ -51,7 +24,7 @@ func TestRunErrors(t *testing.T) {
 		{"-fig", "1", "-runs", "1", "-nodes", "10"}, // numDCs=30 > nodes → instance error
 	}
 	for _, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(io.Discard, args); err == nil {
 			t.Errorf("args %v should fail", args)
 		}
 	}
@@ -65,7 +38,7 @@ func TestRunFailuresTraceExport(t *testing.T) {
 	dir := t.TempDir()
 	jsonl := filepath.Join(dir, "spans.jsonl")
 	chrome := filepath.Join(dir, "spans.chrome.json")
-	if err := run([]string{"-fig", "failures", "-fault-seed", "1",
+	if err := run(io.Discard, []string{"-fig", "failures", "-fault-seed", "1",
 		"-trace-out", jsonl, "-trace-chrome", chrome}); err != nil {
 		t.Fatal(err)
 	}

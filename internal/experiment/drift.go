@@ -60,14 +60,8 @@ func DefaultDriftConfig() DriftConfig {
 }
 
 func (c DriftConfig) validate() error {
-	if c.NumDCs <= 0 || c.NumDCs >= c.Setup.Nodes {
-		return fmt.Errorf("experiment: drift NumDCs %d out of (0,%d)", c.NumDCs, c.Setup.Nodes)
-	}
-	if c.K <= 0 || c.K > c.NumDCs {
-		return fmt.Errorf("experiment: drift K %d out of (0,%d]", c.K, c.NumDCs)
-	}
-	if c.M <= 0 {
-		return fmt.Errorf("experiment: drift M must be positive, got %d", c.M)
+	if err := validateShape("drift", c.Setup, c.NumDCs, c.K, c.M); err != nil {
+		return err
 	}
 	if c.Epochs <= 0 || c.AccessesPerEpoch <= 0 {
 		return fmt.Errorf("experiment: drift needs positive epochs and accesses")
@@ -112,25 +106,8 @@ func Drift(seed int64, cfg DriftConfig) (*DriftResult, error) {
 	}
 	rng := rand.New(rand.NewSource(seed * 31))
 
-	// Split nodes into candidate DCs and clients.
-	cand := stats.SampleWithoutReplacement(rng, w.Matrix.N(), cfg.NumDCs)
-	isCand := make(map[int]bool, len(cand))
-	for _, c := range cand {
-		isCand[c] = true
-	}
-	var clientNodes, clientRegions []int
-	numRegions := 0
-	for i := 0; i < w.Matrix.N(); i++ {
-		if isCand[i] {
-			continue
-		}
-		clientNodes = append(clientNodes, i)
-		region := w.Placements[i].Region
-		clientRegions = append(clientRegions, region)
-		if region+1 > numRegions {
-			numRegions = region + 1
-		}
-	}
+	cand, clientNodes := w.split(rng, cfg.NumDCs)
+	clientRegions, numRegions := w.regions(clientNodes, false)
 
 	clientSpecs, err := workload.UniformClients(clientNodes, clientRegions)
 	if err != nil {
@@ -170,14 +147,9 @@ func Drift(seed int64, cfg DriftConfig) (*DriftResult, error) {
 	static := append([]int(nil), initial...)
 
 	// Discrete-event simulation: DCs answer reads, clients issue them.
-	sim := simnet.New(func(a, b simnet.NodeID) float64 {
-		return w.Matrix.RTT(int(a), int(b))
-	})
-	for i := 0; i < w.Matrix.N(); i++ {
-		handler := func(s *simnet.Simulator, from simnet.NodeID, req any) any { return req }
-		if err := sim.AddNode(simnet.NodeID(i), nil, handler); err != nil {
-			return nil, err
-		}
+	sim, err := w.network(nil, echo)
+	if err != nil {
+		return nil, err
 	}
 
 	const epochMs = 60_000.0 // one simulated minute per epoch

@@ -70,24 +70,6 @@ func TestDriftAdaptiveBeatsStatic(t *testing.T) {
 	}
 }
 
-func TestDriftDeterministic(t *testing.T) {
-	cfg := quickDriftConfig()
-	cfg.Epochs = 3
-	a, err := Drift(5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Drift(5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Rows {
-		if a.Rows[i].AdaptiveMs != b.Rows[i].AdaptiveMs {
-			t.Fatalf("epoch %d differs across identical runs", i)
-		}
-	}
-}
-
 func TestRenderDrift(t *testing.T) {
 	cfg := quickDriftConfig()
 	cfg.Epochs = 2

@@ -17,6 +17,7 @@ import (
 	"github.com/georep/georep/internal/metrics"
 	"github.com/georep/georep/internal/parallel"
 	"github.com/georep/georep/internal/placement"
+	"github.com/georep/georep/internal/simnet"
 	"github.com/georep/georep/internal/stats"
 )
 
@@ -107,17 +108,7 @@ func (w *World) Instance(r *rand.Rand, numDCs, k int) (*placement.Instance, erro
 	if numDCs <= 0 || numDCs >= n {
 		return nil, fmt.Errorf("experiment: numDCs %d out of (0,%d)", numDCs, n)
 	}
-	cand := stats.SampleWithoutReplacement(r, n, numDCs)
-	isCand := make(map[int]bool, numDCs)
-	for _, c := range cand {
-		isCand[c] = true
-	}
-	clients := make([]int, 0, n-numDCs)
-	for i := 0; i < n; i++ {
-		if !isCand[i] {
-			clients = append(clients, i)
-		}
-	}
+	cand, clients := w.split(r, numDCs)
 	in := &placement.Instance{
 		NumNodes:   n,
 		RTT:        w.Matrix.RTT,
@@ -130,6 +121,84 @@ func (w *World) Instance(r *rand.Rand, numDCs, k int) (*placement.Instance, erro
 		return nil, err
 	}
 	return in, nil
+}
+
+// split draws numDCs distinct nodes with r to be the candidate data
+// centers and returns every other node, in id order, as a client. It
+// consumes r only through one SampleWithoutReplacement: the draws each
+// caller makes from r afterwards, and so its figure, depend on that.
+func (w *World) split(r *rand.Rand, numDCs int) (cand, clients []int) {
+	n := w.Matrix.N()
+	cand = stats.SampleWithoutReplacement(r, n, numDCs)
+	isCand := make([]bool, n)
+	for _, c := range cand {
+		isCand[c] = true
+	}
+	clients = make([]int, 0, n-numDCs)
+	for i, c := range isCand {
+		if !c {
+			clients = append(clients, i)
+		}
+	}
+	return cand, clients
+}
+
+// regions returns each client's region and the number of regions. Raw
+// ids are the world's own: a region none of whose nodes is a client
+// keeps its slot (drift's diurnal phases are spread over all of them).
+// Dense ids renumber the regions that have clients from 0 in order of
+// first appearance, which a workload stream spec requires.
+func (w *World) regions(clients []int, dense bool) (ids []int, count int) {
+	ids = make([]int, len(clients))
+	remap := map[int]int{}
+	for i, c := range clients {
+		r := w.Placements[c].Region
+		if dense {
+			d, ok := remap[r]
+			if !ok {
+				d = len(remap)
+				remap[r] = d
+			}
+			r = d
+		}
+		ids[i] = r
+		count = max(count, r+1)
+	}
+	return ids, count
+}
+
+// network is a discrete-event simulator over the world's RTT matrix
+// whose every node runs the same handlers.
+func (w *World) network(onMessage simnet.MessageHandler, onRequest simnet.RequestHandler) (*simnet.Simulator, error) {
+	sim := simnet.New(func(a, b simnet.NodeID) float64 {
+		return w.Matrix.RTT(int(a), int(b))
+	})
+	for i := 0; i < w.Matrix.N(); i++ {
+		if err := sim.AddNode(simnet.NodeID(i), onMessage, onRequest); err != nil {
+			return nil, err
+		}
+	}
+	return sim, nil
+}
+
+// echo answers a simulated call with its request: a read whose measured
+// RTT is the access delay.
+func echo(_ *simnet.Simulator, _ simnet.NodeID, req any) any { return req }
+
+// validateShape checks the fields every single-world experiment shares:
+// the candidate count fits the testbed, k fits the candidates, and the
+// micro-cluster budget is positive.
+func validateShape(name string, setup SetupConfig, numDCs, k, m int) error {
+	if numDCs <= 0 || numDCs >= setup.Nodes {
+		return fmt.Errorf("experiment: %s NumDCs %d out of (0,%d)", name, numDCs, setup.Nodes)
+	}
+	if k <= 0 || k > numDCs {
+		return fmt.Errorf("experiment: %s K %d out of (0,%d]", name, k, numDCs)
+	}
+	if m <= 0 {
+		return fmt.Errorf("experiment: %s M must be positive, got %d", name, m)
+	}
+	return nil
 }
 
 // Cell is one measured point: a strategy's mean access delay at fixed

@@ -38,23 +38,6 @@ func TestBuildWorldValidation(t *testing.T) {
 	}
 }
 
-func TestBuildWorldDeterministic(t *testing.T) {
-	cfg := smallSetup()
-	a, err := BuildWorld(7, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildWorld(7, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Coords {
-		if !a.Coords[i].Pos.Equal(b.Coords[i].Pos) {
-			t.Fatal("worlds with equal seeds differ")
-		}
-	}
-}
-
 func TestWorldInstance(t *testing.T) {
 	w := smallWorlds(t, 1)[0]
 	in, err := w.Instance(rand.New(rand.NewSource(1)), 10, 3)

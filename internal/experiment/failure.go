@@ -89,14 +89,8 @@ func DefaultFailureConfig() FailureConfig {
 }
 
 func (c FailureConfig) validate() error {
-	if c.NumDCs <= 0 || c.NumDCs >= c.Setup.Nodes {
-		return fmt.Errorf("experiment: failure NumDCs %d out of (0,%d)", c.NumDCs, c.Setup.Nodes)
-	}
-	if c.K <= 0 || c.K > c.NumDCs {
-		return fmt.Errorf("experiment: failure K %d out of (0,%d]", c.K, c.NumDCs)
-	}
-	if c.M <= 0 {
-		return fmt.Errorf("experiment: failure M must be positive, got %d", c.M)
+	if err := validateShape("failure", c.Setup, c.NumDCs, c.K, c.M); err != nil {
+		return err
 	}
 	if c.AccessesPerEpoch <= 0 {
 		return fmt.Errorf("experiment: failure needs positive accesses")
@@ -189,21 +183,11 @@ func Failure(seed int64, cfg FailureConfig) (*FailureResult, error) {
 	}
 	rng := rand.New(rand.NewSource(seed * 31))
 
-	cand := stats.SampleWithoutReplacement(rng, w.Matrix.N(), cfg.NumDCs)
-	isCand := make(map[int]bool, len(cand))
-	for _, c := range cand {
-		isCand[c] = true
-	}
-	var clientNodes, clientRegions []int
+	cand, clientNodes := w.split(rng, cfg.NumDCs)
+	clientRegions, _ := w.regions(clientNodes, false)
 	regionMembers := map[int][]int{}
-	for i := 0; i < w.Matrix.N(); i++ {
-		if isCand[i] {
-			continue
-		}
-		clientNodes = append(clientNodes, i)
-		region := w.Placements[i].Region
-		clientRegions = append(clientRegions, region)
-		regionMembers[region] = append(regionMembers[region], i)
+	for i, region := range clientRegions {
+		regionMembers[region] = append(regionMembers[region], clientNodes[i])
 	}
 
 	initial, err := randomPlacement(rng, cand, cfg.K)
@@ -382,14 +366,9 @@ func runFailurePass(seed int64, cfg FailureConfig, w *World, cand, initial []int
 		return nil, err
 	}
 
-	sim := simnet.New(func(a, b simnet.NodeID) float64 {
-		return w.Matrix.RTT(int(a), int(b))
-	})
-	for i := 0; i < w.Matrix.N(); i++ {
-		handler := func(s *simnet.Simulator, from simnet.NodeID, req any) any { return req }
-		if err := sim.AddNode(simnet.NodeID(i), nil, handler); err != nil {
-			return nil, err
-		}
+	sim, err := w.network(nil, echo)
+	if err != nil {
+		return nil, err
 	}
 	if inj != nil {
 		sim.SetFaults(func(from, to simnet.NodeID) (bool, float64) {

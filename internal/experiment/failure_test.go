@@ -121,37 +121,6 @@ func TestFailurePlacementFrozenBelowQuorum(t *testing.T) {
 	}
 }
 
-func TestFailureDeterministic(t *testing.T) {
-	cfg := quickFailureConfig()
-	cfg.Epochs = 6
-	a, err := Failure(5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Failure(5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Plan != b.Plan {
-		t.Fatalf("plans differ:\n%s\n%s", a.Plan, b.Plan)
-	}
-	if a.DroppedLegs != b.DroppedLegs {
-		t.Fatalf("dropped legs differ: %d vs %d", a.DroppedLegs, b.DroppedLegs)
-	}
-	for i := range a.Rows {
-		// FailureRow holds a slice; compare fields explicitly.
-		if a.Rows[i].FaultyMs != b.Rows[i].FaultyMs ||
-			a.Rows[i].HealthyMs != b.Rows[i].HealthyMs ||
-			a.Rows[i].FailoverGets != b.Rows[i].FailoverGets ||
-			a.Rows[i].FailedGets != b.Rows[i].FailedGets ||
-			a.Rows[i].Degraded != b.Rows[i].Degraded ||
-			a.Rows[i].QuorumOK != b.Rows[i].QuorumOK {
-			t.Fatalf("epoch %d differs across identical runs:\n%+v\n%+v",
-				i, a.Rows[i], b.Rows[i])
-		}
-	}
-}
-
 func TestFailurePlanOverride(t *testing.T) {
 	cfg := quickFailureConfig()
 	cfg.Epochs = 3

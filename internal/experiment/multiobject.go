@@ -79,14 +79,11 @@ func DefaultMultiObjectConfig() MultiObjectConfig {
 }
 
 func (c MultiObjectConfig) validate() error {
-	if c.NumDCs <= 0 || c.NumDCs >= c.Setup.Nodes {
-		return fmt.Errorf("experiment: multiobject NumDCs %d out of (0,%d)", c.NumDCs, c.Setup.Nodes)
+	if err := validateShape("multiobject", c.Setup, c.NumDCs, c.K, c.M); err != nil {
+		return err
 	}
-	if c.K <= 0 || c.K > c.NumDCs {
-		return fmt.Errorf("experiment: multiobject K %d out of (0,%d]", c.K, c.NumDCs)
-	}
-	if c.M <= 0 || c.Objects <= 0 || c.Classes <= 0 || c.AccessesPerObject <= 0 || c.Epochs <= 0 {
-		return fmt.Errorf("experiment: multiobject needs positive M/Objects/Classes/Accesses/Epochs")
+	if c.Objects <= 0 || c.Classes <= 0 || c.AccessesPerObject <= 0 || c.Epochs <= 0 {
+		return fmt.Errorf("experiment: multiobject needs positive Objects/Classes/Accesses/Epochs")
 	}
 	if c.Classes > c.Objects {
 		return fmt.Errorf("experiment: multiobject Classes %d exceeds Objects %d", c.Classes, c.Objects)
@@ -157,20 +154,7 @@ func MultiObject(seed int64, cfg MultiObjectConfig) (*MultiObjectResult, error) 
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed * 53))
-	cand := stats.SampleWithoutReplacement(rng, w.Matrix.N(), cfg.NumDCs)
-	isCand := make(map[int]bool, len(cand))
-	for _, c := range cand {
-		isCand[c] = true
-	}
-	var clients []int
-	for i := 0; i < w.Matrix.N(); i++ {
-		if !isCand[i] {
-			clients = append(clients, i)
-		}
-	}
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("experiment: multiobject world has no client nodes")
-	}
+	cand, clients := w.split(rng, cfg.NumDCs)
 
 	// Class archetypes: each class is anchored at a client node and its
 	// home set is the third of client nodes with the lowest RTT to the

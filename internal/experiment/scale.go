@@ -73,14 +73,8 @@ func DefaultScaleConfig() ScaleConfig {
 }
 
 func (c ScaleConfig) validate() error {
-	if c.NumDCs <= 0 || c.NumDCs >= c.Setup.Nodes {
-		return fmt.Errorf("experiment: scale NumDCs %d out of (0,%d)", c.NumDCs, c.Setup.Nodes)
-	}
-	if c.K <= 0 || c.K > c.NumDCs {
-		return fmt.Errorf("experiment: scale K %d out of (0,%d]", c.K, c.NumDCs)
-	}
-	if c.M <= 0 {
-		return fmt.Errorf("experiment: scale M must be positive, got %d", c.M)
+	if err := validateShape("scale", c.Setup, c.NumDCs, c.K, c.M); err != nil {
+		return err
 	}
 	if c.Clients <= 0 || c.Rate <= 0 || c.BatchSize <= 0 || c.Epochs <= 0 {
 		return fmt.Errorf("experiment: scale needs positive clients/rate/batch/epochs")
@@ -138,30 +132,11 @@ func Scale(seed int64, cfg ScaleConfig) (*ScaleResult, error) {
 	}
 	rng := rand.New(rand.NewSource(seed * 37))
 
-	// Split nodes into candidate DCs and client PoPs, as in drift.
-	cand := stats.SampleWithoutReplacement(rng, w.Matrix.N(), cfg.NumDCs)
-	isCand := make(map[int]bool, len(cand))
-	for _, c := range cand {
-		isCand[c] = true
-	}
-	// Remap regions to dense ids over the regions that actually have
-	// client nodes — a region whose every node became a candidate DC
-	// would otherwise be an (invalid) empty region in the stream spec.
-	var clientNodes, clientRegions []int
-	remap := make(map[int]int)
-	for i := 0; i < w.Matrix.N(); i++ {
-		if isCand[i] {
-			continue
-		}
-		region, ok := remap[w.Placements[i].Region]
-		if !ok {
-			region = len(remap)
-			remap[w.Placements[i].Region] = region
-		}
-		clientNodes = append(clientNodes, i)
-		clientRegions = append(clientRegions, region)
-	}
-	numRegions := len(remap)
+	// Candidate DCs and client PoPs, as in drift, but with dense region
+	// ids: a region whose every node became a candidate DC would
+	// otherwise be an (invalid) empty region in the stream spec.
+	cand, clientNodes := w.split(rng, cfg.NumDCs)
+	clientRegions, numRegions := w.regions(clientNodes, true)
 
 	clients, err := workload.SynthClients(rng, cfg.Clients, clientNodes, clientRegions)
 	if err != nil {
@@ -223,19 +198,14 @@ func Scale(seed int64, cfg ScaleConfig) (*ScaleResult, error) {
 	// Batched delivery: replicas ingest whole frames, one simnet event
 	// per active (client node, replica) pair per epoch.
 	var ingestErr error
-	sim := simnet.New(func(a, b simnet.NodeID) float64 {
-		return w.Matrix.RTT(int(a), int(b))
-	})
-	for i := 0; i < w.Matrix.N(); i++ {
-		handler := func(s *simnet.Simulator, m simnet.Message) {
-			f := m.Payload.(*scaleFrame)
-			if err := mgr.RecordBatchAt(f.rep, f.clients, f.weights); err != nil && ingestErr == nil {
-				ingestErr = err
-			}
+	sim, err := w.network(func(s *simnet.Simulator, m simnet.Message) {
+		f := m.Payload.(*scaleFrame)
+		if err := mgr.RecordBatchAt(f.rep, f.clients, f.weights); err != nil && ingestErr == nil {
+			ingestErr = err
 		}
-		if err := sim.AddNode(simnet.NodeID(i), handler, nil); err != nil {
-			return nil, err
-		}
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	// Per-node aggregation arenas, reused every epoch so the epoch loop

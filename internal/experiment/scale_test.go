@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func smallScaleConfig() ScaleConfig {
 	cfg := DefaultScaleConfig()
@@ -44,25 +41,12 @@ func TestScaleRuns(t *testing.T) {
 	}
 }
 
-func scaleFingerprint(res *ScaleResult) string {
-	out := res.StreamHash
-	for _, r := range res.Rows {
-		out += fmt.Sprintf("|%d:%.17g:%d:%v:%v", r.Epoch, r.MeanMs, r.Accesses, r.Migrated, r.Replicas)
-	}
-	return out
-}
-
+// TestScaleDeterministic: the seed reaches the stream. (That one seed
+// replays byte for byte is cmd/replicasim's TestGolden.)
 func TestScaleDeterministic(t *testing.T) {
 	a, err := Scale(7, smallScaleConfig())
 	if err != nil {
 		t.Fatal(err)
-	}
-	b, err := Scale(7, smallScaleConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scaleFingerprint(a) != scaleFingerprint(b) {
-		t.Fatal("same seed produced different scale runs")
 	}
 	c, err := Scale(8, smallScaleConfig())
 	if err != nil {

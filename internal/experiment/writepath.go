@@ -12,7 +12,6 @@ import (
 	"github.com/georep/georep/internal/replica"
 	"github.com/georep/georep/internal/replog"
 	"github.com/georep/georep/internal/slo"
-	"github.com/georep/georep/internal/stats"
 	"github.com/georep/georep/internal/trace"
 	"github.com/georep/georep/internal/workload"
 )
@@ -101,14 +100,11 @@ func DefaultWritePathConfig() WritePathConfig {
 }
 
 func (c WritePathConfig) validate() error {
-	if c.NumDCs <= 0 || c.NumDCs >= c.Setup.Nodes {
-		return fmt.Errorf("experiment: writepath NumDCs %d out of (0,%d)", c.NumDCs, c.Setup.Nodes)
+	if err := validateShape("writepath", c.Setup, c.NumDCs, c.K, c.M); err != nil {
+		return err
 	}
-	if c.K <= 1 || c.K > c.NumDCs {
-		return fmt.Errorf("experiment: writepath K %d out of (1,%d]", c.K, c.NumDCs)
-	}
-	if c.M <= 0 {
-		return fmt.Errorf("experiment: writepath M must be positive, got %d", c.M)
+	if c.K == 1 {
+		return fmt.Errorf("experiment: writepath needs K >= 2 to replicate writes")
 	}
 	if c.AccessesPerEpoch <= 0 {
 		return fmt.Errorf("experiment: writepath needs positive accesses")
@@ -225,26 +221,8 @@ func WritePath(seed int64, cfg WritePathConfig) (*WritePathResult, error) {
 	}
 	rng := rand.New(rand.NewSource(seed * 41))
 
-	cand := stats.SampleWithoutReplacement(rng, w.Matrix.N(), cfg.NumDCs)
-	isCand := make(map[int]bool, len(cand))
-	for _, c := range cand {
-		isCand[c] = true
-	}
-	var clientNodes, clientRegions []int
-	regionOf := map[int]int{} // world region -> dense stream region
-	for i := 0; i < w.Matrix.N(); i++ {
-		if isCand[i] {
-			continue
-		}
-		clientNodes = append(clientNodes, i)
-		region := w.Placements[i].Region
-		dense, ok := regionOf[region]
-		if !ok {
-			dense = len(regionOf)
-			regionOf[region] = dense
-		}
-		clientRegions = append(clientRegions, dense)
-	}
+	cand, clientNodes := w.split(rng, cfg.NumDCs)
+	clientRegions, numRegions := w.regions(clientNodes, true)
 
 	initial, err := randomPlacement(rng, cand, cfg.K)
 	if err != nil {
@@ -259,7 +237,7 @@ func WritePath(seed int64, cfg WritePathConfig) (*WritePathResult, error) {
 	}
 	stream, err := workload.NewStream(workload.StreamSpec{
 		Clients:         len(synth),
-		Regions:         len(regionOf),
+		Regions:         numRegions,
 		Objects:         64,
 		ZipfExponent:    0.9,
 		MeanObjectBytes: 1,

@@ -136,23 +136,6 @@ func TestWritePathHealthyVsFaulted(t *testing.T) {
 	}
 }
 
-// TestWritePathDeterministic is the reproducibility guard: the same
-// seed must replay the same trajectory, byte for byte.
-func TestWritePathDeterministic(t *testing.T) {
-	cfg := testWritePathConfig()
-	a, err := WritePath(5, cfg)
-	if err != nil {
-		t.Fatalf("WritePath: %v", err)
-	}
-	b, err := WritePath(5, cfg)
-	if err != nil {
-		t.Fatalf("WritePath: %v", err)
-	}
-	if ra, rb := RenderWritePath(a), RenderWritePath(b); ra != rb {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", ra, rb)
-	}
-}
-
 func TestWritePathValidates(t *testing.T) {
 	cfg := testWritePathConfig()
 	cfg.WriteFraction = 0

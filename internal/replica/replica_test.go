@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -374,6 +375,39 @@ func TestManagerEconomicVeto(t *testing.T) {
 	}
 	if dec.Migrate && dec.MovedReplicas > 0 {
 		t.Errorf("economics should veto migration: %+v", dec)
+	}
+}
+
+// TestApproveMigrationBoundary pins both gates' edges. MinRelativeGain
+// is the minimum gain required, so a gain exactly at it migrates (5/100
+// is exactly 0.05 in IEEE division) and one a ulp below it does not.
+// The economic test migrates only when the benefit is higher than the
+// cost (§III-C), so a benefit equal to the cost does not migrate and one
+// a ulp above it does.
+func TestApproveMigrationBoundary(t *testing.T) {
+	const oldEst, newEst = 100.0, 95.0
+	if (oldEst-newEst)/oldEst != 0.05 {
+		t.Fatal("fixture: 5/100 is not exactly 0.05")
+	}
+	// cost = moved · ObjectBytes · CostPerByte = 1·10·1 = 10;
+	// benefit = (oldEst−newEst) · demand · GainPerMsAccess = 5·demand.
+	econ := MigrationPolicy{MinRelativeGain: 0.05, CostPerByte: 1, GainPerMsAccess: 1, ObjectBytes: 10}
+	cases := []struct {
+		name   string
+		policy MigrationPolicy
+		demand float64
+		want   bool
+	}{
+		{"gain at threshold", MigrationPolicy{MinRelativeGain: 0.05}, 1, true},
+		{"gain a ulp below threshold", MigrationPolicy{MinRelativeGain: math.Nextafter(0.05, 1)}, 1, false},
+		{"benefit equals cost", econ, 2, false},
+		{"benefit a ulp above cost", econ, math.Nextafter(2, 3), true},
+	}
+	for _, c := range cases {
+		m := managerFixture(t, Config{K: 2, M: 6, Dims: 2, Migration: c.policy})
+		if got := m.approveMigration(oldEst, newEst, c.demand, 1); got != c.want {
+			t.Errorf("%s: approveMigration = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
