@@ -17,9 +17,17 @@
 // ledger exceeds MaxTotalBytes (size-bounded compaction: the tail of
 // history survives, the deep past goes).
 //
+// Appends are written one frame per write, or — between BeginBatch and
+// Flush, as the multi-object service brackets a tick — gathered in one
+// buffer and written in writes of at most maxBatchWrite. Either way the
+// segment files are byte-identical: rotation falls on the same record
+// boundary, and SyncEvery counts records.
+//
 // Crash safety: a torn final write (truncated frame or mismatched CRC at
 // the tail) is detected on Open and truncated away, so the ledger
-// reopens at the last durable record. A corrupted frame in the middle of
+// reopens at the last durable record. A write that fails while the
+// ledger is open puts the segment back at its last whole frame, so the
+// next append lands on a frame boundary. A corrupted frame in the middle of
 // a segment poisons only that segment's suffix — frame lengths after a
 // flipped length byte cannot be trusted — and recovery keeps every
 // record up to the corruption.
@@ -43,6 +51,11 @@ const (
 	segSuffix    = ".seg"
 	frameHeader  = wire.FrameHeader
 	maxFrameSize = 16 << 20
+	// maxBatchWrite caps one write of a batch, and so the batch buffer
+	// the ledger keeps: a frame that would take the buffer past it sends
+	// what is buffered first. A 10k-object tick is ~90 such writes where
+	// it was 10k, and the buffer is a fixed cost of 256 KiB.
+	maxBatchWrite = 256 << 10
 )
 
 // Options tunes a ledger. The zero value is usable: 4 MiB segments,
@@ -58,7 +71,8 @@ type Options struct {
 	MaxTotalBytes int64
 	// SyncEvery fsyncs the active segment every N appends (0 = never;
 	// the OS flushes on Close/exit as usual). 1 makes every epoch
-	// durable before Append returns.
+	// durable before Append returns. In a batch the fsync comes at the
+	// rotation or Flush that follows the Nth record.
 	SyncEvery int
 	// Metrics, when non-nil, receives ledger_appends_total,
 	// ledger_appended_bytes_total, ledger_segments (gauge),
@@ -82,19 +96,25 @@ func (o *Options) fillDefaults() {
 type Ledger struct {
 	dir    string
 	opt    Options
-	active *os.File
-	// seg is the active segment's index, size its current byte length.
+	active segmentFile
+	// seg is the active segment's index, size the byte length written to
+	// it.
 	seg  int
 	size int64
 	// sizes tracks every live segment's byte size for compaction.
 	sizes map[int]int64
-	// records counts appends since Open plus records recovered in the
-	// active segment.
+	// records counts appends written since Open plus records recovered
+	// in the active segment.
 	records   int
 	sinceSync int
-	// buf is the frame scratch buffer Append reuses, so the epoch path
-	// pays one amortized allocation instead of one per record.
+	syncDue   bool // SyncEvery came due: fsync at the next flush
+	// buf holds the frames not yet written — one outside a batch, up to
+	// maxBatchWrite of them in one — and pending counts them. Append
+	// reuses it, so the epoch path pays one amortized allocation instead
+	// of one per record.
 	buf          []byte
+	pending      int
+	batch        bool
 	appends      *metrics.Counter
 	appendedB    *metrics.Counter
 	segGauge     *metrics.Gauge
@@ -181,40 +201,117 @@ func Open(dir string, opt Options) (*Ledger, error) {
 	return l, nil
 }
 
+// segmentFile is what the ledger needs of the active segment: *os.File,
+// or a stand-in a test makes fail.
+type segmentFile interface {
+	io.Writer
+	io.Seeker
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
 // Append encodes the record, frames it with its CRC, and appends it to
-// the active segment, rotating and compacting as configured.
+// the active segment, rotating and compacting as configured. Outside a
+// batch the frame is written before Append returns; in one it waits in
+// the buffer (see BeginBatch).
 func (l *Ledger) Append(rec Record) error {
 	if l.active == nil {
 		return errors.New("ledger: append on closed ledger")
 	}
-	l.buf = appendRecord(wire.BeginFrame(l.buf[:0]), &rec)
-	frame := l.buf
+	start := len(l.buf)
+	l.buf = appendRecord(wire.BeginFrame(l.buf), &rec)
+	frame := l.buf[start:]
 	if n := len(frame) - frameHeader; n > maxFrameSize {
+		l.buf = l.buf[:start]
 		return fmt.Errorf("ledger: record of %d bytes exceeds frame limit %d", n, maxFrameSize)
 	}
 	wire.EndFrame(frame, 0)
-	if _, err := l.active.Write(frame); err != nil {
-		return fmt.Errorf("ledger: append: %w", err)
+	if start > 0 && len(l.buf) > maxBatchWrite {
+		// Write what the batch held, then keep this frame at the front.
+		if err := l.write(l.buf[:start]); err != nil {
+			return err
+		}
+		l.buf = l.buf[:copy(l.buf, frame)]
 	}
-	l.size += int64(len(frame))
-	l.sizes[l.seg] = l.size
-	l.records++
-	l.appends.Inc()
-	l.appendedB.Add(int64(len(frame)))
+	l.pending++
 	if l.opt.SyncEvery > 0 {
 		l.sinceSync++
 		if l.sinceSync >= l.opt.SyncEvery {
-			if err := l.active.Sync(); err != nil {
-				return fmt.Errorf("ledger: sync: %w", err)
-			}
-			l.sinceSync = 0
+			l.syncDue = true
 		}
 	}
-	if l.size >= l.opt.MaxSegmentBytes {
-		if err := l.rotate(); err != nil {
+	if l.size+int64(len(l.buf)) >= l.opt.MaxSegmentBytes {
+		if err := l.flush(); err != nil {
 			return err
 		}
+		return l.rotate()
 	}
+	if !l.batch {
+		return l.flush()
+	}
+	return nil
+}
+
+// BeginBatch gathers the appends that follow in the ledger's buffer
+// until Flush: they reach the active segment in writes of at most
+// maxBatchWrite bytes, at a rotation, or at Flush, and a SyncEvery fsync
+// that comes due waits for the rotation or Flush that follows. The
+// files are the ones record-by-record appends would write.
+func (l *Ledger) BeginBatch() { l.batch = true }
+
+// Flush writes what a batch gathered, fsyncing if SyncEvery came due,
+// and ends the batch.
+func (l *Ledger) Flush() error {
+	l.batch = false
+	if l.active == nil {
+		return nil
+	}
+	return l.flush()
+}
+
+// flush writes the buffered frames, then fsyncs if one is due.
+func (l *Ledger) flush() error {
+	if err := l.write(l.buf); err != nil {
+		return err
+	}
+	l.buf = l.buf[:0]
+	if l.syncDue {
+		if err := l.active.Sync(); err != nil {
+			return fmt.Errorf("ledger: sync: %w", err)
+		}
+		l.syncDue, l.sinceSync = false, 0
+	}
+	return nil
+}
+
+// write sends b — the pending frames, whole — to the active segment in
+// writes of at most maxBatchWrite. A failed write drops every pending
+// frame and cuts the segment back to its last whole frame, so the next
+// append lands on a frame boundary instead of behind a torn one.
+func (l *Ledger) write(b []byte) error {
+	for off := 0; off < len(b); {
+		n := min(len(b)-off, maxBatchWrite)
+		if _, err := l.active.Write(b[off : off+n]); err != nil {
+			dropped := l.pending
+			l.buf, l.pending = l.buf[:0], 0
+			err = fmt.Errorf("ledger: append: %w (%d records dropped)", err, dropped)
+			if terr := l.active.Truncate(l.size); terr != nil {
+				return errors.Join(err, fmt.Errorf("ledger: truncate segment %d: %w", l.seg, terr))
+			}
+			if _, serr := l.active.Seek(l.size, io.SeekStart); serr != nil {
+				return errors.Join(err, fmt.Errorf("ledger: seek segment %d: %w", l.seg, serr))
+			}
+			return err
+		}
+		off += n
+	}
+	l.size += int64(len(b))
+	l.sizes[l.seg] = l.size
+	l.records += l.pending
+	l.appends.Add(int64(l.pending))
+	l.appendedB.Add(int64(len(b)))
+	l.pending = 0
 	return nil
 }
 
@@ -276,22 +373,25 @@ func (l *Ledger) startSegment(idx int) error {
 	return nil
 }
 
-// Sync flushes the active segment to stable storage.
+// Sync writes any buffered frames and flushes the active segment to
+// stable storage.
 func (l *Ledger) Sync() error {
 	if l.active == nil {
 		return errors.New("ledger: sync on closed ledger")
 	}
-	l.sinceSync = 0
-	return l.active.Sync()
+	l.syncDue = true
+	return l.flush()
 }
 
-// Close syncs and closes the active segment. The ledger cannot be
-// appended to afterwards; reopen with Open.
+// Close writes any buffered frames, syncs and closes the active
+// segment. The ledger cannot be appended to afterwards; reopen with
+// Open.
 func (l *Ledger) Close() error {
 	if l.active == nil {
 		return nil
 	}
-	err := l.active.Sync()
+	l.syncDue = true
+	err := l.flush()
 	if cerr := l.active.Close(); err == nil {
 		err = cerr
 	}

@@ -434,9 +434,21 @@ func (s *Service) EndEpoch() (EpochStats, error) {
 
 // EndEpochDegraded is EndEpoch under partial failure; reachable reports
 // whether a node's summary can be collected this epoch.
-func (s *Service) EndEpochDegraded(reachable func(node int) bool) (EpochStats, error) {
+//
+// The tick's ledger records go out as one batch: they reach the file in
+// writes of at most 256 KiB, the last before EndEpochDegraded returns, and
+// a failed write is returned here (see ledger.Ledger.BeginBatch).
+func (s *Service) EndEpochDegraded(reachable func(node int) bool) (_ EpochStats, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if led := s.cfg.Object.Ledger; led != nil {
+		led.BeginBatch()
+		defer func() {
+			if ferr := led.Flush(); ferr != nil && err == nil {
+				err = fmt.Errorf("placement: %w", ferr)
+			}
+		}()
+	}
 	s.epoch++
 	s.stats = EpochStats{Epoch: s.epoch, Objects: len(s.objects)}
 

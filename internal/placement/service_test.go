@@ -662,3 +662,38 @@ func TestFleetTracesWhole(t *testing.T) {
 		}
 	}
 }
+
+// TestProvenanceIdleObjectBesideBusyOne runs one provenance-on tick in
+// which one object has accesses and the next has never had any: the
+// idle object's capture runs on the scratch the busy one just used and
+// must attribute nothing.
+func TestProvenanceIdleObjectBesideBusyOne(t *testing.T) {
+	cfg := svcConfig(2)
+	cfg.Object.Provenance = true
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy, err := svc.Register("busy", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := svc.Register("idle", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, busy, 11, 0, 0)
+	if _, err := svc.EndEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if prov := busy.LastProvenance(); prov == nil || len(prov.PerDC) == 0 {
+		t.Fatalf("busy object attributed nothing: %+v", prov)
+	}
+	prov := idle.LastProvenance()
+	if prov == nil {
+		t.Fatal("no provenance for the idle object")
+	}
+	if len(prov.PerDC) != 0 || len(prov.Counterfactuals) != 0 {
+		t.Fatalf("idle object attributed demand it never saw: %+v", prov)
+	}
+}

@@ -133,7 +133,7 @@ func TestStaleSummaryWeightDecaysWithAge(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := m.Replicas()[1]
-	lk := m.lastKnown[rep]
+	lk := m.slot(rep).last
 	var freshW float64
 	for _, mc := range lk.micros {
 		freshW += mc.Weight
@@ -147,7 +147,7 @@ func TestStaleSummaryWeightDecaysWithAge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.lastKnown[rep].age; got != 2 {
+	if got := m.slot(rep).last.age; got != 2 {
 		t.Errorf("cached age = %d, want 2", got)
 	}
 }
@@ -176,7 +176,7 @@ func TestUnreachableReplicaSkipsDecay(t *testing.T) {
 	loadNear(t, m, 7, 100, 2, 95)
 	down := m.Replicas()[1]
 	weightOf := func(rep int) float64 {
-		ms, err := m.servers[rep].ExportInto(nil)
+		ms, err := m.slot(rep).srv.ExportInto(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestUnreachableReplicaSkipsDecay(t *testing.T) {
 	// Skip if the epoch migrated the down replica away (it should not:
 	// with one fresh summary of two and quorum 0.5 migration is allowed,
 	// but the test load keeps demand at the existing locations).
-	if _, still := m.servers[down]; !still {
+	if m.slot(down) == nil {
 		t.Skip("replica migrated away; decay not observable")
 	}
 	if got := weightOf(down); got != wBefore {
@@ -219,17 +219,17 @@ func TestStaleSummarySurvivesViewRebuild(t *testing.T) {
 		t.Fatalf("placement moved to %v; the fixture needs replicas [0 1]", got)
 	}
 	var want []cluster.Micro
-	for _, mc := range m.lastKnown[1].micros {
+	for _, mc := range m.slot(1).last.micros {
 		want = append(want, mc.Clone())
 	}
-	n0 := len(m.lastKnown[0].micros)
+	n0 := len(m.slot(0).last.micros)
 	for age := 1; age <= 2; age++ {
 		loadNear(t, m, int64(10+age), 300, 0, 8, 16, 24)
 		p, err := m.BeginEpoch(up(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := len(m.lastKnown[0].micros)
+		fresh := len(m.slot(0).last.micros)
 		if age == 1 && fresh <= n0 {
 			t.Fatalf("replica 0 exported %d micros, want more than %d to overrun the old view", fresh, n0)
 		}
@@ -246,7 +246,7 @@ func TestStaleSummarySurvivesViewRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(m.lastKnown[1].micros, want) {
-		t.Fatalf("cached summary changed while its replica was down:\n%+v\n%+v", m.lastKnown[1].micros, want)
+	if !reflect.DeepEqual(m.slot(1).last.micros, want) {
+		t.Fatalf("cached summary changed while its replica was down:\n%+v\n%+v", m.slot(1).last.micros, want)
 	}
 }

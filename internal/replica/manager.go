@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -233,26 +234,22 @@ type Manager struct {
 	f               *Fleet
 	objectID, class string // stamped into every ledger record
 	k               int
-	servers         map[int]*Server
 	replicas        []int
-	epoch           int
-	migrations      int
-	// lastKnown caches each replica's most recent successfully collected
-	// summary so an unreachable replica can still contribute a stale,
-	// staleness-decayed view to the epoch decision.
-	lastKnown map[int]staleSummary
+	// slots holds each replica's state, in replicas order.
+	slots      []replicaSlot
+	epoch      int
+	migrations int
 	// observedMs / observedAccesses hold the measured mean access delay
 	// the caller reported for the current epoch (see RecordObserved);
 	// consumed and reset by EndEpochDegraded when writing the ledger.
 	observedMs       float64
 	observedAccesses int64
 
-	// Collect scratch, reused across epochs: the aggregated micro view
-	// and the previous-placement copy. A pending epoch aliases both, so
-	// unlike the completion scratch they are per manager — the
+	// pending is the one collect-phase state, reused every epoch: its
+	// micro view and previous-placement copy keep their backing. It is
+	// per manager, unlike the completion scratch, because the
 	// multi-object service holds every object's epoch open at once.
-	microScratch []cluster.Micro
-	prevScratch  []int
+	pending PendingEpoch
 
 	// Provenance capture state (cfg.Provenance). prov is the one decision
 	// record, reused every epoch; provReady marks that the just-completed
@@ -323,12 +320,32 @@ type EpochOverride struct {
 	Frontier     []provenance.Candidate
 }
 
+// replicaSlot is one replica's state: the server holding its summary,
+// and the summary last collected from it so an unreachable replica can
+// still contribute a stale, staleness-decayed view to the epoch decision.
+type replicaSlot struct {
+	srv  *Server
+	last staleSummary
+}
+
 // staleSummary is a cached summary with its age in epochs (0 = collected
-// this epoch). At age 0 micros aliases the manager's epoch view; a stale
-// summary owns a copy.
+// this epoch); known is false until a first collection. At age 0 micros
+// aliases the manager's epoch view; a stale summary owns a copy.
 type staleSummary struct {
 	micros []cluster.Micro
 	age    int
+	known  bool
+}
+
+// slot returns the state of the replica at node rep, nil when rep holds
+// no replica.
+func (m *Manager) slot(rep int) *replicaSlot {
+	for i, r := range m.replicas {
+		if r == rep {
+			return &m.slots[i]
+		}
+	}
+	return nil
 }
 
 // NewManager creates a manager over the given candidate data centers, on
@@ -370,15 +387,17 @@ func (m *Manager) LastProvenance() *provenance.Record {
 // Route returns the replica that should serve a client at the given
 // coordinate — the one with the smallest predicted RTT (§II-A).
 func (m *Manager) Route(client coord.Coordinate) int {
-	rep, _ := m.route(client)
-	return rep
+	i, _ := m.route(client)
+	return m.replicas[i]
 }
 
+// route returns the index in m.replicas of the closest replica and its
+// predicted delay.
 func (m *Manager) route(client coord.Coordinate) (int, float64) {
-	best, bestD := m.replicas[0], math.Inf(1)
-	for _, rep := range m.replicas {
+	best, bestD := 0, math.Inf(1)
+	for i, rep := range m.replicas {
 		if d := client.DistanceTo(m.f.coords[rep]); d < bestD {
-			best, bestD = rep, d
+			best, bestD = i, d
 		}
 	}
 	return best, bestD
@@ -387,8 +406,9 @@ func (m *Manager) route(client coord.Coordinate) (int, float64) {
 // Record routes the access and folds it into the serving replica's
 // summary, returning the serving replica.
 func (m *Manager) Record(client coord.Coordinate, weight float64) (int, error) {
-	rep, predMs := m.route(client)
-	if err := m.servers[rep].Record(client.Pos, weight); err != nil {
+	i, predMs := m.route(client)
+	rep := m.replicas[i]
+	if err := m.slots[i].srv.Record(client.Pos, weight); err != nil {
 		return rep, err
 	}
 	m.f.met.accesses.Inc()
@@ -401,11 +421,11 @@ func (m *Manager) Record(client coord.Coordinate, weight float64) (int, error) {
 // that route externally (e.g. the TCP daemon, where the client picked the
 // server itself).
 func (m *Manager) RecordAt(rep int, clientPos vec.Vec, weight float64) error {
-	srv, ok := m.servers[rep]
-	if !ok {
+	sl := m.slot(rep)
+	if sl == nil {
 		return fmt.Errorf("replica: node %d does not hold a replica", rep)
 	}
-	return srv.Record(clientPos, weight)
+	return sl.srv.Record(clientPos, weight)
 }
 
 // RecordBatchAt folds a batch of accesses into a specific replica's
@@ -414,11 +434,11 @@ func (m *Manager) RecordAt(rep int, clientPos vec.Vec, weight float64) error {
 // planet-scale ingest hot path — one call per aggregated simnet frame —
 // and it allocates nothing in steady state.
 func (m *Manager) RecordBatchAt(rep int, clients []int, weights []float64) error {
-	srv, ok := m.servers[rep]
-	if !ok {
+	sl := m.slot(rep)
+	if sl == nil {
 		return fmt.Errorf("replica: node %d does not hold a replica", rep)
 	}
-	if err := srv.RecordBatch(clients, m.f.positions, weights); err != nil {
+	if err := sl.srv.RecordBatch(clients, m.f.positions, weights); err != nil {
 		return err
 	}
 	m.f.met.accesses.Add(int64(len(clients)))
@@ -478,15 +498,23 @@ func (m *Manager) EndEpochDegraded(r *rand.Rand, reachable func(node int) bool) 
 // completes each epoch with a group-shared placement.
 func (m *Manager) BeginEpoch(reachable func(node int) bool) (*PendingEpoch, error) {
 	m.epoch++
-	root := m.f.cfg.Tracer.StartRoot(fmt.Sprintf("epoch %d", m.epoch), trace.KindEpoch)
-	root.SetAttr("epoch", strconv.Itoa(m.epoch))
-	root.SetAttr("k", strconv.Itoa(m.k))
+	tr := m.f.cfg.Tracer
+	var root *trace.ActiveSpan
+	if tr != nil {
+		var buf [32]byte
+		name := string(strconv.AppendInt(append(buf[:0], "epoch "...), int64(m.epoch), 10))
+		root = tr.StartRoot(name, trace.KindEpoch)
+		root.SetAttr("epoch", name[len("epoch "):])
+		root.SetAttr("k", strconv.Itoa(m.k))
+	}
 
 	// The observed-delay window closes with this epoch whether or not the
 	// decision succeeds; consume it now.
-	p := &PendingEpoch{
+	p := &m.pending
+	*p = PendingEpoch{
 		root:      root,
-		prev:      append(m.prevScratch[:0], m.replicas...),
+		prev:      append(p.prev[:0], m.replicas...),
+		micros:    p.micros,
 		obsMs:     m.observedMs,
 		obsN:      m.observedAccesses,
 		reachable: reachable,
@@ -494,30 +522,30 @@ func (m *Manager) BeginEpoch(reachable func(node int) bool) (*PendingEpoch, erro
 	m.observedMs, m.observedAccesses = 0, 0
 
 	// The view is the one copy of this epoch's summaries: a reachable
-	// replica exports straight into it, and its lastKnown entry aliases
+	// replica exports straight into it, and its cached summary aliases
 	// its stretch. So reachability is settled first — a replica going
 	// stale has its summary copied out before the rebuild overwrites it —
 	// and the view is sized exactly before any export.
 	need := 0
-	for _, rep := range m.replicas {
+	for i, rep := range m.replicas {
+		sl := &m.slots[i]
 		if reachable == nil || reachable(rep) {
-			need += m.servers[rep].exportLen()
+			need += sl.srv.exportLen()
 			continue
 		}
 		p.missing = append(p.missing, rep)
-		if lk, ok := m.lastKnown[rep]; ok {
+		if lk := &sl.last; lk.known {
 			if lk.age == 0 {
 				own := make([]cluster.Micro, len(lk.micros))
 				for i := range lk.micros {
 					own[i] = lk.micros[i].Clone()
 				}
 				lk.micros = own
-				m.lastKnown[rep] = lk
 			}
 			need += len(lk.micros)
 		}
 	}
-	view := m.microScratch[:0]
+	view := p.micros[:0]
 	if cap(view) < need {
 		// Carry the old elements forward: their vectors are what the
 		// exports reuse.
@@ -526,19 +554,23 @@ func (m *Manager) BeginEpoch(reachable func(node int) bool) (*PendingEpoch, erro
 		view = grown[:0]
 	}
 	missing := p.missing
-	for _, rep := range m.replicas {
-		sp := m.f.cfg.Tracer.Start(root.Context(), fmt.Sprintf("collect %d", rep), trace.KindCollect)
-		sp.SetAttr("replica", strconv.Itoa(rep))
+	for i, rep := range m.replicas {
+		sl := &m.slots[i]
+		var sp *trace.ActiveSpan
+		if tr != nil {
+			name := m.f.collectNames[m.f.candIndex(rep)]
+			sp = tr.Start(root.Context(), name, trace.KindCollect)
+			sp.SetAttr("replica", name[len("collect "):])
+		}
 		if len(missing) > 0 && missing[0] == rep {
 			missing = missing[1:]
-			lk, ok := m.lastKnown[rep]
-			if !ok {
+			lk := &sl.last
+			if !lk.known {
 				sp.SetErrString(fmt.Sprintf("replica %d unreachable: no cached summary", rep))
 				sp.End()
 				continue // never collected: nothing to reuse
 			}
 			lk.age++
-			m.lastKnown[rep] = lk
 			scale := math.Pow(m.f.cfg.DecayFactor, float64(lk.age))
 			for i := range lk.micros {
 				// Within capacity, reuse the slot's vector storage.
@@ -556,14 +588,13 @@ func (m *Manager) BeginEpoch(reachable func(node int) bool) (*PendingEpoch, erro
 			sp.End()
 			continue
 		}
-		srv := m.servers[rep]
 		// Export copies the summary into the view's tail — dead since last
 		// epoch — then the wire length is computed arithmetically: same
 		// bytes as shipping the encoding, with no encode, decode, or
 		// steady-state allocation on the collect path. The append is a
 		// no-op copy when the export landed in place.
 		start := len(view)
-		ms, err := srv.ExportInto(view[start:start])
+		ms, err := sl.srv.ExportInto(view[start:start])
 		if err != nil {
 			sp.SetErr(err)
 			sp.End()
@@ -575,17 +606,17 @@ func (m *Manager) BeginEpoch(reachable func(node int) bool) (*PendingEpoch, erro
 		ms = view[start:len(view):len(view)]
 		n := cluster.EncodedMicrosLen(ms)
 		p.collected += n
-		m.lastKnown[rep] = staleSummary{micros: ms, age: 0}
+		sl.last = staleSummary{micros: ms, known: true}
 		p.fresh++
 		for i := range ms {
 			p.demand += ms[i].Weight
 		}
-		sp.SetAttr("bytes", strconv.Itoa(n))
-		sp.End()
+		if sp != nil {
+			sp.SetAttr("bytes", strconv.Itoa(n))
+			sp.End()
+		}
 	}
 	p.micros = view
-	m.microScratch = view[:0]
-	m.prevScratch = p.prev[:0]
 	p.quorumOK = float64(p.fresh) >= m.f.cfg.Quorum*float64(len(m.replicas))
 	switch {
 	case !p.quorumOK:
@@ -618,6 +649,8 @@ func (m *Manager) CompleteEpoch(r *rand.Rand, p *PendingEpoch, ov *EpochOverride
 	defer root.End() // idempotent; covers every return path
 	m.provReady = false
 	micros, reachable := p.micros, p.reachable
+	// The pending state outlives the epoch; what it points at should not.
+	p.root, p.reachable = nil, nil
 	if m.f.cfg.Ledger != nil {
 		defer func() {
 			if err == nil {
@@ -626,8 +659,13 @@ func (m *Manager) CompleteEpoch(r *rand.Rand, p *PendingEpoch, ov *EpochOverride
 		}()
 	}
 
+	// The decision's two placements share one allocation: the current
+	// replicas, then room for a proposal of up to KPolicy.Max.
+	k := len(m.replicas)
+	reps := make([]int, k, k+m.f.cfg.KPolicy.Max)
+	copy(reps, m.replicas)
 	dec = Decision{
-		NewReplicas:      m.Replicas(),
+		NewReplicas:      reps[:k:k],
 		K:                m.k,
 		CollectedBytes:   p.collected,
 		Degraded:         len(p.missing) > 0,
@@ -640,13 +678,15 @@ func (m *Manager) CompleteEpoch(r *rand.Rand, p *PendingEpoch, ov *EpochOverride
 		// epochs that decide nothing.
 		dec.Leader = replog.ChooseLeader(m.f.cfg.LeaderPolicy, m.replicas, micros, m.f.coords)
 	}
+	sc := &m.f.sc
+	sc.fillMicros(micros)
 	if !p.quorumOK {
 		// Too few live summaries to trust any decision: estimate for the
 		// record, change nothing, and age only the replicas that heard
 		// from us (the unreachable ones never received the decay command).
 		m.f.met.quorumBlock.Inc()
 		if len(micros) > 0 {
-			if est, err := estimateMeanDelayScratch(&m.f.sc.est, micros, m.replicas, m.f.coords); err == nil {
+			if est, err := sc.estimate(&sc.old, m.replicas, m.f.coords); err == nil {
 				dec.EstimatedOldMs, dec.EstimatedNewMs = est, est
 			}
 		}
@@ -681,7 +721,9 @@ func (m *Manager) CompleteEpoch(r *rand.Rand, p *PendingEpoch, ov *EpochOverride
 		dec.K = m.k
 
 		km := m.f.cfg.Tracer.Start(root.Context(), "kmeans", trace.KindKMeans)
-		km.SetAttr("micros", strconv.Itoa(len(micros)))
+		if km != nil {
+			km.SetAttr("micros", strconv.Itoa(len(micros)))
+		}
 		proposed, err = ProposePlacementOpt(r, micros, m.k, m.f.candidates, m.f.coords,
 			cluster.Options{Metrics: m.f.cfg.Metrics, Scratch: &m.f.sc.km})
 		km.SetErr(err)
@@ -691,22 +733,33 @@ func (m *Manager) CompleteEpoch(r *rand.Rand, p *PendingEpoch, ov *EpochOverride
 			return dec, err
 		}
 	}
-	dec.Proposed = append([]int(nil), proposed...)
+	dec.Proposed = append(reps[k:k], proposed...)
 
+	// Both estimates run over the micro cache. The proposal is priced in
+	// sorted order — the order m.replicas takes if it is adopted — so its
+	// per-micro costs are already the adopted placement's; a minimum does
+	// not depend on the order it is taken in, so the estimate is the same.
+	// A proposal that is the current placement is the same computation,
+	// so it is not run twice.
 	ds := m.f.cfg.Tracer.Start(root.Context(), "decide", trace.KindDecide)
-	oldEst, err := estimateMeanDelayScratch(&m.f.sc.est, micros, m.replicas, m.f.coords)
+	oldEst, err := sc.estimate(&sc.old, m.replicas, m.f.coords)
 	if err != nil {
 		ds.SetErr(err)
 		ds.End()
 		root.SetErr(err)
 		return dec, err
 	}
-	newEst, err := estimateMeanDelayScratch(&m.f.sc.est, micros, proposed, m.f.coords)
-	if err != nil {
-		ds.SetErr(err)
-		ds.End()
-		root.SetErr(err)
-		return dec, err
+	sc.sorted = append(sc.sorted[:0], proposed...)
+	sort.Ints(sc.sorted)
+	newCost, newEst := &sc.old, oldEst
+	if !slices.Equal(sc.sorted, m.replicas) {
+		newCost = &sc.new
+		if newEst, err = sc.estimate(newCost, sc.sorted, m.f.coords); err != nil {
+			ds.SetErr(err)
+			ds.End()
+			root.SetErr(err)
+			return dec, err
+		}
 	}
 	dec.EstimatedOldMs, dec.EstimatedNewMs = oldEst, newEst
 	dec.MovedReplicas = countMoved(m.replicas, proposed)
@@ -745,15 +798,17 @@ func (m *Manager) CompleteEpoch(r *rand.Rand, p *PendingEpoch, ov *EpochOverride
 		m.f.met.held.Inc()
 		root.MarkAnomalous("migration_held_budget")
 	}
+	adopted := &sc.old
 	if approved {
-		if err := m.applyPlacement(proposed); err != nil {
+		if err := m.applyPlacement(sc.sorted); err != nil {
 			ds.SetErr(err)
 			ds.End()
 			root.SetErr(err)
 			return dec, err
 		}
+		adopted = newCost
 		dec.Migrate = true
-		dec.NewReplicas = m.Replicas()
+		dec.NewReplicas = append(dec.NewReplicas[:0], m.replicas...)
 		if leaderNew >= 0 {
 			dec.Leader = leaderNew
 		}
@@ -764,16 +819,20 @@ func (m *Manager) CompleteEpoch(r *rand.Rand, p *PendingEpoch, ov *EpochOverride
 			root.MarkAnomalous("migrated")
 		}
 	}
-	ds.SetAttr("migrate", strconv.FormatBool(dec.Migrate))
-	ds.SetAttr("moved", strconv.Itoa(dec.MovedReplicas))
-	ds.SetAttr("gain_ms", strconv.FormatFloat(oldEst-newEst, 'f', 3, 64))
+	if ds != nil {
+		ds.SetAttr("migrate", strconv.FormatBool(dec.Migrate))
+		ds.SetAttr("moved", strconv.Itoa(dec.MovedReplicas))
+		ds.SetAttr("gain_ms", strconv.FormatFloat(oldEst-newEst, 'f', 3, 64))
+		if m.f.cfg.WriteFraction > 0 {
+			ds.SetAttr("leader", strconv.Itoa(dec.Leader))
+		}
+		ds.End()
+	}
 	if m.f.cfg.WriteFraction > 0 {
-		ds.SetAttr("leader", strconv.Itoa(dec.Leader))
 		m.f.met.leader.Set(float64(dec.Leader))
 	}
-	ds.End()
 
-	m.provDecide(p, ov, &dec, gateOld, gateNew, proposed)
+	m.provDecide(p, ov, &dec, adopted, gateOld, gateNew, proposed)
 
 	// Age the surviving summaries so the next epoch reflects recent use.
 	return dec, m.decaySummaries(reachable)
@@ -783,11 +842,11 @@ func (m *Manager) CompleteEpoch(r *rand.Rand, p *PendingEpoch, ov *EpochOverride
 // reach; an unreachable replica keeps its un-decayed state until it
 // rejoins (it never heard the decay command).
 func (m *Manager) decaySummaries(reachable func(node int) bool) error {
-	for rep, srv := range m.servers {
+	for i, rep := range m.replicas {
 		if reachable != nil && !reachable(rep) {
 			continue
 		}
-		if err := srv.Decay(m.f.cfg.DecayFactor); err != nil {
+		if err := m.slots[i].srv.Decay(m.f.cfg.DecayFactor); err != nil {
 			return err
 		}
 	}
@@ -816,43 +875,39 @@ func (m *Manager) approveMigration(oldEst, newEst, demand float64, moved int) bo
 	return true
 }
 
-// applyPlacement migrates the replica set: servers at kept locations
-// retain their summaries, new locations start fresh, dropped locations
-// are discarded.
-func (m *Manager) applyPlacement(newReps []int) error {
-	next := make(map[int]*Server, len(newReps))
-	for _, rep := range newReps {
-		if srv, ok := m.servers[rep]; ok {
-			next[rep] = srv
+// applyPlacement migrates the replica set to sorted, the new placement
+// in ascending node order: servers at kept locations retain their
+// summaries and cached views, new locations start fresh, dropped
+// locations are discarded.
+func (m *Manager) applyPlacement(sorted []int) error {
+	var buf [8]replicaSlot
+	next := buf[:0]
+	if len(sorted) > len(buf) {
+		next = make([]replicaSlot, 0, len(sorted))
+	}
+	for _, rep := range sorted {
+		if sl := m.slot(rep); sl != nil {
+			next = append(next, *sl)
 			continue
 		}
 		srv, err := m.f.cfg.newServer()
 		if err != nil {
 			return err
 		}
-		next[rep] = srv
+		next = append(next, replicaSlot{srv: srv})
 	}
-	m.servers = next
-	for rep := range m.lastKnown {
-		if _, kept := next[rep]; !kept {
-			delete(m.lastKnown, rep)
-		}
-	}
-	m.replicas = append(m.replicas[:0], newReps...)
-	sort.Ints(m.replicas)
+	clear(m.slots)
+	m.slots = append(m.slots[:0], next...)
+	m.replicas = append(m.replicas[:0], sorted...)
 	return nil
 }
 
 // countMoved returns how many locations of b are not in a — the number of
 // new replicas that would need a data copy.
 func countMoved(a, b []int) int {
-	in := make(map[int]bool, len(a))
-	for _, x := range a {
-		in[x] = true
-	}
 	moved := 0
 	for _, x := range b {
-		if !in[x] {
+		if !slices.Contains(a, x) {
 			moved++
 		}
 	}

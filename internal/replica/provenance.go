@@ -2,6 +2,7 @@ package replica
 
 import (
 	"math"
+	"slices"
 
 	"github.com/georep/georep/internal/cluster"
 	"github.com/georep/georep/internal/provenance"
@@ -26,7 +27,7 @@ func (m *Manager) provTrivial(reason provenance.Reason, p *PendingEpoch, ov *Epo
 	m.prov.Reason = reason
 	m.provGates(p, ov)
 	m.prov.ReadMs = dec.EstimatedOldMs
-	m.attributePerDC(p.micros, m.replicas)
+	m.attributePerDC(&m.f.sc.old)
 	m.prov.Finalize(dec.EstimatedOldMs)
 	m.provReady = true
 	m.f.provEst.Observe(&m.prov)
@@ -36,8 +37,9 @@ func (m *Manager) provTrivial(reason provenance.Reason, p *PendingEpoch, ov *Epo
 // reason, cost decomposition of the adopted placement, and the ranked
 // counterfactuals — the rejected side of the migration gate, the
 // service's solve frontier, and bounded single-slot swap probes.
+// adopted holds the per-micro costs of the placement the epoch ends on.
 // Runs after the decision is final so it reads, never steers.
-func (m *Manager) provDecide(p *PendingEpoch, ov *EpochOverride, dec *Decision, gateOld, gateNew float64, proposed []int) {
+func (m *Manager) provDecide(p *PendingEpoch, ov *EpochOverride, dec *Decision, adopted *placementCost, gateOld, gateNew float64, proposed []int) {
 	if !m.f.cfg.Provenance {
 		return
 	}
@@ -91,7 +93,7 @@ func (m *Manager) provDecide(p *PendingEpoch, ov *EpochOverride, dec *Decision, 
 				(p.demand * mg.GainPerMsAccess)
 		}
 	}
-	m.attributePerDC(p.micros, m.replicas)
+	m.attributePerDC(adopted)
 
 	// Counterfactual 1: the losing side of the migration gate. Both
 	// blended costs were already computed for the decision, so this is
@@ -113,7 +115,7 @@ func (m *Manager) provDecide(p *PendingEpoch, ov *EpochOverride, dec *Decision, 
 	}
 	// Counterfactuals n+1..: bounded swap probes around the adopted
 	// placement.
-	m.provSwaps(p.micros, chosen, wf)
+	m.provSwaps(p.micros, adopted, chosen, wf)
 
 	m.prov.Finalize(chosen)
 	m.provReady = true
@@ -143,16 +145,16 @@ func (m *Manager) provGates(p *PendingEpoch, ov *EpochOverride) {
 // first, and they calibrate the regret estimate even on epochs where
 // the solver itself scored nothing else.
 //
-// The read term rides the per-micro cache attributePerDC just filled:
-// for a one-slot swap, each micro pays min(its retained best — or the
+// The read term rides the adopted placement's per-micro costs: for a
+// one-slot swap, each micro pays min(its retained best — or the
 // runner-up when its nearest was the slot swapped away — and its
 // distance to the stand-in), so a probe costs one distance per micro
 // instead of a full placement estimate.
-func (m *Manager) provSwaps(micros []cluster.Micro, chosen, wf float64) {
+func (m *Manager) provSwaps(micros []cluster.Micro, pc *placementCost, chosen, wf float64) {
 	sc, coords := &m.f.sc, m.f.coords
 	adopted := m.replicas
 	k := len(adopted)
-	n := len(sc.provW)
+	n := pc.n
 	if len(m.f.candidates) <= k || n == 0 || sc.provMass == 0 {
 		return // no unused candidate to swap in, or nothing to score with
 	}
@@ -160,7 +162,7 @@ func (m *Manager) provSwaps(micros []cluster.Micro, chosen, wf float64) {
 		sc.swap = make([]int, k)
 	}
 	swap := sc.swap[:k]
-	dims := len(sc.provCent) / n
+	dims := sc.dims
 	probes := k
 	if probes > maxSwapProbes {
 		probes = maxSwapProbes
@@ -171,14 +173,7 @@ func (m *Manager) provSwaps(micros []cluster.Micro, chosen, wf float64) {
 		base := coords[adopted[j]]
 		alt, bestD := -1, math.Inf(1)
 		for _, c := range m.f.candidates {
-			used := false
-			for _, rep := range adopted {
-				if rep == c {
-					used = true
-					break
-				}
-			}
-			if used {
+			if slices.Contains(adopted, c) {
 				continue
 			}
 			if d := coords[c].Pos.Dist(base.Pos) + coords[c].Height; d < bestD {
@@ -193,14 +188,17 @@ func (m *Manager) provSwaps(micros []cluster.Micro, chosen, wf float64) {
 		altC := coords[alt]
 		var total float64
 		for i := 0; i < n; i++ {
-			retained := sc.provBest[i]
-			if sc.provOwner[i] == j {
-				retained = sc.provBest2[i]
+			if pc.owner[i] < 0 {
+				continue // attribution left it out
 			}
-			if d := altC.Pos.Dist(sc.provCent[i*dims:(i+1)*dims]) + altC.Height; d < retained {
+			retained := pc.best[i]
+			if pc.owner[i] == j {
+				retained = pc.best2[i]
+			}
+			if d := altC.Pos.Dist(sc.cent[i*dims:(i+1)*dims]) + altC.Height; d < retained {
 				retained = d
 			}
-			total += sc.provW[i] * retained
+			total += sc.w[i] * retained
 		}
 		cost := total / sc.provMass
 		if wf > 0 {
@@ -213,22 +211,17 @@ func (m *Manager) provSwaps(micros []cluster.Micro, chosen, wf float64) {
 	}
 }
 
-// attributePerDC decomposes the placement's serving cost by replica DC:
-// each micro-cluster's weight and delay accrue to the replica that
-// would serve it (its nearest), yielding per-DC demand shares and mean
-// delays that sum back to the read term. Scratch-backed; appends into
-// m.prov.PerDC.
-//
-// The same pass fills the per-micro cache the swap probes reuse —
-// flattened centroids, weights, each micro's best and runner-up replica
-// cost and owning slot — so capture touches every micro-replica pair
-// exactly once per epoch.
-func (m *Manager) attributePerDC(micros []cluster.Micro, replicas []int) {
-	sc, coords := &m.f.sc, m.f.coords
+// attributePerDC decomposes the adopted placement's serving cost by
+// replica DC: each micro-cluster's weight and delay accrue to the
+// replica that serves it (its nearest, as the estimate found), yielding
+// per-DC demand shares and mean delays that sum back to the read term.
+// It reads the per-micro costs the estimate recorded — no distance is
+// recomputed. Scratch-backed; appends into m.prov.PerDC.
+func (m *Manager) attributePerDC(pc *placementCost) {
+	sc, replicas := &m.f.sc, m.replicas
 	k := len(replicas)
-	sc.provW = sc.provW[:0]
 	sc.provMass = 0
-	if k == 0 || len(micros) == 0 {
+	if k == 0 || pc.n == 0 {
 		return
 	}
 	if cap(sc.dcw) < k {
@@ -239,50 +232,15 @@ func (m *Manager) attributePerDC(micros []cluster.Micro, replicas []int) {
 	for i := range ws {
 		ws[i], ds[i] = 0, 0
 	}
-	if cap(sc.provBest) < len(micros) {
-		sc.provBest = make([]float64, len(micros))
-		sc.provBest2 = make([]float64, len(micros))
-		sc.provOwner = make([]int, len(micros))
-	}
-	sc.provBest, sc.provBest2, sc.provOwner = sc.provBest[:0], sc.provBest2[:0], sc.provOwner[:0]
-	sc.provCent = sc.provCent[:0]
 	var mass float64
-	for i := range micros {
-		w := micros[i].Weight
-		if w == 0 {
-			w = float64(micros[i].Count)
-		}
-		if w == 0 {
+	for i, j := range pc.owner[:pc.n] {
+		if j < 0 {
 			continue
 		}
-		if d := micros[i].Sum.Dim(); len(sc.est) != d {
-			sc.est = make([]float64, d)
-		}
-		micros[i].CentroidInto(sc.est)
-		bestJ, best, best2 := -1, math.Inf(1), math.Inf(1)
-		for j, rep := range replicas {
-			if rep < 0 || rep >= len(coords) {
-				continue
-			}
-			d := coords[rep].Pos.Dist(sc.est) + coords[rep].Height
-			if d < best {
-				best2 = best
-				best, bestJ = d, j
-			} else if d < best2 {
-				best2 = d
-			}
-		}
-		if bestJ < 0 {
-			continue
-		}
-		ws[bestJ] += w
-		ds[bestJ] += w * best
+		w := sc.w[i]
+		ws[j] += w
+		ds[j] += w * pc.best[i]
 		mass += w
-		sc.provCent = append(sc.provCent, sc.est...)
-		sc.provW = append(sc.provW, w)
-		sc.provBest = append(sc.provBest, best)
-		sc.provBest2 = append(sc.provBest2, best2)
-		sc.provOwner = append(sc.provOwner, bestJ)
 	}
 	sc.provMass = mass
 	if mass == 0 {

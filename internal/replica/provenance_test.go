@@ -178,3 +178,36 @@ func TestProvenanceSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state epoch allocates %v with provenance vs %v without", on, off)
 	}
 }
+
+// TestProvenanceSilentAfterBusyEpoch covers a silent epoch that follows
+// a busy one: every summary decayed away, so nothing is priced, and the
+// capture must not read the busy epoch's per-micro costs.
+func TestProvenanceSilentAfterBusyEpoch(t *testing.T) {
+	m := managerFixture(t, Config{K: 2, M: 6, Dims: 2, DecayFactor: 0.3, Provenance: true})
+	rng := rand.New(rand.NewSource(5))
+	for _, x := range []float64{5, 60, 95, 140} {
+		if _, err := m.Record(coord.Coordinate{Pos: vec.Vec{x, 0}}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.EndEpoch(rng); err != nil {
+		t.Fatal(err)
+	}
+	if prov := m.LastProvenance(); prov == nil || len(prov.PerDC) == 0 {
+		t.Fatalf("busy epoch attributed nothing: %+v", prov)
+	}
+	dec, err := m.EndEpoch(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Migrate || dec.EstimatedOldMs != 0 {
+		t.Fatalf("second epoch was not silent: %+v", dec)
+	}
+	prov := m.LastProvenance()
+	if prov == nil || prov.Reason != provenance.ReasonSteady {
+		t.Fatalf("silent epoch provenance = %+v, want reason steady", prov)
+	}
+	if len(prov.PerDC) != 0 || len(prov.Counterfactuals) != 0 {
+		t.Fatalf("silent epoch attributed demand it never saw: %+v", prov)
+	}
+}

@@ -286,51 +286,9 @@ type Decision struct {
 // coordinate space. It is the objective the coordinator optimizes,
 // computable from summaries alone.
 func EstimateMeanDelay(micros []cluster.Micro, replicas []int, coords []coord.Coordinate) (float64, error) {
-	var cent vec.Vec
-	return estimateMeanDelayScratch(&cent, micros, replicas, coords)
-}
-
-// estimateMeanDelayScratch is EstimateMeanDelay computing each centroid
-// into a caller-owned scratch vector: the estimate runs twice per epoch
-// per object, and Centroid's per-micro allocation was a measurable slice
-// of a fleet epoch.
-func estimateMeanDelayScratch(cent *vec.Vec, micros []cluster.Micro, replicas []int, coords []coord.Coordinate) (float64, error) {
-	if len(replicas) == 0 {
-		return 0, fmt.Errorf("replica: no replicas to estimate against")
-	}
-	var total, mass float64
-	for i := range micros {
-		w := micros[i].Weight
-		if w == 0 {
-			w = float64(micros[i].Count)
-		}
-		if w == 0 {
-			continue
-		}
-		if d := micros[i].Sum.Dim(); len(*cent) != d {
-			*cent = vec.New(d)
-		}
-		micros[i].CentroidInto(*cent)
-		c := *cent
-		best := math.Inf(1)
-		for _, rep := range replicas {
-			if rep < 0 || rep >= len(coords) {
-				return 0, fmt.Errorf("replica: replica node %d out of coordinate range", rep)
-			}
-			// Predicted serving latency includes the replica's height
-			// (access-link delay); the clients' own heights are unknown
-			// from the summary but shift every placement equally.
-			if d := coords[rep].Pos.Dist(c) + coords[rep].Height; d < best {
-				best = d
-			}
-		}
-		total += w * best
-		mass += w
-	}
-	if mass == 0 {
-		return 0, nil
-	}
-	return total / mass, nil
+	var sc completeScratch
+	sc.fillMicros(micros)
+	return sc.estimate(&sc.old, replicas, coords)
 }
 
 // ProposePlacement runs Algorithm 1: weighted k-means over the collected

@@ -503,7 +503,7 @@ func TestManagerKeptReplicaRetainsSummary(t *testing.T) {
 		t.Fatalf("replica at node 0 should be kept, got %v", reps)
 	}
 	// Node 0's summarizer survived the migration (decayed, not reset).
-	if ms, err := m.servers[0].ExportInto(nil); err != nil || len(ms) == 0 {
+	if ms, err := m.slot(0).srv.ExportInto(nil); err != nil || len(ms) == 0 {
 		t.Errorf("kept replica lost its summary: %v", err)
 	}
 }

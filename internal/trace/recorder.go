@@ -2,6 +2,7 @@ package trace
 
 import (
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -47,6 +48,13 @@ type FlightRecorder struct {
 	// budget is over.
 	plain int
 	anom  int
+
+	// free holds evicted entries, span buffers included, for the next new
+	// traces. Nothing outside the recorder references an entry (Traces
+	// copies), so an evicted one is free the moment it leaves retention.
+	// Every new trace takes one and every eviction returns one, so in
+	// steady state the list holds one or two.
+	free []*entry
 }
 
 type entry struct {
@@ -103,7 +111,7 @@ func (f *FlightRecorder) Record(s Span) {
 	e, ok := f.traces[s.TraceID]
 	reclass := !ok // a new trace or a class flip can push a budget over
 	if !ok {
-		e = &entry{}
+		e = f.takeEntryLocked(1)
 		f.traces[s.TraceID] = e
 		f.order = append(f.order, orderEnt{id: s.TraceID})
 		f.plain++
@@ -138,34 +146,85 @@ func (f *FlightRecorder) rootLocked(e *entry, s Span) bool {
 	return pinned
 }
 
+// takeEntryLocked returns an empty entry for a new trace of n spans: an
+// evicted one when the recorder has any, else a new one sized for n.
+// Caller holds f.mu.
+func (f *FlightRecorder) takeEntryLocked(n int) *entry {
+	if k := len(f.free); k > 0 {
+		e := f.free[k-1]
+		f.free[k-1] = nil
+		f.free = f.free[:k-1]
+		e.anomaly = ""
+		return e
+	}
+	if n <= 1 {
+		return &entry{}
+	}
+	return &entry{spans: make([]Span, 0, n)}
+}
+
+// recycleLocked empties an entry that left retention onto the free
+// list. Clearing the used spans drops their strings and attribute
+// lists, so a free entry pins no tree block. The anomaly reason stays
+// until the entry is taken again: a tree whose own pin evicted it still
+// holds the entry for its remaining steps, and a set reason keeps those
+// from pinning a trace that is gone. Caller holds f.mu.
+func (f *FlightRecorder) recycleLocked(e *entry) {
+	clear(e.spans)
+	e.spans = e.spans[:0]
+	f.free = append(f.free, e)
+}
+
 // recordTree takes a locally rooted tree whole when its root ends: the
-// spans in end order, root last, the first anomaly reason a child
-// carried and the root's own. Retention runs the steps it would have run
-// had each span arrived on its own — the trace enters on its first span,
-// a child's reason pins it, the root feeds the p99 window, the root's
-// reason pins it — so a tree is retained exactly as a span-by-span trace
-// whose early spans nothing evicted. The recorder keeps the slice.
-func (f *FlightRecorder) recordTree(spans []Span, first, last string) {
-	root := spans[len(spans)-1]
+// ended children in end order, then root; the first anomaly reason a
+// child carried and the root's own, last. Retention runs the steps it
+// would have run had each span arrived on its own — the trace enters on
+// its first span, a child's reason pins it, the root feeds the p99
+// window, the root's reason pins it — so a tree is retained exactly as a
+// span-by-span trace whose early spans nothing evicted.
+func (f *FlightRecorder) recordTree(t *openTree, root Span, last string) {
+	// The children whose IDs nothing rendered share one string.
+	var ids strings.Builder
+	for c := t.first; c != nil; c = c.next {
+		if c.s.SpanID == "" {
+			if ids.Cap() == 0 {
+				ids.Grow(16 * t.n)
+			}
+			var buf [16]byte
+			ids.Write(appendSpanID(buf[:0], c.id))
+		}
+	}
+	rendered := ids.String()
+
 	id := root.TraceID
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	// Spans recorded on their own (a remote child) may have got here
+	// first.
 	e, ok := f.traces[id]
-	if ok {
-		// Spans recorded on their own (a remote child) got here first.
-		for _, s := range spans {
-			if len(e.spans) < f.maxSpans {
-				e.spans = append(e.spans, s)
-			}
+	if !ok {
+		e = f.takeEntryLocked(t.n + 1)
+	}
+	for c := t.first; c != nil && len(e.spans) < f.maxSpans; c = c.next {
+		s := c.s
+		if len(s.Attrs) == 0 {
+			s.Attrs = nil
 		}
-	} else {
-		e = &entry{spans: spans[:min(len(spans), f.maxSpans)]}
+		if s.SpanID == "" {
+			s.SpanID, rendered = rendered[:16], rendered[16:]
+		}
+		e.spans = append(e.spans, s)
+	}
+	if len(e.spans) < f.maxSpans {
+		e.spans = append(e.spans, root)
+	}
+	if !ok {
 		f.traces[id] = e
 		f.order = append(f.order, orderEnt{id: id})
 		f.plain++
 		f.evictLocked()
 	}
-	f.pinLocked(id, e, first)
+	f.pinLocked(id, e, t.anomaly)
 	if f.rootLocked(e, root) {
 		f.evictLocked()
 	}
@@ -265,14 +324,16 @@ func (f *FlightRecorder) flipLocked(traceID string) {
 }
 
 // evictLocked enforces both retention budgets, oldest-first within each
-// class. The class counts are maintained incrementally and each order
-// entry carries its class bit, so the common steady-state call (one new
-// trace, one eviction) walks to the oldest trace of the over-budget
-// class without a single map lookup. Caller holds f.mu.
+// class, recycling each evicted entry. The class counts are maintained
+// incrementally and each order entry carries its class bit, so the
+// common steady-state call (one new trace, one eviction) walks to the
+// oldest trace of the over-budget class without a single map lookup.
+// Caller holds f.mu.
 func (f *FlightRecorder) evictLocked() {
 	evict := func(anomalous bool) {
 		for i, oe := range f.order {
 			if oe.anom == anomalous {
+				f.recycleLocked(f.traces[oe.id])
 				delete(f.traces, oe.id)
 				f.order = append(f.order[:i], f.order[i+1:]...)
 				return

@@ -320,6 +320,39 @@ func TestTreeSpansOutsideTheTree(t *testing.T) {
 	}
 }
 
+// TestTreeEvictedByItsOwnPin covers a tree whose trace entered earlier
+// through a span recorded on its own: the child's reason pins it, which
+// evicts it as the oldest anomalous trace, and the root's own reason
+// must then pin nothing — neither the trace that is gone nor, through
+// the recycled entry, the next new one.
+func TestTreeEvictedByItsOwnPin(t *testing.T) {
+	f := NewFlightRecorder(4, 1)
+	tr := New(f, "coord", WithRand(rand.New(rand.NewSource(1))))
+	root := tr.StartRoot("epoch", KindEpoch)
+	rc := root.Context()
+	f.Record(Span{TraceID: rc.TraceID, SpanID: "remote", ParentID: rc.SpanID, Name: "serve"})
+	f.Record(span("b", "a", "", 0, 1))
+	f.MarkAnomalous("b", "degraded")
+
+	c := tr.Start(rc, "collect", KindCollect)
+	c.MarkAnomalous("missing_summary")
+	c.End()
+	root.MarkAnomalous("migrated")
+	root.End()
+	for i := 0; i < 3; i++ {
+		f.Record(span(fmt.Sprintf("t%d", i), "a", "", int64(i+1), 1))
+	}
+
+	var got []string
+	for _, tr := range f.Traces() {
+		got = append(got, tr.TraceID+":"+tr.Anomaly+":"+fmt.Sprint(len(tr.Spans)))
+	}
+	want := []string{"b:degraded:1", "t0::1", "t1::1", "t2::1"}
+	if !reflect.DeepEqual(got, want) || f.Len() != len(want) {
+		t.Fatalf("retained %v (Len %d), want %v", got, f.Len(), want)
+	}
+}
+
 // TestTreeAddsNoAllocations pins that buffering a tree in its root costs
 // no allocation over recording its spans one by one: the recorder keeps
 // the root's buffer instead of growing its own.
@@ -398,5 +431,53 @@ func TestPinTraceOnOpenTree(t *testing.T) {
 	id := done.PinTrace("slo_page:avail")
 	if got, _ := byID(f, id); got.Anomaly != "slo_page:avail" {
 		t.Fatalf("pin after the root ended: %+v", got)
+	}
+}
+
+// TestTreeConcurrentChildren starts, contexts and ends a tree's children
+// from many goroutines, some after the root ended: every child is
+// retained once with its own ID, and the ID a context handed out is the
+// one recorded. Run under -race it checks the tree's locking.
+func TestTreeConcurrentChildren(t *testing.T) {
+	f := NewFlightRecorder(4, 2)
+	tr := New(f, "coord", WithRand(rand.New(rand.NewSource(1))))
+	root := tr.StartRoot("epoch", KindEpoch)
+	const children = 40
+	ids := make([]string, children)
+	var wg sync.WaitGroup
+	for i := 0; i < children; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sp := tr.Start(root.Context(), "collect", KindCollect)
+			sp.SetAttr("i", fmt.Sprint(i))
+			if i%2 == 0 {
+				ids[i] = sp.Context().SpanID
+			}
+			sp.End()
+			if i%2 == 1 {
+				ids[i] = sp.Context().SpanID
+			}
+		}(i)
+		if i == children/2 {
+			root.End()
+		}
+	}
+	wg.Wait()
+	got, _ := byID(f, root.Context().TraceID)
+	if len(got.Spans) != children+1 {
+		t.Fatalf("retained %d spans, want %d", len(got.Spans), children+1)
+	}
+	seen := make(map[string]bool)
+	for _, s := range got.Spans {
+		if seen[s.SpanID] {
+			t.Fatalf("span ID %s recorded twice", s.SpanID)
+		}
+		seen[s.SpanID] = true
+	}
+	for i, id := range ids {
+		if !seen[id] {
+			t.Fatalf("child %d's context ID %s was not recorded", i, id)
+		}
 	}
 }

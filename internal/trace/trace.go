@@ -216,27 +216,63 @@ func New(rec Recorder, node string, opts ...Option) *Tracer {
 // Enabled reports whether spans will be recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// ids returns n random bytes hex-encoded (n must be 8 or 16). Both
-// buffers live on the stack so minting an ID costs exactly the one
-// string allocation that outlives the call.
-func (t *Tracer) ids(n int) string {
-	var b [16]byte
+// spanID draws an 8-byte span ID.
+func (t *Tracer) spanID() uint64 {
 	t.mu.Lock()
-	for i := 0; i < n; i += 8 {
+	defer t.mu.Unlock()
+	return t.rng.Uint64()
+}
+
+// appendSpanID appends id hex-encoded, as a span ID reads on the wire.
+func appendSpanID(dst []byte, id uint64) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], id)
+	return hex.AppendEncode(dst, b[:])
+}
+
+// formatSpanID renders id with the one string allocation that outlives
+// the call.
+func formatSpanID(id uint64) string {
+	var buf [16]byte
+	return string(appendSpanID(buf[:0], id))
+}
+
+// rootIDs draws a root's trace ID and span ID in the order two ids calls
+// would, into one string allocation the two IDs share.
+func (t *Tracer) rootIDs() (traceID, spanID string) {
+	var b [24]byte
+	t.mu.Lock()
+	for i := 0; i < len(b); i += 8 {
 		binary.BigEndian.PutUint64(b[i:], t.rng.Uint64())
 	}
 	t.mu.Unlock()
-	var dst [32]byte
-	hex.Encode(dst[:2*n], b[:n])
-	return string(dst[:2*n])
+	var dst [48]byte
+	hex.Encode(dst[:], b[:])
+	ids := string(dst[:])
+	return ids[:32], ids[32:]
 }
 
-// StartRoot begins a new trace with a root span.
+// StartRoot begins a new trace with a root span. When the recorder is a
+// FlightRecorder the root opens a local tree whose root and first
+// children come from one treeBlock.
 func (t *Tracer) StartRoot(name, kind string) *ActiveSpan {
 	if t == nil {
 		return nil
 	}
-	return t.start(t.ids(16), "", name, kind)
+	traceID, spanID := t.rootIDs()
+	var a *ActiveSpan
+	var attrs Attrs
+	if t.flight != nil {
+		b := &treeBlock{n: 1}
+		a, attrs = &b.spans[0], b.attrs[:0:spanAttrs]
+		b.open = openTree{root: a, block: b}
+		a.tree = &b.open
+	} else {
+		a = &ActiveSpan{}
+	}
+	a.t = t
+	a.s = Span{TraceID: traceID, SpanID: spanID, Name: name, Kind: kind, Node: t.node, StartNs: t.clock(), Attrs: attrs}
+	return a
 }
 
 // Start begins a child span under parent. An invalid parent returns a
@@ -245,26 +281,28 @@ func (t *Tracer) Start(parent SpanContext, name, kind string) *ActiveSpan {
 	if t == nil || !parent.Valid() {
 		return nil
 	}
-	a := t.start(parent.TraceID, parent.SpanID, name, kind)
-	if parent.root != nil && parent.root.t == t {
-		a.root = parent.root
+	var a *ActiveSpan
+	var attrs Attrs
+	if root := parent.root; root != nil && root.t == t {
+		a, attrs = root.child()
+	} else {
+		a = &ActiveSpan{}
+	}
+	a.t = t
+	a.id = t.spanID()
+	a.s = Span{
+		TraceID:  parent.TraceID,
+		ParentID: parent.SpanID,
+		Name:     name,
+		Kind:     kind,
+		Node:     t.node,
+		StartNs:  t.clock(),
+		Attrs:    attrs,
+	}
+	if a.tree == nil {
+		a.s.SpanID = formatSpanID(a.id)
 	}
 	return a
-}
-
-func (t *Tracer) start(traceID, parentID, name, kind string) *ActiveSpan {
-	return &ActiveSpan{
-		t: t,
-		s: Span{
-			TraceID:  traceID,
-			SpanID:   t.ids(8),
-			ParentID: parentID,
-			Name:     name,
-			Kind:     kind,
-			Node:     t.node,
-			StartNs:  t.clock(),
-		},
-	}
 }
 
 // MarkAnomalous flags a trace for pinned retention if the recorder
@@ -294,16 +332,83 @@ func (t *Tracer) MarkAnomalous(traceID, reason string) {
 type ActiveSpan struct {
 	t       *Tracer
 	mu      sync.Mutex
+	ended   bool
 	s       Span
 	anomaly string
-	ended   bool
-	// root is the open local root this span's tree belongs to; nil for a
-	// root itself.
-	root *ActiveSpan
-	// On a root: the tree's spans ended so far, and the first anomaly
-	// reason one of them (or PinTrace) carried.
-	tree        []Span
-	treeAnomaly string
+	// id is the span ID as drawn. A tree's child renders it only when
+	// its context is asked for; otherwise the recorder renders the IDs of
+	// a whole tree into one string when the root ends.
+	id uint64
+	// tree is the open local tree the span belongs to — its root's, for
+	// the root itself; nil for a span recorded on its own.
+	tree *openTree
+	// next links the tree's ended children in end order.
+	next *ActiveSpan
+}
+
+// Per-tree allocation sizes: a treeBlock holds a root and its first
+// five children (an epoch's root, three collects, k-means and decide),
+// each with room for three attributes.
+const (
+	treeSpans = 6
+	spanAttrs = 3
+)
+
+// treeBlock is the one allocation a locally rooted tree's ActiveSpans
+// and their attribute lists come from; a tree with more children chains
+// further blocks. The ended children wait in their blocks until the root
+// ends and the recorder copies them out, so an open tree holds no span
+// buffer. A span may outlive its tree (a child can end after its root),
+// so a block is never recycled: the garbage collector frees it with the
+// last span that points into it.
+type treeBlock struct {
+	spans [treeSpans]ActiveSpan
+	attrs [treeSpans * spanAttrs]Attr
+	n     int      // spans handed out
+	open  openTree // the tree's state, in its first block
+}
+
+// openTree is a local tree while its root is open: the root, the block
+// the next child comes from, the ended children in end order, and the
+// first anomaly reason one of them, or PinTrace, carried. Guarded by the
+// root's mu.
+type openTree struct {
+	root        *ActiveSpan
+	block       *treeBlock
+	first, last *ActiveSpan
+	n           int // children linked: at most the recorder's per-trace cap
+	anomaly     string
+}
+
+// child hands out the next ActiveSpan of the tree rooted at a, with its
+// attribute storage.
+func (a *ActiveSpan) child() (*ActiveSpan, Attrs) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b := a.tree.block
+	if b.n == len(b.spans) {
+		b = &treeBlock{}
+		a.tree.block = b
+	}
+	i := b.n
+	b.n++
+	c := &b.spans[i]
+	c.tree = a.tree
+	return c, b.attrs[i*spanAttrs : i*spanAttrs : (i+1)*spanAttrs]
+}
+
+// span returns the completed span as the recorder keeps it: block
+// storage nothing was set in reads as no attributes, and an ID not yet
+// rendered is. a has ended, so nothing writes its fields any more.
+func (a *ActiveSpan) span() Span {
+	s := a.s
+	if len(s.Attrs) == 0 {
+		s.Attrs = nil
+	}
+	if s.SpanID == "" {
+		s.SpanID = formatSpanID(a.id)
+	}
+	return s
 }
 
 // Context returns the span's context for propagation to children and
@@ -312,20 +417,35 @@ func (a *ActiveSpan) Context() SpanContext {
 	if a == nil {
 		return SpanContext{}
 	}
-	root := a.root
-	if root == nil && a.s.ParentID == "" && a.t.flight != nil {
-		root = a
+	if a.tree == nil {
+		return SpanContext{TraceID: a.s.TraceID, SpanID: a.s.SpanID}
 	}
-	return SpanContext{TraceID: a.s.TraceID, SpanID: a.s.SpanID, root: root}
+	if a.tree.root == a {
+		return SpanContext{TraceID: a.s.TraceID, SpanID: a.s.SpanID, root: a}
+	}
+	a.mu.Lock()
+	id := a.s.SpanID
+	if id == "" {
+		id = formatSpanID(a.id)
+		if !a.ended { // an ended span's fields are the recorder's to read
+			a.s.SpanID = id
+		}
+	}
+	a.mu.Unlock()
+	return SpanContext{TraceID: a.s.TraceID, SpanID: id, root: a.tree.root}
 }
 
 // SetAttr attaches a key/value attribute (replacing an existing key).
+// Like every setter it is ignored once the span has ended: the recorded
+// span is the one End saw.
 func (a *ActiveSpan) SetAttr(key, value string) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.s.Attrs = a.s.Attrs.Set(key, value)
+	if !a.ended {
+		a.s.Attrs = a.s.Attrs.Set(key, value)
+	}
 	a.mu.Unlock()
 }
 
@@ -334,9 +454,7 @@ func (a *ActiveSpan) SetErr(err error) {
 	if a == nil || err == nil {
 		return
 	}
-	a.mu.Lock()
-	a.s.Err = err.Error()
-	a.mu.Unlock()
+	a.SetErrString(err.Error())
 }
 
 // SetErrString records a failure described as text ("" is ignored).
@@ -345,7 +463,9 @@ func (a *ActiveSpan) SetErrString(msg string) {
 		return
 	}
 	a.mu.Lock()
-	a.s.Err = msg
+	if !a.ended {
+		a.s.Err = msg
+	}
 	a.mu.Unlock()
 }
 
@@ -376,16 +496,20 @@ func (a *ActiveSpan) End() {
 	if a.s.DurNs < 0 {
 		a.s.DurNs = 0
 	}
-	s, anomaly, tree, treeAnomaly := a.s, a.anomaly, a.tree, a.treeAnomaly
-	a.tree = nil
+	anomaly := a.anomaly
 	a.mu.Unlock()
-	if a.root != nil && a.root.join(&s, anomaly) {
-		return
+	if t := a.tree; t != nil {
+		if t.root == a {
+			// Ended under mu, so no child joins any more: the tree is
+			// complete.
+			a.t.flight.recordTree(t, a.span(), anomaly)
+			return
+		}
+		if t.root.join(a, anomaly) {
+			return
+		}
 	}
-	if tree != nil || treeAnomaly != "" {
-		a.t.flight.recordTree(append(tree, s), treeAnomaly, anomaly)
-		return
-	}
+	s := a.span()
 	a.t.rec.Record(s)
 	if anomaly != "" {
 		a.t.MarkAnomalous(s.TraceID, anomaly)
@@ -401,28 +525,35 @@ func (a *ActiveSpan) PinTrace(reason string) string {
 	if a == nil {
 		return ""
 	}
-	if root := a.Context().root; root == nil || !root.join(nil, reason) {
+	if a.tree == nil || !a.tree.root.join(nil, reason) {
 		a.t.MarkAnomalous(a.s.TraceID, reason)
 	}
 	return a.s.TraceID
 }
 
-// join adds to the open tree rooted at a: a child's completed span (nil
-// for none) and an anomaly reason ("" for none; the first wins). A span
-// past the recorder's per-trace cap is dropped, as the recorder would
-// drop it. It reports false once the root has ended; the caller then
-// goes to the recorder itself.
-func (a *ActiveSpan) join(s *Span, anomaly string) bool {
+// join adds to the open tree rooted at a: an ended child (nil for none)
+// and an anomaly reason ("" for none; the first wins). A child past the
+// recorder's per-trace cap is dropped, as the recorder would drop its
+// span. It reports false once the root has ended; the caller then goes
+// to the recorder itself.
+func (a *ActiveSpan) join(c *ActiveSpan, anomaly string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.ended {
 		return false
 	}
-	if s != nil && len(a.tree) < defaultMaxSpans {
-		a.tree = append(a.tree, *s)
+	t := a.tree
+	if c != nil && t.n < defaultMaxSpans {
+		if t.last == nil {
+			t.first = c
+		} else {
+			t.last.next = c
+		}
+		t.last = c
+		t.n++
 	}
-	if a.treeAnomaly == "" {
-		a.treeAnomaly = anomaly
+	if t.anomaly == "" {
+		t.anomaly = anomaly
 	}
 	return true
 }
