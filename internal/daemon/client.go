@@ -107,9 +107,7 @@ func (c *Client) Micros() ([]cluster.Micro, int, error) {
 }
 
 // MicrosCtx is Micros with trace propagation, so the per-replica
-// summary-collection RPCs of a traced epoch show their daemon legs. It
-// sends an explicit empty MicrosRequest: an empty body is how a
-// gob-era caller asks, and is answered in gob.
+// summary-collection RPCs of a traced epoch show their daemon legs.
 func (c *Client) MicrosCtx(ctx context.Context) ([]cluster.Micro, int, error) {
 	return c.MicrosObjectCtx(ctx, "")
 }

@@ -60,9 +60,8 @@ type (
 		Object string
 	}
 	// MicrosRequest optionally narrows the summary export to one
-	// object's accesses (multi-object placement). The micros method
-	// accepts an empty body for backward compatibility — old
-	// coordinators keep getting the node-wide summary, gob-encoded.
+	// object's accesses (multi-object placement); an empty Object asks
+	// for the node-wide summary.
 	MicrosRequest struct {
 		Object string
 	}
@@ -529,23 +528,6 @@ func (n *Node) instrument(method string, h transport.Handler) error {
 	}, lat)
 }
 
-// decodeRequest decodes a request body into req. binary is req's own
-// DecodeBody, called directly so that a binary body leaves req on the
-// handler's stack; transport.Unmarshal takes its target as an interface,
-// which moves it to the heap, so a gob body (a gob-era caller) is decoded
-// into a copy and only that path pays for it.
-func decodeRequest[T any](body []byte, req *T, binary func([]byte) error) error {
-	if transport.IsBinaryBody(body) {
-		return binary(body)
-	}
-	v := new(T)
-	if err := transport.Unmarshal(body, v); err != nil {
-		return err
-	}
-	*req = *v
-	return nil
-}
-
 // faultAction consults the injector for one incoming request. The node
 // is the destination; the source is unknown at this layer, so only
 // crash windows and wildcard-source link rules apply.
@@ -666,7 +648,7 @@ func (n *Node) Close() error {
 
 func (n *Node) handleGet(body []byte) ([]byte, error) {
 	var req GetRequest
-	if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
+	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
 	// Bytes becomes the access weight; a NaN or infinite one would sit in
@@ -720,12 +702,12 @@ func (n *Node) handleGet(body []byte) ([]byte, error) {
 		n.met.summarizedAccesses.Inc()
 		n.met.summarizedWeight.Add(weight)
 	}
-	return transport.MarshalReply(body, GetResponse{Data: obj.Data, Version: obj.Version})
+	return transport.Marshal(GetResponse{Data: obj.Data, Version: obj.Version})
 }
 
 func (n *Node) handlePut(body []byte) ([]byte, error) {
 	var req PutRequest
-	if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
+	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
 	err := n.store.Put(store.Object{
@@ -804,10 +786,8 @@ func (n *Node) handleReplicate(body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("daemon: write log disabled (start with -write-ratio > 0)")
 	}
 	var req ReplicateRequest
-	if len(body) > 0 {
-		if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
-			return nil, err
-		}
+	if err := req.DecodeBody(body); err != nil {
+		return nil, err
 	}
 	max := req.Max
 	if max <= 0 || max > maxReplicateBatch {
@@ -836,12 +816,12 @@ func (n *Node) handleReplicate(body []byte) ([]byte, error) {
 	if resp.Snapshot {
 		n.met.replicateSnapshots.Inc()
 	}
-	return transport.MarshalReply(body, resp)
+	return transport.Marshal(resp)
 }
 
 func (n *Node) handleDelete(body []byte) ([]byte, error) {
 	var req DeleteRequest
-	if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
+	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
 	n.store.Delete(store.ObjectID(req.Object))
@@ -849,13 +829,9 @@ func (n *Node) handleDelete(body []byte) ([]byte, error) {
 }
 
 func (n *Node) handleMicros(body []byte) ([]byte, error) {
-	// An empty body is the v1 protocol: export the node-wide summary
-	// (and, being a gob-era caller, get it back in gob).
 	var req MicrosRequest
-	if len(body) > 0 {
-		if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
-			return nil, err
-		}
+	if err := req.DecodeBody(body); err != nil {
+		return nil, err
 	}
 	var enc []byte
 	var err error
@@ -893,12 +869,12 @@ func (n *Node) handleMicros(body []byte) ([]byte, error) {
 	// observable.
 	n.met.summaryBytesTotal.Add(int64(len(enc)))
 	n.met.summaryBytes.Observe(float64(len(enc)))
-	return transport.MarshalReply(body, MicrosResponse{Encoded: enc})
+	return transport.Marshal(MicrosResponse{Encoded: enc})
 }
 
 func (n *Node) handleDecay(body []byte) ([]byte, error) {
 	var req DecayRequest
-	if err := decodeRequest(body, &req, req.DecodeBody); err != nil {
+	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
 	// Epoch decay is fleet-wide: the node-wide summary and every

@@ -2,29 +2,27 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
+	"io"
+	"net"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"github.com/georep/georep/internal/cluster"
-	"github.com/georep/georep/internal/replog"
 	"github.com/georep/georep/internal/transport"
 )
 
 // The protocol bodies as a gob-era peer declares them: same fields, no
-// binary codec, so the transport gob-encodes what they send and can only
-// gob-decode what comes back. A binary reply to one of these fails the
-// call.
+// binary codec, so the transport gob-encodes them.
 type (
 	gobGetRequest struct {
 		Client      int
 		ClientCoord []float64
 		Object      string
 		Bytes       float64
-	}
-	gobGetResponse struct {
-		Data    []byte
-		Version uint64
 	}
 	gobPutRequest struct {
 		Object  string
@@ -33,117 +31,118 @@ type (
 	}
 	gobDeleteRequest    struct{ Object string }
 	gobMicrosRequest    struct{ Object string }
-	gobMicrosResponse   struct{ Encoded []byte }
 	gobDecayRequest     struct{ Factor float64 }
 	gobReplicateRequest struct {
 		From uint64
 		Max  int
 	}
-	gobReplicateResponse struct {
-		Frames   []byte
-		Snapshot bool
-		SnapSeq  uint64
-		SnapTerm uint64
-		Last     uint64
+	// gobEnvelope is the request envelope a gob-era peer sends.
+	gobEnvelope struct {
+		ID     uint64
+		Method string
+		Body   []byte
 	}
 )
 
-// TestGobEraClientAgainstNewNode is the rolling-upgrade guard: nodes are
-// upgraded first, so a client that still speaks gob bodies must get
-// every steady-state method served, and answered in gob.
+// rawBody is sent as it is: the body bytes of a call, whatever they are.
+type rawBody []byte
+
+func (b rawBody) AppendBody(dst []byte) ([]byte, error) { return append(dst, b...), nil }
+
+// TestGobEraClientAgainstNewNode: a client that speaks the gob envelope
+// is refused on its first byte. The node hangs up at once without a
+// reply, applies nothing, and keeps serving framed clients.
 func TestGobEraClientAgainstNewNode(t *testing.T) {
-	n, newClient := startNode(t, Config{ID: 1, MicroClusters: 4, Dims: 2, WriteRatio: 0.5, PerObjectSummaries: true})
-	old, err := transport.Dial(n.Addr(), time.Second)
+	_, c := startNode(t, Config{ID: 1, MicroClusters: 4, Dims: 2})
+	conn, err := net.Dial("tcp", c.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer old.Close()
-
-	if _, err := old.Call(MethodPut, gobPutRequest{Object: "obj", Data: []byte("payload"), Version: 1}, nil); err != nil {
-		t.Fatalf("gob put: %v", err)
-	}
-	var got gobGetResponse
-	if _, err := old.Call(MethodGet, gobGetRequest{Client: -2, ClientCoord: []float64{3, 4}, Object: "obj"}, &got); err != nil {
-		t.Fatalf("gob get: %v", err)
-	}
-	if string(got.Data) != "payload" || got.Version != 1 {
-		t.Fatalf("gob get = %+v", got)
-	}
-	// The same object through the new client: one store, two encodings.
-	resp, _, err := newClient.Get(5, []float64{3, 5}, "obj")
-	if err != nil || string(resp.Data) != "payload" || resp.Version != 1 {
-		t.Fatalf("binary get = %+v, %v", resp, err)
-	}
-
-	// micros: the empty-body legacy call, the gob request, and the new
-	// client's explicit request all export the same summary.
-	var legacy, byGob gobMicrosResponse
-	if _, err := old.Call(MethodMicros, nil, &legacy); err != nil {
-		t.Fatalf("empty-body micros: %v", err)
-	}
-	if _, err := old.Call(MethodMicros, gobMicrosRequest{}, &byGob); err != nil {
-		t.Fatalf("gob micros: %v", err)
-	}
-	want, err := cluster.DecodeMicros(legacy.Encoded)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	body, err := transport.Marshal(gobPutRequest{Object: "obj", Data: []byte("gob era"), Version: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) == 0 {
-		t.Fatal("two summarized gets left an empty summary")
-	}
-	if !bytes.Equal(byGob.Encoded, legacy.Encoded) {
-		t.Fatal("gob-request micros differ from the empty-body call")
-	}
-	ms, wire, err := newClient.Micros()
-	if err != nil {
+	start := time.Now()
+	if err := gob.NewEncoder(conn).Encode(gobEnvelope{ID: 1, Method: MethodPut, Body: body}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ms, want) || wire != len(legacy.Encoded) {
-		t.Fatalf("new client's Micros() = %+v (%d B), legacy call = %+v (%d B)", ms, wire, want, len(legacy.Encoded))
+	// The node closes the connection, or resets it over the unread rest
+	// of the envelope.
+	if reply, err := io.ReadAll(conn); len(reply) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the node answered a gob envelope with %q, %v", reply, err)
 	}
-	var perObj gobMicrosResponse
-	if _, err := old.Call(MethodMicros, gobMicrosRequest{Object: "obj"}, &perObj); err != nil {
-		t.Fatalf("gob micros(obj): %v", err)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("the node held a gob-era connection for %v", d)
 	}
-	if !bytes.Equal(perObj.Encoded, legacy.Encoded) {
-		t.Fatal("the only object's summary should equal the node-wide one")
+	if _, _, err := c.Get(1, []float64{0, 0}, "obj"); err == nil {
+		t.Fatal("a refused gob put was applied")
 	}
-
-	if _, err := old.Call(MethodDecay, gobDecayRequest{Factor: 0.5}, nil); err != nil {
-		t.Fatalf("gob decay: %v", err)
+	if err := c.Put("obj", []byte("framed"), 1); err != nil {
+		t.Fatalf("framed put after the gob-era client: %v", err)
 	}
-	decayed, _, err := newClient.Micros()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decayed[0].Weight >= want[0].Weight {
-		t.Fatalf("gob decay did not age the summary: %v -> %v", want[0].Weight, decayed[0].Weight)
-	}
-
-	var rep gobReplicateResponse
-	if _, err := old.Call(MethodReplicate, gobReplicateRequest{From: 0, Max: 10}, &rep); err != nil {
-		t.Fatalf("gob replicate: %v", err)
-	}
-	entries, err := replog.DecodeBatch(rep.Frames)
-	if err != nil || len(entries) != 1 || entries[0].Seq != 1 || rep.Last != 1 || rep.Snapshot {
-		t.Fatalf("gob replicate = %+v entries %+v, %v", rep, entries, err)
-	}
-	// An empty replicate body is a gob-era "from the start" too.
-	var repEmpty gobReplicateResponse
-	if _, err := old.Call(MethodReplicate, nil, &repEmpty); err != nil || !bytes.Equal(repEmpty.Frames, rep.Frames) {
-		t.Fatalf("empty-body replicate = %+v, %v", repEmpty, err)
-	}
-
-	if _, err := old.Call(MethodDelete, gobDeleteRequest{Object: "obj"}, nil); err != nil {
-		t.Fatalf("gob delete: %v", err)
-	}
-	if _, _, err := newClient.Get(5, []float64{3, 5}, "obj"); err == nil {
-		t.Fatal("object survived a gob delete")
+	if resp, _, err := c.Get(1, []float64{0, 0}, "obj"); err != nil || string(resp.Data) != "framed" {
+		t.Fatalf("framed get after the gob-era client = %+v, %v", resp, err)
 	}
 }
 
-// TestBinaryRepliesToBinaryRequests pins the other half of reply in
-// kind: the new client's requests come back in the binary encoding.
+// TestHotMethodsRefuseForeignBodies: every binary method has one defined
+// outcome for a body it cannot decode — a gob body, an empty one, and
+// one that ends right after its marker: a RemoteError naming the decode
+// failure, no state change, and a node that answers the next call.
+func TestHotMethodsRefuseForeignBodies(t *testing.T) {
+	n, c := startNode(t, Config{ID: 1, MicroClusters: 4, Dims: 2, WriteRatio: 0.5})
+	if err := c.Put("obj", []byte("payload"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Get(1, []float64{3, 4}, "obj"); err != nil {
+		t.Fatal(err)
+	}
+	wantMicros, _, err := c.Micros()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gobBody := func(v any) rawBody {
+		b, err := transport.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, m := range []struct {
+		method, what string
+		marker       byte
+		gob          rawBody
+	}{
+		{MethodGet, "get request", wireGetRequest, gobBody(gobGetRequest{Client: 1, ClientCoord: []float64{3, 4}, Object: "obj"})},
+		{MethodPut, "put request", wirePutRequest, gobBody(gobPutRequest{Object: "obj", Data: []byte("gob"), Version: 2})},
+		{MethodDelete, "delete request", wireDeleteRequest, gobBody(gobDeleteRequest{Object: "obj"})},
+		{MethodMicros, "micros request", wireMicrosRequest, gobBody(gobMicrosRequest{})},
+		{MethodDecay, "decay request", wireDecayRequest, gobBody(gobDecayRequest{Factor: 0.5})},
+		{MethodReplicate, "replicate request", wireReplicateRequest, gobBody(gobReplicateRequest{Max: 10})},
+	} {
+		for kind, body := range map[string]rawBody{"gob": m.gob, "empty": {}, "marker only": {m.marker}} {
+			_, err := c.c.Call(m.method, body, nil)
+			var remote *transport.RemoteError
+			if !errors.As(err, &remote) || !strings.Contains(remote.Message, "daemon: wire: "+m.what) {
+				t.Errorf("%s with a %s body: %v, want a RemoteError naming the %s", m.method, kind, err, m.what)
+			}
+			if resp, _, err := c.Get(-1, nil, "obj"); err != nil || string(resp.Data) != "payload" || resp.Version != 1 {
+				t.Fatalf("after %s with a %s body: get = %+v, %v", m.method, kind, resp, err)
+			}
+		}
+	}
+	if ms, _, err := c.Micros(); err != nil || !reflect.DeepEqual(ms, wantMicros) {
+		t.Fatalf("refused calls moved the summary: %+v, %v; want %+v", ms, err, wantMicros)
+	}
+	if got := n.Snapshot().Counters["replog_appends_total"]; got != 1 {
+		t.Fatalf("write log took %d appends, want the one framed put", got)
+	}
+}
+
+// TestBinaryRepliesToBinaryRequests: the replies of the hot methods are
+// binary, which a gob-only response type cannot decode.
 func TestBinaryRepliesToBinaryRequests(t *testing.T) {
 	n, _ := startNode(t, Config{ID: 1, MicroClusters: 4, Dims: 2, WriteRatio: 0.5})
 	raw, err := transport.Dial(n.Addr(), time.Second)

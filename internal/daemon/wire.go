@@ -30,9 +30,9 @@ import (
 //	ReplicateRequest   0x88 | u64 From | i64 Max
 //	ReplicateResponse  0x89 | u8 Snapshot | u64 SnapSeq | u64 SnapTerm | u64 Last | u32 n | Frames
 //
-// Markers sit in 0x80…0xF7, which no gob stream can start with, so
-// transport.Unmarshal tells the encodings apart by the first byte and a
-// gob body from a gob-era peer still decodes (see transport/body.go). A
+// The marker names the type: a body with another marker, a gob body or
+// an empty one is refused with the type's name (transport.Unmarshal and
+// the handlers call DecodeBody on every body these types receive). A
 // changed layout takes a new marker. Zero-length fields decode to nil,
 // as gob decodes them. Decoded byte slices alias the body: the transport
 // hands every decoder a per-message buffer (TestWireAliasing pins both

@@ -99,9 +99,6 @@ func TestWireRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Marshal: %v", err)
 			}
-			if !transport.IsBinaryBody(body) {
-				t.Fatalf("body starts with %#x, not a binary marker", body[0])
-			}
 			got := tc.fresh()
 			if err := transport.Unmarshal(body, got); err != nil {
 				t.Fatalf("Unmarshal: %v", err)
@@ -127,15 +124,15 @@ func TestWireMatchesGob(t *testing.T) {
 			if err := gob.NewEncoder(&gobBody).Encode(tc.value); err != nil {
 				t.Fatal(err)
 			}
-			if transport.IsBinaryBody(gobBody.Bytes()) {
-				t.Fatalf("gob body starts with %#x, inside the marker range", gobBody.Bytes()[0])
+			if err := tc.fresh().DecodeBody(gobBody.Bytes()); err == nil {
+				t.Fatal("the binary decoder took the gob body")
 			}
 			binBody, err := transport.Marshal(tc.value)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fromGob, fromBin := tc.fresh(), tc.fresh()
-			if err := transport.Unmarshal(gobBody.Bytes(), fromGob); err != nil {
+			if err := gob.NewDecoder(&gobBody).Decode(fromGob); err != nil {
 				t.Fatalf("gob body: %v", err)
 			}
 			if err := transport.Unmarshal(binBody, fromBin); err != nil {
@@ -253,8 +250,7 @@ func TestWireAllocs(t *testing.T) {
 }
 
 // TestLoopbackGetAllocs is the absolute gate on the whole live get: a
-// 128 B get over loopback TCP, client and node together, on a connection
-// that has switched to frames. Nine today: the request and the response
+// 128 B get over loopback TCP, client and node together. Nine today: the request and the response
 // boxed for CallContext (2), the two frame buffers (2), the decoded
 // coordinate and object name (2), the store's copy of the object (1),
 // the reply boxed and encoded (2).
@@ -272,14 +268,14 @@ func TestLoopbackGetAllocs(t *testing.T) {
 			t.Fatalf("get: %d bytes, %v", len(resp.Data), err)
 		}
 	}
-	get() // the put was the connection's gob exchange; this one is framed
-	before := n.Snapshot().Counters["transport_server_frames_total"]
+	get()
+	before := n.Snapshot().Counters["transport_server_requests_total"]
 	if per := testing.AllocsPerRun(500, get); per > 12 {
 		t.Errorf("loopback get, both ends: %v allocs, want <= 12", per)
 	}
 	snap := n.Snapshot()
-	if got := snap.Counters["transport_server_frames_total"] - before; got != 501 {
-		t.Errorf("%d of 501 measured gets arrived framed", got)
+	if got := snap.Counters["transport_server_requests_total"] - before; got != 501 {
+		t.Errorf("the node served %d of 501 measured gets", got)
 	}
 	// The node's per-method histogram is fed by the server's clock reads:
 	// one observation per get, as before.

@@ -173,3 +173,77 @@ func TestFailoverSequenceAccounting(t *testing.T) {
 	// A different seed must also satisfy the accounting invariants.
 	run(7)
 }
+
+// ackedOnOneFollower builds the state both election schedules start
+// from: three members, leader 0, one write that reached follower 2 but
+// not follower 1. Leader and follower 2 make the quorum of two, so the
+// write is acked while member 1's log is empty.
+func ackedOnOneFollower(t *testing.T) *Group {
+	t.Helper()
+	g, _ := newTestGroup(t, Config{Members: []int{0, 1, 2}, Leader: 0, Retain: 2})
+	writeN(t, g, 1)
+	g.ReplicateRound(func(from, to int) faults.Verdict { return faults.Verdict{Drop: to == 1} })
+	if g.AckedSeq() != 1 || g.AppliedSeq(1) != 0 || g.AppliedSeq(2) != 1 {
+		t.Fatalf("setup: acked %d, applied 1=%d 2=%d", g.AckedSeq(), g.AppliedSeq(1), g.AppliedSeq(2))
+	}
+	return g
+}
+
+// wantAckedKept heals the group, converges it and checks that every
+// member applied the acked write.
+func wantAckedKept(t *testing.T, g *Group) {
+	t.Helper()
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after the election: %v", err)
+	}
+	g.SyncFaults(nil)
+	if _, ok := g.RunToConvergence(nil, 16); !ok {
+		t.Fatal("no convergence after healing")
+	}
+	for _, n := range g.Members() {
+		if got := g.AppliedSeq(n); got != 1 {
+			t.Fatalf("member %d applied %d after healing: the acked write is lost", n, got)
+		}
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatalf("final invariants: %v", err)
+	}
+}
+
+// TestFailoverRefusesCandidateWithoutAckedEntry: with the only member
+// that holds the acked write besides the leader crashed, Failover has no
+// candidate it may elect. It refuses rather than elect member 1, whose
+// empty log would roll the acked write back on every member.
+func TestFailoverRefusesCandidateWithoutAckedEntry(t *testing.T) {
+	g := ackedOnOneFollower(t)
+	g.Crash(2)
+	if nl, ok := g.Failover(); ok {
+		t.Fatalf("failover elected %d, which lacks acked seq 1", nl)
+	}
+	if g.Leader() != 0 || g.Term() != 1 || g.Failovers() != 0 {
+		t.Fatalf("a refused election moved leader %d term %d failovers %d", g.Leader(), g.Term(), g.Failovers())
+	}
+	wantAckedKept(t, g)
+}
+
+// TestSyncFaultsElectionKeepsAckedWrite is the same schedule on the
+// production path: a plan crashes member 2 and cuts leader 0 off from
+// member 1. The isolated leader counts as down, and the election that
+// SyncFaults runs must refuse member 1 as Failover does.
+func TestSyncFaultsElectionKeepsAckedWrite(t *testing.T) {
+	g := ackedOnOneFollower(t)
+	plan, err := faults.Parse(1, "crash 2@1; partition 0|1@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faults.NewInjector(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.SetEpoch(1)
+	g.SyncFaults(inj)
+	if g.Leader() != 0 || g.Failovers() != 0 {
+		t.Fatalf("SyncFaults elected %d, which lacks acked seq 1", g.Leader())
+	}
+	wantAckedKept(t, g)
+}

@@ -77,6 +77,9 @@ type Group struct {
 	leaderOf map[uint64]int // term → leader, for zombie fencing checks
 	sessions map[int32]*Session
 	rounds   uint64
+	// ackedTerm is the term of the entry at acked: an election candidate
+	// must hold that entry, same sequence and same term.
+	ackedTerm uint64
 	// recovery tracking: set at failover, cleared when live members catch up.
 	recoverTarget uint64
 	recoverStart  uint64
@@ -394,13 +397,16 @@ func (g *Group) Failover() (int, bool) {
 
 // failoverLocked elects the most-caught-up live member: highest last
 // term, then highest last sequence, then lowest node id — so a zombie's
-// stale-term suffix never wins and the election is deterministic.
+// stale-term suffix never wins and the election is deterministic. A
+// member without the acked entry is no candidate: electing it would roll
+// acked writes back on every member. With no candidate left the election
+// fails and the old leader stays.
 func (g *Group) failoverLocked() (int, bool) {
 	best, ok := -1, false
 	var bestTerm, bestSeq uint64
 	for _, n := range g.order {
 		m := g.members[n]
-		if n == g.leader || m.crashed {
+		if n == g.leader || m.crashed || !g.holdsAckedLocked(m) {
 			continue
 		}
 		t, s := m.log.LastTerm(), m.log.Last()
@@ -435,6 +441,17 @@ func (g *Group) failoverLocked() (int, bool) {
 		sp.End()
 	}
 	return best, true
+}
+
+// holdsAckedLocked reports whether m's log holds the acked entry. An
+// entry below m's snapshot boundary counts as held: only acked entries
+// are ever compacted.
+func (g *Group) holdsAckedLocked(m *memberState) bool {
+	if g.acked == 0 || g.acked < m.log.SnapSeq() {
+		return true
+	}
+	t, ok := m.log.TermAt(g.acked)
+	return ok && t == g.ackedTerm
 }
 
 // RoundStats summarizes one replication round.
@@ -682,6 +699,7 @@ func (g *Group) advanceAckedLocked() {
 	if got := heights[g.cfg.AckQuorum-1]; got > g.acked {
 		g.m.writesAcked.Add(int64(got - g.acked))
 		g.acked = got
+		g.ackedTerm, _ = g.members[g.leader].log.TermAt(got)
 		g.m.ackedSeq.Set(float64(got))
 	}
 }

@@ -9,20 +9,10 @@ import (
 // cross the wire in steady state carry a hand-rolled binary codec and
 // implement BodyAppender (on the value) and BodyDecoder (on the
 // pointer); every other type is gob-encoded on a fresh stream, which
-// re-sends and re-compiles its type descriptors on every call.
-//
-// A binary body starts with one marker byte in 0x80…0xF7. A gob stream
-// starts with a message length — a single byte below 0x80, or a negated
-// byte count of 0xF8 and above followed by that many length bytes — so a
-// marker can never begin a gob body and Unmarshal tells the two apart by
-// the first byte alone. There is no negotiation: a node decodes whatever
-// arrives and answers in the encoding the request came in
-// (MarshalReply), so gob-era clients keep working against upgraded
-// nodes.
-const (
-	binaryMarkerMin = 0x80
-	binaryMarkerMax = 0xF7
-)
+// re-sends and re-compiles its type descriptors on every call. A type
+// decides its encoding on both ends: a body for a BodyDecoder is decoded
+// by it and by nothing else, so a gob body sent for a binary type is
+// refused by the type's own decoder.
 
 // BodyAppender is implemented by values that encode themselves in the
 // binary body encoding: AppendBody appends the encoding, marker byte
@@ -38,12 +28,6 @@ type BodyDecoder interface {
 	DecodeBody(b []byte) error
 }
 
-// IsBinaryBody reports whether b is in the binary body encoding. An
-// empty body is not: it is what a gob-era caller sends for "no request".
-func IsBinaryBody(b []byte) bool {
-	return len(b) > 0 && b[0] >= binaryMarkerMin && b[0] <= binaryMarkerMax
-}
-
 // Marshal encodes a value for use as a request or response body: in the
 // binary encoding when v implements BodyAppender, in gob otherwise.
 func Marshal(v any) ([]byte, error) {
@@ -53,19 +37,10 @@ func Marshal(v any) ([]byte, error) {
 	return gobEncode(v)
 }
 
-// MarshalReply encodes a response body in the encoding its request
-// arrived in, so a gob-era caller gets the gob reply it can decode.
-func MarshalReply(reqBody []byte, v any) ([]byte, error) {
-	if !IsBinaryBody(reqBody) {
-		return gobEncode(v)
-	}
-	return Marshal(v)
-}
-
-// Unmarshal decodes a body produced by Marshal or MarshalReply, in
-// whichever encoding it is in.
+// Unmarshal decodes a body produced by Marshal: with v's DecodeBody when
+// v implements BodyDecoder, in gob otherwise.
 func Unmarshal(b []byte, v any) error {
-	if d, ok := v.(BodyDecoder); ok && IsBinaryBody(b) {
+	if d, ok := v.(BodyDecoder); ok {
 		return d.DecodeBody(b)
 	}
 	return gobDecode(b, v)

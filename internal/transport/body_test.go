@@ -43,32 +43,15 @@ func TestMarshalDispatch(t *testing.T) {
 		t.Error("an AppendBody error was swallowed")
 	}
 
-	// A gob body into the same type: what a gob-era peer sent.
+	// A gob body into the same type is refused by the type's decoder:
+	// a binary type has one encoding.
 	g, err := gobEncode(binBody{P: []byte("old")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsBinaryBody(g) {
-		t.Fatalf("gob body starts with %#x", g[0])
-	}
 	back = binBody{}
-	if err := Unmarshal(g, &back); err != nil || string(back.P) != "old" {
-		t.Fatalf("Unmarshal(gob body) = %+v, %v", back, err)
-	}
-
-	// Reply in kind.
-	if r, err := MarshalReply(b, binBody{P: []byte("r")}); err != nil || !IsBinaryBody(r) {
-		t.Errorf("reply to a binary request = %x, %v", r, err)
-	}
-	for _, req := range [][]byte{g, nil, {}} {
-		r, err := MarshalReply(req, binBody{P: []byte("r")})
-		if err != nil || IsBinaryBody(r) {
-			t.Errorf("reply to gob/empty request %x = %x, %v", req, r, err)
-		}
-		back = binBody{}
-		if err := Unmarshal(r, &back); err != nil || string(back.P) != "r" {
-			t.Errorf("gob reply decodes to %+v, %v", back, err)
-		}
+	if err := Unmarshal(g, &back); err == nil {
+		t.Fatalf("Unmarshal(gob body) into a binary type = %+v", back)
 	}
 
 	// A binary body into a type without a decoder is an error, not a
@@ -76,41 +59,6 @@ func TestMarshalDispatch(t *testing.T) {
 	var plain echoReq
 	if err := Unmarshal(b, &plain); err == nil {
 		t.Error("a binary body gob-decoded into a plain struct")
-	}
-}
-
-// TestGobNeverStartsWithAMarker walks gob's length prefix through its
-// one-, two-, three- and four-byte forms: the first byte of a gob stream
-// is a length below 0x80 or a negated byte count of 0xF8 and above,
-// never a marker.
-func TestGobNeverStartsWithAMarker(t *testing.T) {
-	for _, b := range []byte{0x00, 0x7F, 0xF8, 0xFF} {
-		if IsBinaryBody([]byte{b}) {
-			t.Errorf("%#x counts as a marker", b)
-		}
-	}
-	for _, b := range []byte{0x80, 0x81, 0xF7} {
-		if !IsBinaryBody([]byte{b}) {
-			t.Errorf("%#x does not count as a marker", b)
-		}
-	}
-	sizes := []int{0, 1, 50, 100, 126, 127, 128, 200, 255, 256, 1000, 65_535, 65_536, 1 << 20, 1<<24 + 1}
-	for _, n := range sizes {
-		g, err := gobEncode(make([]byte, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if IsBinaryBody(g) {
-			t.Errorf("gob stream of a %d-byte value starts with %#x", n, g[0])
-		}
-		// The type-descriptor message comes first for a struct.
-		g, err = gobEncode(echoReq{Text: string(make([]byte, n))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if IsBinaryBody(g) {
-			t.Errorf("gob stream of a struct with %d bytes starts with %#x", n, g[0])
-		}
 	}
 }
 

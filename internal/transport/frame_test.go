@@ -29,7 +29,6 @@ func wireOver(b []byte) (*wire, *memConn) {
 	conn := &memConn{}
 	conn.buf.Write(b)
 	w := newWire(conn)
-	w.framed = true
 	w.out = make([]byte, headroom, 2*headroom)
 	return w, conn
 }
@@ -42,17 +41,14 @@ func encodeRequestFrame(r request) ([]byte, error) {
 
 func encodeResponseFrame(r response) ([]byte, error) {
 	w, conn := wireOver(nil)
-	err := w.writeResponse(true, &r)
+	err := w.writeResponse(&r)
 	return conn.buf.Bytes(), err
 }
 
 func decodeRequestFrame(b []byte) (request, error) {
 	w, _ := wireOver(b)
 	var r request
-	method, framed, err := w.readRequest(&r)
-	if err == nil && !framed {
-		err = errors.New("decoded as gob")
-	}
+	method, err := w.readRequest(&r)
 	r.Method = string(method)
 	return r, err
 }
@@ -93,8 +89,8 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("request %s: encode: %v", name, err)
 			continue
 		}
-		if b[0] != frameRequest || !IsBinaryBody(b[:1]) {
-			t.Errorf("request %s: starts with %#x, which gob could begin with", name, b[0])
+		if b[0] != frameRequest {
+			t.Errorf("request %s: starts with %#x", name, b[0])
 		}
 		if n := binary.LittleEndian.Uint32(b[1:]); int(n) != len(b)-frameHead {
 			t.Errorf("request %s: length field %d in a %d-byte frame", name, n, len(b))
@@ -158,15 +154,15 @@ func TestFrameEncodeRejects(t *testing.T) {
 	}
 }
 
-// TestIDLimitSameOnBothFramings: a method or trace id over 255 bytes is
-// refused with errFrameSize on a connection's first (gob) call exactly as
-// on a later framed one, before anything is sent, and the connection
-// stays usable; 255 bytes pass on both.
-func TestIDLimitSameOnBothFramings(t *testing.T) {
-	reg := metrics.NewRegistry()
+// TestIDLimitRefusedBeforeSend: a method or trace id over 255 bytes is
+// refused with errFrameSize before anything is sent, on a fresh
+// connection and on one that has carried calls, and the connection stays
+// usable; 255 bytes pass.
+func TestIDLimitRefusedBeforeSend(t *testing.T) {
+	reg, creg := metrics.NewRegistry(), metrics.NewRegistry()
 	srv := startEchoServer(t, WithMetrics(reg))
 	_, tr := testTracer("cli")
-	c, err := Dial(srv.Addr().String(), time.Second, WithCallTimeout(time.Second), WithClientTracer(tr))
+	c, err := Dial(srv.Addr().String(), time.Second, WithCallTimeout(time.Second), WithClientTracer(tr), WithClientMetrics(creg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,20 +181,19 @@ func TestIDLimitSameOnBothFramings(t *testing.T) {
 	}
 
 	refused("fresh connection")
-	wantFraming(t, reg, 0, 0, "refused calls")
+	wantServed(t, reg, 0, "refused calls")
 	var out string
 	if _, err := c.CallContext(tracedWith(255), "echo", "first", &out); err != nil || out != "first" {
-		t.Fatalf("255-byte trace id in gob: %q, %v", out, err)
+		t.Fatalf("255-byte trace id on a fresh connection: %q, %v", out, err)
 	}
-	wantFraming(t, reg, 0, 1, "first exchange")
-	if !c.w.framed {
-		t.Fatal("the connection did not switch to frames")
-	}
-	refused("framed connection")
+	refused("used connection")
 	if _, err := c.CallContext(tracedWith(255), "echo", "second", &out); err != nil || out != "second" {
-		t.Fatalf("255-byte trace id in a frame: %q, %v", out, err)
+		t.Fatalf("255-byte trace id after refusals: %q, %v", out, err)
 	}
-	wantFraming(t, reg, 1, 1, "the refusals broke no connection")
+	wantServed(t, reg, 2, "two calls sent")
+	if got := creg.Snapshot().Counters["transport_client_redials_total"]; got != 0 {
+		t.Fatalf("the refusals broke the connection: %d redials", got)
+	}
 }
 
 // TestFrameRejectsMalformed: every proper prefix of a frame, a wrong
@@ -258,10 +253,10 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	// A good frame, then a short one: the first decodes, the second fails.
 	w, _ := wireOver(append(bytes.Clone(req), req[:len(req)-3]...))
 	var first, second request
-	if _, framed, err := w.readRequest(&first); err != nil || !framed || string(first.Body) != "payload" {
+	if _, err := w.readRequest(&first); err != nil || string(first.Body) != "payload" {
 		t.Fatalf("frame before a short one: %+v, %v", first, err)
 	}
-	if _, _, err := w.readRequest(&second); err == nil {
+	if _, err := w.readRequest(&second); err == nil {
 		t.Fatal("a trailing short frame decoded")
 	}
 }
@@ -293,7 +288,7 @@ func TestFrameLengthLies(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		// Each decode also pays for its bufio reader and gob codecs.
+		// Each decode also pays for its bufio reader.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("marker %#x: rejecting %d lying frames allocated %d bytes", marker, len(lies), grew)
 		}

@@ -2,58 +2,65 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 )
 
-// FuzzTransportFrame throws truncated/oversized/garbage gob frames at
-// both ends of the wire protocol (mirroring internal/cluster's decoder
-// fuzz): a hostile peer must never panic, wedge, or kill a Server, and
-// a Client fed an arbitrary byte stream as its response must fail
-// cleanly and quickly.
+// FuzzTransportFrame throws truncated, oversized and garbage envelopes
+// at both ends of the wire protocol (mirroring internal/cluster's decoder
+// fuzz): a hostile peer must never panic, wedge, or kill a Server, a
+// message that does not start with the request marker must get no reply,
+// and a Client fed an arbitrary byte stream as its response must fail
+// cleanly and quickly. FuzzEnvelopeFrame checks the codec's round trip
+// in memory; this target checks the live connection around it.
 func FuzzTransportFrame(f *testing.F) {
-	// Seed with a well-formed request frame plus classic malformations.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(request{ID: 1, Method: "echo", Body: []byte("hi")}); err != nil {
-		f.Fatal(err)
+	frame := func(b []byte, err error) []byte {
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
 	}
-	good := buf.Bytes()
+	good := frame(encodeRequestFrame(request{ID: 1, Method: "echo", Body: []byte("hi")}))
 	f.Add(good)
-	f.Add(good[:len(good)/2])                   // truncated mid-frame
-	f.Add([]byte{})                             // empty
-	f.Add([]byte("garbage over TCP"))           // not gob at all
-	f.Add(bytes.Repeat(good, 3))                // several frames back to back
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}) // absurd length prefix
-	var respBuf bytes.Buffer
-	if err := gob.NewEncoder(&respBuf).Encode(response{ID: 1, Body: []byte("ok")}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(respBuf.Bytes()) // valid response frame (sent to both ends)
+	f.Add(good[:len(good)/2])                                                // truncated mid-frame
+	f.Add([]byte{})                                                          // empty
+	f.Add([]byte("garbage over TCP"))                                        // no marker at all
+	f.Add(bytes.Repeat(good, 3))                                             // several frames back to back
+	f.Add(append([]byte{frameRequest, 0xff, 0xff, 0xff, 0x3f}, good[5:]...)) // a length that lies
+	// A 300-byte method written with its length byte wrapped to 44: the
+	// reader takes the rest of the string as the following fields.
+	long := []byte{frameRequest, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 300 % 256}
+	long = append(append(long, bytes.Repeat([]byte("m"), 300)...), 0, 0, 0)
+	binary.LittleEndian.PutUint32(long[1:], uint32(len(long)-frameHead))
+	f.Add(long)
+	f.Add(frame(encodeResponseFrame(response{ID: 1, Body: []byte("ok")}))) // a reply, sent to both ends
 
-	// Extended frames carrying trace propagation fields, well-formed and
-	// truncated, so the fuzzer explores the wider wire format too.
-	var tracedBuf bytes.Buffer
-	if err := gob.NewEncoder(&tracedBuf).Encode(request{
+	// Frames carrying trace propagation fields, well-formed and truncated,
+	// so the fuzzer explores the whole head.
+	traced := frame(encodeRequestFrame(request{
 		ID: 2, Method: "echo", Body: []byte("hi"),
 		TraceID:  "0af7651916cd43dd8448eb211c80319c",
 		SpanID:   "b7ad6b7169203331",
 		ParentID: "00f067aa0ba902b7",
-	}); err != nil {
-		f.Fatal(err)
-	}
-	traced := tracedBuf.Bytes()
+	}))
 	f.Add(traced)
 	f.Add(traced[:len(traced)*2/3]) // truncated inside the trace fields
-	var tracedResp bytes.Buffer
-	if err := gob.NewEncoder(&tracedResp).Encode(response{
+	f.Add(frame(encodeResponseFrame(response{
 		ID: 2, Body: []byte("ok"),
 		TraceID: "0af7651916cd43dd8448eb211c80319c", SpanID: "1f2e3d4c5b6a7988",
-	}); err != nil {
+	})))
+	// The envelope of a gob-era peer: dropped on its first byte.
+	var gobEnv bytes.Buffer
+	if err := gob.NewEncoder(&gobEnv).Encode(request{ID: 1, Method: "echo", Body: []byte("hi")}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(tracedResp.Bytes())
+	f.Add(gobEnv.Bytes())
 
 	// One shared server outlives all fuzz executions; if any input
 	// wedges or kills it, the subsequent well-formed call fails.
@@ -77,6 +84,16 @@ func FuzzTransportFrame(f *testing.F) {
 		}
 		raw.SetDeadline(time.Now().Add(2 * time.Second))
 		_, _ = raw.Write(in)
+		raw.(*net.TCPConn).CloseWrite()
+		// The server closes or resets the connection; only a deadline
+		// means it held on.
+		reply, err := io.ReadAll(raw)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("server held the connection after %q", in)
+		}
+		if len(in) > 0 && in[0] != frameRequest && len(reply) > 0 {
+			t.Fatalf("server answered %q with %q", in, reply)
+		}
 		raw.Close()
 
 		c, err := Dial(addr, 2*time.Second, WithCallTimeout(2*time.Second))

@@ -1,11 +1,16 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
 	"io"
+	"log/slog"
 	"net"
+	"os"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +20,7 @@ import (
 )
 
 // gobRequest/gobResponse are the envelope as a gob-era peer (the commit
-// before frames) declares it: every field but the capability bit.
+// before frames) declares it.
 type gobRequest struct {
 	ID       uint64
 	Method   string
@@ -33,87 +38,113 @@ type gobResponse struct {
 	SpanID  string
 }
 
-// framing reads the server's per-framing request counters.
-func framing(reg *metrics.Registry) (frames, gobs int64) {
-	s := reg.Snapshot()
-	return s.Counters["transport_server_frames_total"], s.Counters["transport_server_gob_frames_total"]
-}
-
-func wantFraming(t *testing.T, reg *metrics.Registry, frames, gobs int64, when string) {
+// wantServed checks how many requests the server has served. The server
+// reads nothing but frames, so every served request was one.
+func wantServed(t *testing.T, reg *metrics.Registry, n int64, when string) {
 	t.Helper()
-	if f, g := framing(reg); f != frames || g != gobs {
-		t.Fatalf("%s: server saw %d framed and %d gob requests, want %d and %d", when, f, g, frames, gobs)
+	if got := reg.Snapshot().Counters["transport_server_requests_total"]; got != n {
+		t.Fatalf("%s: server served %d requests, want %d", when, got, n)
 	}
 }
 
-// TestGobEraClientAgainstFramingServer: a client that knows nothing of
-// frames is served in gob, exchange after exchange, and decodes every
-// reply although it carries a field the client never declared.
+// wantFraming is wantServed(later+first): first counts the calls that
+// opened a connection, later the calls after them.
+func wantFraming(t *testing.T, reg *metrics.Registry, later, first int64, when string) {
+	t.Helper()
+	wantServed(t, reg, later+first, when)
+}
+
+// syncBuffer is a log sink the server's connection goroutines may write
+// while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestGobEraClientAgainstFramingServer: a client that speaks the gob
+// envelope is refused on its first byte. The server hangs up at once,
+// without a reply, logs the malformed frame, serves nothing, and keeps
+// serving framed clients.
 func TestGobEraClientAgainstFramingServer(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv := startEchoServer(t, WithMetrics(reg))
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-
-	const calls = 50
-	for i := 1; i <= calls; i++ {
-		body, err := Marshal(i)
+	var logs syncBuffer
+	srv := startEchoServer(t, WithMetrics(reg),
+		WithServerLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+	for _, traced := range []bool{false, true} {
+		conn, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		method := "echo"
-		if i%10 == 0 {
-			method = "nope"
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		body, err := Marshal([]byte("gob era"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := enc.Encode(gobRequest{ID: uint64(i), Method: method, Body: body}); err != nil {
+		req := gobRequest{ID: 1, Method: "echo", Body: body}
+		if traced {
+			req.TraceID, req.SpanID = "0af7651916cd43dd8448eb211c80319c", "b7ad6b7169203331"
+		}
+		start := time.Now()
+		if err := gob.NewEncoder(conn).Encode(req); err != nil {
 			t.Fatal(err)
 		}
 		var resp gobResponse
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("exchange %d: a gob-era client cannot decode the reply: %v", i, err)
+		err = gob.NewDecoder(conn).Decode(&resp)
+		if err == nil {
+			t.Fatalf("traced=%v: a gob envelope was answered: %+v", traced, resp)
 		}
-		if resp.ID != uint64(i) {
-			t.Fatalf("exchange %d answered with id %d", i, resp.ID)
+		if errors.Is(err, os.ErrDeadlineExceeded) || time.Since(start) > time.Second {
+			t.Fatalf("traced=%v: the server held the connection for %v (%v)", traced, time.Since(start), err)
 		}
-		if method == "nope" {
-			if resp.Err == "" {
-				t.Fatalf("exchange %d: unknown method answered without an error", i)
-			}
-			continue
-		}
-		var out int
-		if err := Unmarshal(resp.Body, &out); err != nil || out != i || resp.Err != "" {
-			t.Fatalf("exchange %d echoed %d, %q, %v", i, out, resp.Err, err)
-		}
+		conn.Close()
 	}
-	wantFraming(t, reg, 0, calls, "gob-era client")
+	wantServed(t, reg, 0, "gob envelopes")
+	if got := logs.String(); strings.Count(got, "level=WARN msg=\"malformed frame, connection dropped\"") != 2 ||
+		!strings.Contains(got, "first byte 0x") {
+		t.Fatalf("server log:\n%s", got)
+	}
+
+	c, err := Dial(srv.Addr().String(), time.Second, WithCallTimeout(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var out []byte
+	if _, err := c.Call("echo", []byte("framed"), &out); err != nil || string(out) != "framed" {
+		t.Fatalf("framed client after the gob-era ones: %q, %v", out, err)
+	}
+	wantServed(t, reg, 1, "one framed call")
 }
 
 // gobEraServer is a test double of the serve loop as it was before
-// frames: one gob decoder straight on the connection, gob replies, no
-// capability bit. A frame on its stream is a corrupt gob message and
-// ends the connection, as it would on a real old node. hangUpAt makes it
-// close the connection instead of answering that request (counted
-// across connections).
+// frames: one gob decoder straight on the connection, gob replies. A
+// frame on its stream is a corrupt gob message and ends the connection,
+// as it would on a real old node.
 type gobEraServer struct {
-	ln       net.Listener
-	served   atomic.Int64
-	conns    atomic.Int64
-	hangUpAt int64
+	ln     net.Listener
+	served atomic.Int64
+	conns  atomic.Int64
 }
 
-func startGobEraServer(t *testing.T, hangUpAt int64) *gobEraServer {
+func startGobEraServer(t *testing.T) *gobEraServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &gobEraServer{ln: ln, hangUpAt: hangUpAt}
+	s := &gobEraServer{ln: ln}
 	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
@@ -130,9 +161,7 @@ func startGobEraServer(t *testing.T, hangUpAt int64) *gobEraServer {
 					if err := dec.Decode(&req); err != nil {
 						return
 					}
-					if s.served.Add(1) == s.hangUpAt {
-						return
-					}
+					s.served.Add(1)
 					if err := enc.Encode(gobResponse{ID: req.ID, Body: req.Body, TraceID: req.TraceID}); err != nil {
 						return
 					}
@@ -143,45 +172,43 @@ func startGobEraServer(t *testing.T, hangUpAt int64) *gobEraServer {
 	return s
 }
 
-// TestFramingClientAgainstGobEraServer: against a server that never
-// sets the capability bit the client stays in gob — one frame would end
-// the double's connection and fail the call — across 1 000 calls and a
-// re-dial in the middle.
+// TestFramingClientAgainstGobEraServer: the client's first call is a
+// frame, which a gob-era server cannot read. The call fails promptly —
+// the old server hangs up, no deadline has to fire — on the first
+// attempt and on its retry over a fresh connection, and nothing is
+// served.
 func TestFramingClientAgainstGobEraServer(t *testing.T) {
-	const calls, hangUpAt = 1000, 400
-	srv := startGobEraServer(t, hangUpAt)
+	srv := startGobEraServer(t)
 	reg := metrics.NewRegistry()
 	c, err := Dial(srv.ln.Addr().String(), 2*time.Second,
-		WithCallTimeout(2*time.Second), WithClientMetrics(reg),
+		WithCallTimeout(5*time.Second), WithClientMetrics(reg),
 		WithRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, JitterFrac: 0}),
 		WithIdempotent("echo"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < calls; i++ {
-		var out int
-		if _, err := c.Call("echo", i, &out); err != nil || out != i {
-			t.Fatalf("call %d = %d, %v", i, out, err)
-		}
-		if c.w.framed {
-			t.Fatalf("call %d switched the connection to frames without the capability bit", i)
-		}
+	start := time.Now()
+	var out int
+	if _, err := c.Call("echo", 1, &out); err == nil {
+		t.Fatalf("a gob-era server answered a frame: %d", out)
 	}
-	if got := srv.served.Load(); got != calls+1 {
-		t.Fatalf("the gob-era server decoded %d requests, want %d (one retried)", got, calls+1)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("the failed call took %v; it waited for a deadline", d)
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["transport_client_redials_total"] != 1 || srv.conns.Load() != 2 {
-		t.Fatalf("redials = %d over %d connections, want 1 over 2",
-			snap.Counters["transport_client_redials_total"], srv.conns.Load())
+	if srv.served.Load() != 0 || srv.conns.Load() != 2 || snap.Counters["transport_client_redials_total"] != 1 ||
+		snap.Counters["transport_client_timeouts_total"] != 0 {
+		t.Fatalf("served %d over %d connections, redials %d, timeouts %d; want 0 over 2, 1, 0",
+			srv.served.Load(), srv.conns.Load(), snap.Counters["transport_client_redials_total"],
+			snap.Counters["transport_client_timeouts_total"])
 	}
 }
 
-// TestFramedAfterFirstExchange: between upgraded peers the first
-// exchange of every connection is gob and the rest are frames — after a
-// forced break and re-dial, and after a timeout's retry, too.
-func TestFramedAfterFirstExchange(t *testing.T) {
+// TestFramedFromFirstExchange: every exchange is a frame — the first of
+// a connection, those after a forced break and re-dial, and a timed-out
+// call's retry on its fresh connection.
+func TestFramedFromFirstExchange(t *testing.T) {
 	reg := metrics.NewRegistry()
 	var drop atomic.Bool
 	s := startFaultServer(t, WithMetrics(reg), WithServerFaults(func(string) FaultAction {
@@ -205,16 +232,13 @@ func TestFramedAfterFirstExchange(t *testing.T) {
 	}
 
 	call("first")
-	wantFraming(t, reg, 0, 1, "first exchange")
-	if !c.w.framed {
-		t.Fatal("the capability bit did not switch the connection")
-	}
+	wantServed(t, reg, 1, "first exchange")
 	for i := 0; i < 9; i++ {
 		call("steady")
 	}
-	wantFraming(t, reg, 9, 1, "one connection, ten calls")
+	wantServed(t, reg, 10, "one connection, ten calls")
 
-	// An application error travels in a frame and leaves the framing alone.
+	// An application error travels in a frame.
 	var remote *RemoteError
 	if _, err := c.Call("fail", nil, nil); !errors.As(err, &remote) || remote.Message != "application says no" {
 		t.Fatalf("framed error reply = %v", err)
@@ -222,22 +246,19 @@ func TestFramedAfterFirstExchange(t *testing.T) {
 	if _, err := c.Call("nope", nil, nil); !errors.As(err, &remote) || remote.Method != "nope" {
 		t.Fatalf("framed unknown method = %v", err)
 	}
-	wantFraming(t, reg, 11, 1, "error replies")
+	wantServed(t, reg, 12, "error replies")
 
-	// A broken connection is re-dialed and starts over in gob.
+	// A broken connection is re-dialed and its first call is a frame.
 	c.breakConn(errors.New("test: forced break"))
 	call("after break")
-	wantFraming(t, reg, 11, 2, "first exchange after a re-dial")
-	call("after break, steady")
-	wantFraming(t, reg, 12, 2, "second exchange after a re-dial")
+	wantServed(t, reg, 13, "first exchange after a re-dial")
 
-	// A dropped request times out; its retry runs on a fresh connection,
-	// in gob, and the connection then switches again.
+	// A dropped request times out; its retry runs on a fresh connection.
 	drop.Store(true)
 	call("retried")
-	wantFraming(t, reg, 13, 3, "a framed attempt dropped, its retry in gob")
+	wantServed(t, reg, 14, "a dropped attempt and its retry")
 	call("after retry")
-	wantFraming(t, reg, 14, 3, "steady after the retry")
+	wantServed(t, reg, 15, "steady after the retry")
 	snap := creg.Snapshot()
 	if snap.Counters["transport_client_retries_total"] != 1 || snap.Counters["transport_client_redials_total"] != 2 {
 		t.Fatalf("retries = %d, redials = %d, want 1 and 2",
@@ -245,50 +266,8 @@ func TestFramedAfterFirstExchange(t *testing.T) {
 	}
 }
 
-// TestFramingsInterleaveOnOneConnection: the server sniffs every
-// message, not the connection, and answers each in kind.
-func TestFramingsInterleaveOnOneConnection(t *testing.T) {
-	reg := metrics.NewRegistry()
-	srv := startEchoServer(t, WithMetrics(reg))
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	w := newWire(conn)
-
-	var frames, gobs int64
-	for i, framed := range []bool{false, true, true, false, true, false, false, true} {
-		body := []byte{binMarker, byte(i)}
-		req := request{ID: uint64(i + 1), Method: "echo", Body: body}
-		w.framed = framed
-		if err := w.writeRequest(append(make([]byte, headroom), body...), &req); err != nil {
-			t.Fatal(err)
-		}
-		// Answered in kind: readResponse reads the framing it is told to.
-		var resp response
-		if err := w.readResponse(&resp); err != nil {
-			t.Fatalf("message %d (framed=%v): %v", i, framed, err)
-		}
-		if resp.ID != req.ID || string(resp.Body) != string(body) || resp.Err != "" {
-			t.Fatalf("message %d (framed=%v) = %+v", i, framed, resp)
-		}
-		if !framed && !resp.Frames {
-			t.Fatalf("message %d: a gob reply without the capability bit", i)
-		}
-		if framed {
-			frames++
-		} else {
-			gobs++
-		}
-	}
-	wantFraming(t, reg, frames, gobs, "interleaved")
-}
-
 // TestMalformedFrameDropsConnection: a frame the server cannot parse
-// ends that connection, exactly as a corrupt gob stream does, and the
-// server goes on serving others.
+// ends that connection, and the server goes on serving others.
 func TestMalformedFrameDropsConnection(t *testing.T) {
 	srv := startEchoServer(t)
 	good, err := encodeRequestFrame(request{ID: 1, Method: "echo", Body: []byte("x")})
@@ -329,14 +308,16 @@ func TestMalformedFrameDropsConnection(t *testing.T) {
 	}
 }
 
-// TestResponseIDMismatchBreaksFramedConnection: the id check guards a
-// framed exchange as it guards a gob one.
+// TestResponseIDMismatchBreaksFramedConnection: a reply whose id is not
+// the request's breaks the connection, and the call after it runs on a
+// fresh one.
 func TestResponseIDMismatchBreaksFramedConnection(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	var served atomic.Int64
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -349,15 +330,14 @@ func TestResponseIDMismatchBreaksFramedConnection(t *testing.T) {
 				w.out = make([]byte, headroom, 2*headroom)
 				for {
 					var req request
-					_, framed, err := w.readRequest(&req)
-					if err != nil {
+					if _, err := w.readRequest(&req); err != nil {
 						return
 					}
-					resp := response{ID: req.ID, Body: req.Body, Frames: true}
-					if framed {
+					resp := response{ID: req.ID, Body: req.Body}
+					if served.Add(1) == 2 {
 						resp.ID += 100 // the answer to some other request
 					}
-					if w.writeResponse(framed, &resp) != nil {
+					if w.writeResponse(&resp) != nil {
 						return
 					}
 				}
@@ -371,16 +351,14 @@ func TestResponseIDMismatchBreaksFramedConnection(t *testing.T) {
 	defer c.Close()
 	var out int
 	if _, err := c.Call("echo", 1, &out); err != nil || out != 1 {
-		t.Fatalf("gob exchange = %d, %v", out, err)
+		t.Fatalf("first exchange = %d, %v", out, err)
 	}
 	if _, err := c.Call("echo", 2, &out); err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("a mismatched id over frames = %v", err)
+		t.Fatalf("a mismatched id = %v", err)
 	}
 	if !c.broken {
 		t.Fatal("the connection survived an id mismatch")
 	}
-	// The re-dialed connection starts in gob, which this server answers
-	// honestly.
 	if _, err := c.Call("echo", 3, &out); err != nil || out != 3 {
 		t.Fatalf("after the re-dial = %d, %v", out, err)
 	}
@@ -486,7 +464,7 @@ func TestHandleTimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 3; i++ { // one gob exchange, two framed
+	for i := 0; i < 3; i++ {
 		if _, err := c.Call("slow", nil, nil); err != nil {
 			t.Fatal(err)
 		}

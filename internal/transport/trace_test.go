@@ -2,9 +2,7 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,23 +10,6 @@ import (
 
 	"github.com/georep/georep/internal/trace"
 )
-
-// legacyRequest/legacyResponse are the wire frames as they were before
-// trace propagation was added. gob matches fields by name, ignores
-// stream fields unknown to the receiver, and zero-fills receiver fields
-// absent from the stream — the properties the wire-compat guarantee
-// rests on.
-type legacyRequest struct {
-	ID     uint64
-	Method string
-	Body   []byte
-}
-
-type legacyResponse struct {
-	ID   uint64
-	Err  string
-	Body []byte
-}
 
 func startEchoServer(t *testing.T, opts ...ServerOption) *Server {
 	t.Helper()
@@ -47,100 +28,6 @@ func startEchoServer(t *testing.T, opts ...ServerOption) *Server {
 func testTracer(node string) (*trace.FlightRecorder, *trace.Tracer) {
 	rec := trace.NewFlightRecorder(16, 8)
 	return rec, trace.New(rec, node, trace.WithRand(rand.New(rand.NewSource(1))))
-}
-
-// TestWireCompatLegacyClientToTracingServer proves a pre-trace peer can
-// call a tracing server: frames without trace fields are served
-// normally and produce no server spans.
-func TestWireCompatLegacyClientToTracingServer(t *testing.T) {
-	rec, tr := testTracer("srv")
-	srv := startEchoServer(t, WithServerTracer(tr))
-
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-
-	body, err := Marshal([]byte("legacy"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(conn).Encode(legacyRequest{ID: 9, Method: "echo", Body: body}); err != nil {
-		t.Fatalf("legacy frame rejected: %v", err)
-	}
-	var resp legacyResponse
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatalf("legacy client cannot decode tracing server's response: %v", err)
-	}
-	if resp.ID != 9 || resp.Err != "" {
-		t.Fatalf("response: %+v", resp)
-	}
-	var out []byte
-	if err := Unmarshal(resp.Body, &out); err != nil || string(out) != "legacy" {
-		t.Fatalf("echo body: %q err=%v", out, err)
-	}
-	if n := rec.Len(); n != 0 {
-		t.Fatalf("untraced legacy request produced %d server traces", n)
-	}
-}
-
-// TestWireCompatTracingClientToLegacyServer proves a tracing client
-// (trace fields on the wire) interops with a pre-trace server that has
-// never heard of those fields.
-func TestWireCompatTracingClientToLegacyServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-		for {
-			var req legacyRequest
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			if err := enc.Encode(legacyResponse{ID: req.ID, Body: req.Body}); err != nil {
-				return
-			}
-		}
-	}()
-
-	rec, tr := testTracer("cli")
-	c, err := Dial(ln.Addr().String(), 2*time.Second,
-		WithCallTimeout(2*time.Second), WithClientTracer(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	root := tr.StartRoot("compat", trace.KindEpoch)
-	ctx := trace.ContextWithSpan(context.Background(), root)
-	var out []byte
-	if _, err := c.CallContext(ctx, "echo", []byte("traced"), &out); err != nil {
-		t.Fatalf("traced call to legacy server: %v", err)
-	}
-	if string(out) != "traced" {
-		t.Fatalf("echo body %q", out)
-	}
-	root.End()
-
-	got, ok := traceByID(rec, root.Context().TraceID)
-	if !ok {
-		t.Fatal("client trace missing")
-	}
-	// root + client span + one attempt, all client-side; no server span.
-	if len(got.Spans) != 3 {
-		t.Fatalf("spans: %+v", got.Spans)
-	}
 }
 
 // TestSpanPropagationAcrossWire checks a traced call assembles one tree

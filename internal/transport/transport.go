@@ -1,12 +1,12 @@
 // Package transport is a minimal stdlib-only RPC layer so the
 // replica-placement system also runs as real networked processes, not
-// only inside the discrete-event simulator: TCP, fixed-width frames (one
-// gob stream with a gob-era peer, see frame.go) as envelope, and bodies that are
-// either fixed-width binary (the hot daemon methods) or nested gob (see
-// body.go). Servers can inject artificial per-request delays, which lets
-// the examples reproduce wide-area RTTs between processes on one
-// machine; clients measure the observed RTT of every call, which is
-// exactly the measurement stream the coordinate system consumes.
+// only inside the discrete-event simulator: TCP, fixed-width frames as
+// envelope (frame.go), and bodies that are either fixed-width binary (the
+// hot daemon methods) or nested gob (see body.go). Servers can inject
+// artificial per-request delays, which lets the examples reproduce
+// wide-area RTTs between processes on one machine; clients measure the
+// observed RTT of every call, which is exactly the measurement stream the
+// coordinate system consumes.
 package transport
 
 import (
@@ -24,15 +24,13 @@ import (
 	"github.com/georep/georep/internal/trace"
 )
 
-// request and response are the wire frames. Their types are compiled
-// once per connection; Body is opaque here (see body.go).
+// request and response are what a frame carries (frame.go); Body is
+// opaque here (see body.go).
 //
 // The trace fields are optional W3C-style span propagation: TraceID is
 // the 16-byte hex trace, SpanID the caller-side span the server should
-// parent under, ParentID that span's own parent (context only). gob
-// ignores fields the receiver does not know and zero-fills fields the
-// sender did not write, so frames interoperate with pre-trace peers in
-// both directions.
+// parent under, ParentID that span's own parent (context only). Empty
+// strings mean an untraced call.
 type request struct {
 	ID       uint64
 	Method   string
@@ -51,9 +49,6 @@ type response struct {
 	Body    []byte
 	TraceID string
 	SpanID  string
-	// Frames is set on every gob reply of a server that reads frames. A
-	// gob-era client ignores it and a gob-era server never sends it.
-	Frames bool
 }
 
 // Handler serves one method: raw request body in, raw response body out.
@@ -75,8 +70,6 @@ type serverMetrics struct {
 	bytesIn  *metrics.Counter
 	bytesOut *metrics.Counter
 	dropped  *metrics.Counter
-	frames   *metrics.Counter // requests that arrived framed / in gob: the
-	gobs     *metrics.Counter // second stops moving once gob-era clients are gone
 	handleMs *metrics.Histogram
 }
 
@@ -87,8 +80,6 @@ func newServerMetrics(r *metrics.Registry) serverMetrics {
 		bytesIn:  r.Counter("transport_server_bytes_in_total"),
 		bytesOut: r.Counter("transport_server_bytes_out_total"),
 		dropped:  r.Counter("transport_server_dropped_total"),
-		frames:   r.Counter("transport_server_frames_total"),
-		gobs:     r.Counter("transport_server_gob_frames_total"),
 		handleMs: r.Histogram("transport_server_handle_ms", metrics.LatencyBuckets()),
 	}
 }
@@ -141,7 +132,8 @@ type serverLoggerOption struct{ log *slog.Logger }
 func (o serverLoggerOption) apply(s *Server) { s.log = o.log }
 
 // WithServerLogger installs a structured logger for server events:
-// fault drops/delays, unknown methods, and handler errors.
+// malformed frames, fault drops/delays, unknown methods, and handler
+// errors.
 func WithServerLogger(log *slog.Logger) ServerOption { return serverLoggerOption{log: log} }
 
 // Server accepts connections and dispatches method calls. Each
@@ -159,8 +151,8 @@ type Server struct {
 	closed   bool
 }
 
-// handlerEntry keeps the method's own string, so a framed request names
-// its method without allocating, and the caller's latency histogram.
+// handlerEntry keeps the method's own string, so a request names its
+// method without allocating, and the caller's latency histogram.
 type handlerEntry struct {
 	name string
 	fn   Handler
@@ -267,27 +259,26 @@ func (s *Server) serveConn(conn net.Conn) {
 		// A fresh frame per message: req.Body is allocated anew, so a
 		// handler's decoded request may alias it (see BodyDecoder).
 		var req request
-		method, framed, err := w.readRequest(&req)
+		method, err := w.readRequest(&req)
 		if err != nil {
-			return // connection closed, corrupt or truncated; drop it
-		}
-		// A framed method arrives as bytes and takes its string from the
-		// handler table: only an unknown one allocates its name.
-		var ent handlerEntry
-		s.mu.RLock()
-		if framed {
-			if ent = s.handlers[string(method)]; ent.fn == nil {
-				ent.name = string(method)
+			// Connection closed, corrupt or truncated: drop it. A gob-era
+			// peer's envelope lands here on its first byte.
+			if errors.Is(err, errFrame) && s.log != nil {
+				s.log.Warn("malformed frame, connection dropped", "remote", conn.RemoteAddr().String(), "err", err)
 			}
-			req.Method = ent.name
-			s.met.frames.Inc()
-		} else {
-			ent = s.handlers[req.Method]
-			s.met.gobs.Inc()
+			return
 		}
+		// The method arrives as bytes and takes its string from the
+		// handler table: only an unknown one allocates its name.
+		s.mu.RLock()
+		ent := s.handlers[string(method)]
 		s.mu.RUnlock()
+		if ent.fn == nil {
+			ent.name = string(method)
+		}
+		req.Method = ent.name
 		// A traced frame opens a server span parented under the caller's
-		// wire span; an untraced frame (old peer, tracing off) does not.
+		// wire span; an untraced frame does not.
 		var sp *trace.ActiveSpan
 		if parent := (trace.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID}); s.tracer != nil && parent.Valid() {
 			sp = s.tracer.Start(parent, "serve."+req.Method, trace.KindServer)
@@ -314,7 +305,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.met.requests.Inc()
 		s.met.bytesIn.Add(int64(len(req.Body)))
 
-		resp := response{ID: req.ID, TraceID: req.TraceID, Frames: true}
+		resp := response{ID: req.ID, TraceID: req.TraceID}
 		if sp != nil {
 			resp.SpanID = sp.Context().SpanID
 		}
@@ -341,7 +332,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.met.bytesOut.Add(int64(len(resp.Body)))
 		sp.SetErrString(resp.Err)
 		sp.End()
-		if err := w.writeResponse(framed, &resp); err != nil {
+		if err := w.writeResponse(&resp); err != nil {
 			return
 		}
 	}
@@ -581,10 +572,10 @@ func (c *Client) Call(method string, req, resp any) (time.Duration, error) {
 // deadlines already bound every call (see WithCallTimeout).
 func (c *Client) CallContext(ctx context.Context, method string, req, resp any) (time.Duration, error) {
 	c.met.calls.Inc()
-	// The frame's length-byte rule, applied before a framing is chosen so
-	// that a connection's first (gob) call refuses what its later framed
-	// calls would. Method and the caller's trace id are the two strings
-	// that come from outside; span ids are the tracer's own.
+	// The frame's length-byte rule, applied before anything is encoded or
+	// sent, so a refused call leaves the connection usable. Method and the
+	// caller's trace id are the two strings that come from outside; span
+	// ids are the tracer's own.
 	parent := trace.FromContext(ctx)
 	traced := c.tracer != nil && parent.Valid()
 	if len(method) > maxFrameStr || traced && len(parent.TraceID) > maxFrameStr {
@@ -600,7 +591,7 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 	)
 	if a, ok := req.(BodyAppender); ok {
 		// Encoded in place behind the frame's headroom; the body is on the
-		// wire (or copied out by gob) before the next call reuses the buffer.
+		// wire before the next call reuses the buffer.
 		body, err = a.AppendBody(c.reqBuf[:headroom])
 		if err == nil && cap(body) <= maxKeptReqBuf {
 			c.reqBuf = body
@@ -687,9 +678,9 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 // the connection is broken. Transport-level failures mark the
 // connection broken: a response to a timed-out request must never be
 // mistaken for the answer to its retry, so retries always run on a
-// fresh connection, which starts in gob again. buf is the request body
-// behind its headroom; start, unless zero or a re-dial came after it, is
-// the clock the caller just read.
+// fresh connection. buf is the request body behind its headroom; start,
+// unless zero or a re-dial came after it, is the clock the caller just
+// read.
 func (c *Client) attempt(method string, buf []byte, resp any, wire trace.SpanContext, parentID string, start time.Time) (time.Duration, error) {
 	w, fresh, err := c.liveConn()
 	if err != nil {
