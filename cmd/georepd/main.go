@@ -18,16 +18,16 @@
 //	georepd -addr 127.0.0.1:7001 -slo "avail ratio(daemon_rpc_errors_total / daemon_rpc_total) <= 0.001"
 //
 // With -metrics-addr the daemon serves an observability surface over
-// HTTP:
+// HTTP. /metrics.json, /slo, /trace and /explain serve the bytes of the
+// RPC of the same name:
 //
 //	/metrics          Prometheus text exposition with georep_-prefixed
 //	                  series (scrape this)
-//	/metrics.json     the same registry as an expvar-style JSON document
+//	/metrics.json     the registry snapshot as JSON
 //	/metrics/history  the in-process time-series ring as JSON
 //	                  (?lookback=10m; requires -slo)
 //	/slo              live SLO status: states, burn rates, budgets
 //	                  (requires -slo)
-//	/debug/vars       alias of /metrics.json
 //	/trace            retained span trees as JSONL (?format=chrome for
 //	                  Chrome trace_event / Perfetto)
 //	/audit            continuous placement-regret audit report as JSON
@@ -160,7 +160,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- addrs) error {
 		scale       = fs.Float64("timescale", 1.0, "emulated delay multiplier (0.1 = 10x faster demos)")
 		coordFlag   = fs.String("coord", "", "this node's network coordinate as comma-separated floats, e.g. \"12.5,-3.1,40.2\"")
 		height      = fs.Float64("height", 0, "height component of this node's coordinate")
-		metricsAddr = fs.String("metrics-addr", "", "HTTP address serving /metrics, /metrics.json, /trace and /healthz; empty disables")
+		metricsAddr = fs.String("metrics-addr", "", "HTTP address serving /metrics, /metrics.json, /metrics/history, /slo, /trace, /audit, /explain and /healthz (see the package doc); empty disables")
 		writeRatio  = fs.Float64("write-ratio", 0, "expected write share of traffic in [0,1]; > 0 enables the replication write log: puts append CRC-framed entries, replog_* metrics join /metrics, and the replicate RPC serves catch-up batches")
 		writeRetain = fs.Int("write-log-retain", 0, "uncompacted write-log tail bound; followers further behind get a snapshot redirect (0 = default)")
 		faultPlan   = fs.String("fault-plan", "", "inject faults from a plan DSL, e.g. \"crash 2@5-8; drop *>0:0.2@1-10\" (see internal/faults); the decay RPC advances the epoch")
@@ -317,7 +317,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- addrs) error {
 			return fmt.Errorf("metrics listen %s: %w", *metricsAddr, err)
 		}
 		metricsURL = ln.Addr().String()
-		metricsSrv = &http.Server{Handler: newObsMux(n, rec, aw, *pprofOn, explainJSON)}
+		metricsSrv = &http.Server{Handler: newObsMux(n, rec, aw, *pprofOn, explainJSON != nil)}
 		go func() { _ = metricsSrv.Serve(ln) }()
 		fmt.Printf("metrics on http://%s/metrics\n", metricsURL)
 	}
@@ -336,66 +336,42 @@ func run(args []string, stop <-chan os.Signal, ready chan<- addrs) error {
 	return n.Close()
 }
 
-// newObsMux builds the daemon's HTTP observability surface. Responses
-// that require marshalling are rendered to a buffer first, so a failure
-// becomes a clean 500 rather than a truncated 200.
-func newObsMux(n *daemon.Node, rec *trace.FlightRecorder, aw *audit.Watcher, pprofOn bool,
-	explainJSON func(epoch int, objectID string) ([]byte, error)) *http.ServeMux {
+// newObsMux builds the daemon's HTTP observability surface. /metrics.json,
+// /slo, /trace and /explain serve the bytes the RPC of the same name
+// replies with (daemon.Node's view methods); a view the node runs without
+// is a 404.
+func newObsMux(n *daemon.Node, rec *trace.FlightRecorder, aw *audit.Watcher, pprofOn, explainOn bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		var buf bytes.Buffer
-		if err := metrics.WritePrometheusPrefixed(&buf, n.Snapshot(), "georep_"); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = w.Write(buf.Bytes())
+		err := metrics.WritePrometheusPrefixed(&buf, n.Snapshot(), "georep_")
+		writeView(w, "text/plain; version=0.0.4; charset=utf-8", buf.Bytes(), err)
 	})
-	serveJSON := func(w http.ResponseWriter, _ *http.Request) {
-		body, err := metrics.MarshalSnapshot(n.Snapshot())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
-	}
-	mux.HandleFunc("/metrics.json", serveJSON)
-	mux.HandleFunc("/debug/vars", serveJSON)
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		body, err := n.MetricsJSON()
+		writeView(w, "application/json", body, err)
+	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		if rec == nil {
 			http.Error(w, "tracing disabled (-trace=false)", http.StatusNotFound)
 			return
 		}
-		traces := rec.Traces()
-		var buf bytes.Buffer
-		var err error
-		ct := "application/x-ndjson"
 		if r.URL.Query().Get("format") == "chrome" {
-			ct = "application/json"
-			err = trace.WriteChromeTrace(&buf, traces)
-		} else {
-			err = trace.WriteJSONL(&buf, traces)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			var buf bytes.Buffer
+			err := trace.WriteChromeTrace(&buf, rec.Traces())
+			writeView(w, "application/json", buf.Bytes(), err)
 			return
 		}
-		w.Header().Set("Content-Type", ct)
-		_, _ = w.Write(buf.Bytes())
+		body, err := n.TraceJSONL()
+		writeView(w, "application/x-ndjson", body, err)
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, _ *http.Request) {
 		if n.SLO() == nil {
 			http.Error(w, "slo engine disabled (start with -slo)", http.StatusNotFound)
 			return
 		}
-		body, err := json.MarshalIndent(n.SLO().Status(), "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
+		body, err := n.SLOJSON()
+		writeView(w, "application/json", body, err)
 	})
 	mux.HandleFunc("/metrics/history", func(w http.ResponseWriter, r *http.Request) {
 		h := n.History()
@@ -413,12 +389,7 @@ func newObsMux(n *daemon.Node, rec *trace.FlightRecorder, aw *audit.Watcher, ppr
 			since = metrics.SinceNs(time.Now().UnixNano(), d)
 		}
 		body, err := json.Marshal(h.Dump(since))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
+		writeView(w, "application/json", body, err)
 	})
 	mux.HandleFunc("/audit", func(w http.ResponseWriter, _ *http.Request) {
 		if aw == nil {
@@ -426,15 +397,10 @@ func newObsMux(n *daemon.Node, rec *trace.FlightRecorder, aw *audit.Watcher, ppr
 			return
 		}
 		body, err := json.MarshalIndent(aw.Report(), "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
+		writeView(w, "application/json", body, err)
 	})
 	mux.HandleFunc("/explain", func(w http.ResponseWriter, r *http.Request) {
-		if explainJSON == nil {
+		if !explainOn {
 			http.Error(w, "decision provenance disabled (start with -ledger-dir)", http.StatusNotFound)
 			return
 		}
@@ -447,13 +413,8 @@ func newObsMux(n *daemon.Node, rec *trace.FlightRecorder, aw *audit.Watcher, ppr
 			}
 			epoch = v
 		}
-		body, err := explainJSON(epoch, r.URL.Query().Get("object"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
+		body, err := n.ExplainJSON(epoch, r.URL.Query().Get("object"))
+		writeView(w, "application/json", body, err)
 	})
 	// Readiness: 200 while no SLO objective pages; 503 with a JSON body
 	// naming the paging objective otherwise, so orchestrators and load
@@ -486,4 +447,16 @@ func newObsMux(n *daemon.Node, rec *trace.FlightRecorder, aw *audit.Watcher, ppr
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
+}
+
+// writeView writes a rendered body under its content type, or a 500
+// when rendering failed: the body is complete before the status is
+// sent, so a failure is never a truncated 200.
+func writeView(w http.ResponseWriter, contentType string, body []byte, err error) {
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", contentType)
+	_, _ = w.Write(body)
 }

@@ -168,14 +168,24 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("daemon_rpc_get_ms count = %d, want %d", h.Count, reads)
 	}
 
-	// Counters advance across further traffic, on both endpoint paths.
+	// Counters advance across further traffic.
 	if _, _, err := c.Get(1, []float64{1, 1}, "k"); err != nil {
 		t.Fatal(err)
 	}
-	s2 := fetch("/debug/vars")
+	s2 := fetch("/metrics.json")
 	if s2.Counters["daemon_rpc_get_total"] != reads+1 {
 		t.Errorf("daemon_rpc_get_total after extra read = %d, want %d",
 			s2.Counters["daemon_rpc_get_total"], reads+1)
+	}
+
+	// /metrics.json has no second name.
+	resp, err := http.Get("http://" + bound.Metrics + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars = %s, want 404", resp.Status)
 	}
 }
 

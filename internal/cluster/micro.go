@@ -337,7 +337,7 @@ func (s *Summarizer) Len() int { return len(s.clusters) }
 // paper requires. Clusters whose count rounds to zero are dropped. This
 // is called by the replica manager between placement epochs.
 func (s *Summarizer) Decay(factor float64) error {
-	if factor <= 0 || factor > 1 {
+	if !(factor > 0 && factor <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("cluster: decay factor %v out of (0,1]", factor)
 	}
 	kept := s.clusters[:0]

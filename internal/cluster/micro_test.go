@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,6 +218,27 @@ func TestSummarizerDecay(t *testing.T) {
 	}
 	if err := s.Decay(1.5); err == nil {
 		t.Error("factor > 1 should fail")
+	}
+}
+
+// TestSummarizerDecayRefusesBadFactors: a factor outside (0,1] — NaN
+// and the infinities included — is an error that leaves every cluster
+// as it was. A NaN once passed the range check and emptied the summary.
+func TestSummarizerDecayRefusesBadFactors(t *testing.T) {
+	s, _ := NewSummarizer(4, 2)
+	for i, p := range []vec.Vec{{0, 0}, {10, 0}, {0, 10}, {10, 10}} {
+		if err := s.Observe(p, float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.Clusters()
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.5, 1.5} {
+		if err := s.Decay(f); err == nil {
+			t.Errorf("Decay(%v) succeeded", f)
+		}
+		if got := s.Clusters(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Decay(%v) changed the clusters:\n got %+v\nwant %+v", f, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -26,7 +27,7 @@ type Client struct {
 func IdempotentMethods() []string {
 	return []string{MethodGet, MethodPut, MethodDelete, MethodMicros,
 		MethodStats, MethodPing, MethodCoord, MethodList, MethodMetrics,
-		MethodTrace, MethodSLO, MethodReplicate}
+		MethodTrace, MethodSLO, MethodReplicate, MethodExplain}
 }
 
 // DialNode connects to a daemon. Additional transport options (retry
@@ -143,42 +144,53 @@ func (c *Client) DecayCtx(ctx context.Context, factor float64) error {
 	return nil
 }
 
+// call runs one untraced call; its error names the method and the node.
+func (c *Client) call(method string, req transport.BodyAppender, resp transport.BodyDecoder) error {
+	if _, err := c.c.Call(method, req, resp); err != nil {
+		return fmt.Errorf("daemon: %s from %s: %w", method, c.addr, err)
+	}
+	return nil
+}
+
 // Coord fetches the node's own network coordinate.
 func (c *Client) Coord() (CoordResponse, error) {
 	var resp CoordResponse
-	if _, err := c.c.Call(MethodCoord, nil, &resp); err != nil {
-		return CoordResponse{}, fmt.Errorf("daemon: coord from %s: %w", c.addr, err)
-	}
-	return resp, nil
+	err := c.call(MethodCoord, nil, &resp)
+	return resp, err
 }
 
 // List fetches the node's stored object IDs.
 func (c *Client) List() ([]string, error) {
 	var resp ListResponse
-	if _, err := c.c.Call(MethodList, nil, &resp); err != nil {
-		return nil, fmt.Errorf("daemon: list from %s: %w", c.addr, err)
-	}
-	return resp.Objects, nil
+	err := c.call(MethodList, nil, &resp)
+	return resp.Objects, err
+}
+
+// Stats fetches node statistics.
+func (c *Client) Stats() (StatsResponse, error) {
+	var resp StatsResponse
+	err := c.call(MethodStats, nil, &resp)
+	return resp, err
 }
 
 // Metrics fetches the node's metrics snapshot.
 func (c *Client) Metrics() (metrics.Snapshot, error) {
-	var resp MetricsResponse
-	if _, err := c.c.Call(MethodMetrics, nil, &resp); err != nil {
-		return metrics.Snapshot{}, fmt.Errorf("daemon: metrics from %s: %w", c.addr, err)
+	var body view
+	if err := c.call(MethodMetrics, nil, &body); err != nil {
+		return metrics.Snapshot{}, err
 	}
-	return metrics.UnmarshalSnapshot(resp.JSON)
+	return metrics.UnmarshalSnapshot(body)
 }
 
 // Trace fetches the node's retained span trees (empty when the node
 // runs without a flight recorder).
 func (c *Client) Trace() ([]trace.Trace, error) {
-	var resp TraceResponse
-	if _, err := c.c.Call(MethodTrace, nil, &resp); err != nil {
-		return nil, fmt.Errorf("daemon: trace from %s: %w", c.addr, err)
+	var body view
+	if err := c.call(MethodTrace, nil, &body); err != nil {
+		return nil, err
 	}
-	var traces []trace.Trace
-	if err := json.Unmarshal(resp.JSON, &traces); err != nil {
+	traces, err := trace.ReadJSONL(bytes.NewReader(body))
+	if err != nil {
 		return nil, fmt.Errorf("daemon: decode traces from %s: %w", c.addr, err)
 	}
 	return traces, nil
@@ -187,12 +199,12 @@ func (c *Client) Trace() ([]trace.Trace, error) {
 // SLO fetches the node's live SLO engine status (an error when the
 // node runs without -slo).
 func (c *Client) SLO() (slo.Status, error) {
-	var resp SLOResponse
-	if _, err := c.c.Call(MethodSLO, nil, &resp); err != nil {
-		return slo.Status{}, fmt.Errorf("daemon: slo from %s: %w", c.addr, err)
+	var body view
+	if err := c.call(MethodSLO, nil, &body); err != nil {
+		return slo.Status{}, err
 	}
 	var st slo.Status
-	if err := json.Unmarshal(resp.JSON, &st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		return slo.Status{}, fmt.Errorf("daemon: decode slo from %s: %w", c.addr, err)
 	}
 	return st, nil
@@ -204,11 +216,9 @@ func (c *Client) SLO() (slo.Status, error) {
 // one object. The raw JSON is returned so the CLI can re-render or
 // pass it through untouched.
 func (c *Client) Explain(epoch int, objectID string) ([]byte, error) {
-	var resp ExplainResponse
-	if _, err := c.c.Call(MethodExplain, ExplainRequest{Epoch: epoch, ObjectID: objectID}, &resp); err != nil {
-		return nil, fmt.Errorf("daemon: explain from %s: %w", c.addr, err)
-	}
-	return resp.JSON, nil
+	var body view
+	err := c.call(MethodExplain, ExplainRequest{Epoch: epoch, ObjectID: objectID}, &body)
+	return body, err
 }
 
 // Replicate fetches write-log entries past the caller's highest applied
@@ -218,21 +228,12 @@ func (c *Client) Explain(epoch int, objectID string) ([]byte, error) {
 // again from there.
 func (c *Client) Replicate(from uint64, max int) (ReplicateResponse, []replog.Entry, error) {
 	var resp ReplicateResponse
-	if _, err := c.c.Call(MethodReplicate, ReplicateRequest{From: from, Max: max}, &resp); err != nil {
-		return ReplicateResponse{}, nil, fmt.Errorf("daemon: replicate from %s: %w", c.addr, err)
+	if err := c.call(MethodReplicate, ReplicateRequest{From: from, Max: max}, &resp); err != nil {
+		return ReplicateResponse{}, nil, err
 	}
 	entries, err := replog.DecodeBatch(resp.Frames)
 	if err != nil {
 		return ReplicateResponse{}, nil, fmt.Errorf("daemon: replicate from %s: %w", c.addr, err)
 	}
 	return resp, entries, nil
-}
-
-// Stats fetches node statistics.
-func (c *Client) Stats() (StatsResponse, error) {
-	var resp StatsResponse
-	if _, err := c.c.Call(MethodStats, nil, &resp); err != nil {
-		return StatsResponse{}, fmt.Errorf("daemon: stats from %s: %w", c.addr, err)
-	}
-	return resp, nil
 }

@@ -10,6 +10,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,8 +34,8 @@ import (
 // Protocol bodies. All requests that model a client read carry the
 // client's identity and coordinate: real deployments know both (the
 // coordinate system is decentralized, every node has its own coordinate).
-// The steady-state types (get, put, delete, decay, micros, replicate)
-// travel in the binary body codec of wire.go; the rest in gob.
+// Every type travels in the binary body codec of wire.go; the metrics,
+// slo, trace and explain replies are the view's rendered bytes.
 type (
 	// GetRequest reads an object on behalf of a client.
 	GetRequest struct {
@@ -92,34 +93,12 @@ type (
 	ListResponse struct {
 		Objects []string
 	}
-	// MetricsResponse carries a JSON-encoded metrics snapshot (see
-	// metrics.MarshalSnapshot); JSON keeps the payload self-describing
-	// for non-Go scrapers fronted by georepctl.
-	MetricsResponse struct {
-		JSON []byte
-	}
-	// TraceResponse carries the node's retained span trees as a
-	// JSON-encoded []trace.Trace; empty (a JSON []) when the node runs
-	// without a flight recorder.
-	TraceResponse struct {
-		JSON []byte
-	}
-	// SLOResponse carries the node's SLO engine status as a
-	// JSON-encoded slo.Status (see internal/slo); an error when the
-	// node runs without -slo.
-	SLOResponse struct {
-		JSON []byte
-	}
 	// ExplainRequest asks for a decision-provenance explanation from a
 	// node that serves one (georepd -ledger-dir). Epoch < 0 means the
 	// latest recorded epoch; ObjectID narrows multi-object ledgers.
 	ExplainRequest struct {
 		Epoch    int
 		ObjectID string
-	}
-	// ExplainResponse carries a JSON-encoded explain.Report.
-	ExplainResponse struct {
-		JSON []byte
 	}
 	// ReplicateRequest asks a write-log node for log entries past the
 	// caller's highest applied sequence — the catch-up leg of the
@@ -289,9 +268,8 @@ type Node struct {
 	log    *slog.Logger
 
 	mu       sync.Mutex
-	sum      *cluster.Summarizer // nil when sharded
-	shards   *cluster.Sharded    // nil when unsharded
-	objSums  map[string]*objSummary
+	all      summary             // the node-wide summary
+	objSums  map[string]*summary // nil unless Config.PerObjectSummaries
 	accesses int64
 	wlog     *replog.Log // nil unless Config.WriteRatio > 0
 	wretain  int
@@ -320,12 +298,22 @@ type nodeMetrics struct {
 	repLag             *metrics.Histogram // follower lag served by replicate
 }
 
-// objSummary is one object's dedicated summarizer, created lazily on
-// the object's first summarized access (Config.PerObjectSummaries).
-// Mirrors the node-wide summary's sharding mode.
-type objSummary struct {
+// summary is one micro-cluster summary: the node-wide one, or one
+// object's, created on the object's first summarized access
+// (Config.PerObjectSummaries). Every summary of a node is sharded or
+// not as Config.IngestShards says; n.mu guards an unsharded one.
+type summary struct {
 	sum    *cluster.Summarizer // nil when sharded
 	shards *cluster.Sharded    // nil when unsharded
+}
+
+func newSummary(cfg Config) (s summary, err error) {
+	if cfg.IngestShards > 1 {
+		s.shards, err = cluster.NewSharded(cfg.IngestShards, cfg.MicroClusters, cfg.Dims)
+	} else {
+		s.sum, err = cluster.NewSummarizer(cfg.MicroClusters, cfg.Dims)
+	}
+	return s, err
 }
 
 // NewNode builds the node runtime (not yet listening). Every node
@@ -370,21 +358,12 @@ func NewNode(cfg Config) (*Node, error) {
 		srvOpts = append(srvOpts, transport.WithServerLogger(cfg.TransportLogger))
 	}
 	n.server = transport.NewServer(srvOpts...)
-	if cfg.IngestShards > 1 {
-		shards, err := cluster.NewSharded(cfg.IngestShards, cfg.MicroClusters, cfg.Dims)
-		if err != nil {
-			return nil, err
-		}
-		n.shards = shards
-	} else {
-		sum, err := cluster.NewSummarizer(cfg.MicroClusters, cfg.Dims)
-		if err != nil {
-			return nil, err
-		}
-		n.sum = sum
+	var err error
+	if n.all, err = newSummary(cfg); err != nil {
+		return nil, err
 	}
 	if cfg.PerObjectSummaries {
-		n.objSums = make(map[string]*objSummary)
+		n.objSums = make(map[string]*summary)
 	}
 	if cfg.WriteRatio > 0 {
 		n.wlog = replog.NewLog()
@@ -454,25 +433,18 @@ func (n *Node) History() *metrics.History { return n.history }
 // SLO returns the node's SLO engine (nil without -slo).
 func (n *Node) SLO() *slo.Engine { return n.sloEng }
 
-// objSummaryFor returns (lazily creating) the object's summarizer.
-// Callers must hold n.mu.
-func (n *Node) objSummaryFor(object string) (*objSummary, error) {
-	os := n.objSums[object]
-	if os != nil {
-		return os, nil
+// objSummaryFor returns (lazily creating) the object's summary. Callers
+// must hold n.mu.
+func (n *Node) objSummaryFor(object string) (*summary, error) {
+	if s := n.objSums[object]; s != nil {
+		return s, nil
 	}
-	os = &objSummary{}
-	var err error
-	if n.cfg.IngestShards > 1 {
-		os.shards, err = cluster.NewSharded(n.cfg.IngestShards, n.cfg.MicroClusters, n.cfg.Dims)
-	} else {
-		os.sum, err = cluster.NewSummarizer(n.cfg.MicroClusters, n.cfg.Dims)
-	}
+	s, err := newSummary(n.cfg)
 	if err != nil {
 		return nil, err
 	}
-	n.objSums[object] = os
-	return os, nil
+	n.objSums[object] = &s
+	return &s, nil
 }
 
 // Metrics returns the node's registry, shared with its transport server.
@@ -481,8 +453,9 @@ func (n *Node) Metrics() *metrics.Registry { return n.reg }
 // Snapshot captures the node's current metrics.
 func (n *Node) Snapshot() metrics.Snapshot { return n.reg.Snapshot() }
 
-func (n *Node) registerHandlers() error {
-	handlers := map[string]transport.Handler{
+// handlers is the protocol: one handler per method.
+func (n *Node) handlers() map[string]transport.Handler {
+	return map[string]transport.Handler{
 		MethodGet:       n.handleGet,
 		MethodPut:       n.handlePut,
 		MethodDelete:    n.handleDelete,
@@ -492,13 +465,16 @@ func (n *Node) registerHandlers() error {
 		MethodPing:      func([]byte) ([]byte, error) { return nil, nil },
 		MethodCoord:     n.handleCoord,
 		MethodList:      n.handleList,
-		MethodMetrics:   n.handleMetrics,
-		MethodTrace:     n.handleTrace,
-		MethodSLO:       n.handleSLO,
+		MethodMetrics:   func([]byte) ([]byte, error) { return n.MetricsJSON() },
+		MethodTrace:     func([]byte) ([]byte, error) { return n.TraceJSONL() },
+		MethodSLO:       func([]byte) ([]byte, error) { return n.SLOJSON() },
 		MethodReplicate: n.handleReplicate,
 		MethodExplain:   n.handleExplain,
 	}
-	for name, h := range handlers {
+}
+
+func (n *Node) registerHandlers() error {
+	for name, h := range n.handlers() {
 		if err := n.instrument(name, h); err != nil {
 			return err
 		}
@@ -542,50 +518,47 @@ func (n *Node) faultAction(method string) transport.FaultAction {
 	}
 }
 
-func (n *Node) handleMetrics([]byte) ([]byte, error) {
-	b, err := metrics.MarshalSnapshot(n.reg.Snapshot())
-	if err != nil {
-		return nil, err
-	}
-	return transport.Marshal(MetricsResponse{JSON: b})
+// The node's four JSON views. Each renders the bytes that the RPC of
+// the same name replies with and that georepd serves over HTTP.
+
+// MetricsJSON renders the registry snapshot (metrics.MarshalSnapshot).
+func (n *Node) MetricsJSON() ([]byte, error) {
+	return metrics.MarshalSnapshot(n.reg.Snapshot())
 }
 
-func (n *Node) handleSLO([]byte) ([]byte, error) {
+// SLOJSON renders the SLO engine's status; an error when the node runs
+// without one.
+func (n *Node) SLOJSON() ([]byte, error) {
 	if n.sloEng == nil {
 		return nil, fmt.Errorf("daemon: slo engine disabled (start with -slo)")
 	}
-	b, err := json.Marshal(n.sloEng.Status())
-	if err != nil {
-		return nil, err
-	}
-	return transport.Marshal(SLOResponse{JSON: b})
+	return json.Marshal(n.sloEng.Status())
 }
 
-func (n *Node) handleExplain(body []byte) ([]byte, error) {
+// TraceJSONL renders the retained span trees as JSONL
+// (trace.WriteJSONL); empty when the node runs without a flight
+// recorder.
+func (n *Node) TraceJSONL() ([]byte, error) {
+	var buf bytes.Buffer
+	err := trace.WriteJSONL(&buf, n.cfg.Trace.Traces())
+	return buf.Bytes(), err
+}
+
+// ExplainJSON renders the explain.Report for an epoch (negative = latest
+// recorded) and object filter; an error when the node has no ledger.
+func (n *Node) ExplainJSON(epoch int, objectID string) ([]byte, error) {
 	if n.cfg.ExplainJSON == nil {
 		return nil, fmt.Errorf("daemon: no decision ledger attached (start with -ledger-dir)")
 	}
-	var req ExplainRequest
-	if err := transport.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	b, err := n.cfg.ExplainJSON(req.Epoch, req.ObjectID)
-	if err != nil {
-		return nil, err
-	}
-	return transport.Marshal(ExplainResponse{JSON: b})
+	return n.cfg.ExplainJSON(epoch, objectID)
 }
 
-func (n *Node) handleTrace([]byte) ([]byte, error) {
-	traces := n.cfg.Trace.Traces()
-	if traces == nil {
-		traces = []trace.Trace{}
-	}
-	b, err := json.Marshal(traces)
-	if err != nil {
+func (n *Node) handleExplain(body []byte) ([]byte, error) {
+	var req ExplainRequest
+	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
-	return transport.Marshal(TraceResponse{JSON: b})
+	return n.ExplainJSON(req.Epoch, req.ObjectID)
 }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in a background
@@ -668,7 +641,7 @@ func (n *Node) handleGet(body []byte) ([]byte, error) {
 		weight = float64(len(obj.Data))
 	}
 	if len(req.ClientCoord) == n.cfg.Dims {
-		var obj *objSummary
+		var obj *summary
 		if n.objSums != nil && req.Object != "" {
 			n.mu.Lock()
 			obj, err = n.objSummaryFor(req.Object)
@@ -677,10 +650,10 @@ func (n *Node) handleGet(body []byte) ([]byte, error) {
 				return nil, err
 			}
 		}
-		if n.shards != nil {
+		if n.all.shards != nil {
 			// Sharded ingest locks only the client's shard; the node
 			// mutex covers just the access counter.
-			err = n.shards.Observe(req.Client, vec.Vec(req.ClientCoord), weight)
+			err = n.all.shards.Observe(req.Client, vec.Vec(req.ClientCoord), weight)
 			if err == nil && obj != nil {
 				err = obj.shards.Observe(req.Client, vec.Vec(req.ClientCoord), weight)
 			}
@@ -689,7 +662,7 @@ func (n *Node) handleGet(body []byte) ([]byte, error) {
 			n.mu.Unlock()
 		} else {
 			n.mu.Lock()
-			err = n.sum.Observe(vec.Vec(req.ClientCoord), weight)
+			err = n.all.sum.Observe(vec.Vec(req.ClientCoord), weight)
 			if err == nil && obj != nil {
 				err = obj.sum.Observe(vec.Vec(req.ClientCoord), weight)
 			}
@@ -833,32 +806,27 @@ func (n *Node) handleMicros(body []byte) ([]byte, error) {
 	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
-	var enc []byte
-	var err error
-	switch {
-	case req.Object != "":
+	s := &n.all
+	if req.Object != "" {
 		if n.objSums == nil {
 			return nil, fmt.Errorf("daemon: per-object summaries disabled (start with -objects)")
 		}
 		n.mu.Lock()
-		obj := n.objSums[req.Object]
+		s = n.objSums[req.Object]
 		n.mu.Unlock()
-		if obj == nil {
-			// No summarized access yet: an empty summary, not an error —
-			// a freshly registered object simply has no demand.
-			enc, err = cluster.EncodeMicros(nil)
-		} else if obj.shards != nil {
-			enc, err = cluster.EncodeMicros(obj.shards.Summary())
-		} else {
-			n.mu.Lock()
-			enc, err = cluster.EncodeMicros(obj.sum.Clusters())
-			n.mu.Unlock()
-		}
-	case n.shards != nil:
-		enc, err = cluster.EncodeMicros(n.shards.Summary())
+	}
+	var enc []byte
+	var err error
+	switch {
+	case s == nil:
+		// No summarized access yet: an empty summary, not an error — a
+		// freshly registered object simply has no demand.
+		enc, err = cluster.EncodeMicros(nil)
+	case s.shards != nil:
+		enc, err = cluster.EncodeMicros(s.shards.Summary())
 	default:
 		n.mu.Lock()
-		enc, err = cluster.EncodeMicros(n.sum.Clusters())
+		enc, err = cluster.EncodeMicros(s.sum.Clusters())
 		n.mu.Unlock()
 	}
 	if err != nil {
@@ -877,39 +845,34 @@ func (n *Node) handleDecay(body []byte) ([]byte, error) {
 	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
-	// Epoch decay is fleet-wide: the node-wide summary and every
-	// per-object summary age together.
+	// Epoch decay is fleet-wide: every per-object summary and the
+	// node-wide one age together.
 	n.mu.Lock()
-	objs := make([]*objSummary, 0, len(n.objSums))
-	for _, os := range n.objSums {
-		objs = append(objs, os)
+	sums := make([]*summary, 0, len(n.objSums)+1)
+	for _, s := range n.objSums {
+		sums = append(sums, s)
 	}
 	n.mu.Unlock()
-	for _, os := range objs {
+	for _, s := range append(sums, &n.all) {
 		var err error
-		if os.shards != nil {
-			err = os.shards.Decay(req.Factor)
+		if s.shards != nil {
+			err = s.shards.Decay(req.Factor)
 		} else {
 			n.mu.Lock()
-			err = os.sum.Decay(req.Factor)
+			err = s.sum.Decay(req.Factor)
 			n.mu.Unlock()
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
-	if n.shards != nil {
-		return nil, n.shards.Decay(req.Factor)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return nil, n.sum.Decay(req.Factor)
+	return nil, nil
 }
 
 func (n *Node) handleCoord([]byte) ([]byte, error) {
 	return transport.Marshal(CoordResponse{
 		Node:   n.cfg.ID,
-		Pos:    append([]float64(nil), n.cfg.Coordinate...),
+		Pos:    n.cfg.Coordinate,
 		Height: n.cfg.Height,
 	})
 }

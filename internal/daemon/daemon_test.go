@@ -1,12 +1,15 @@
 package daemon
 
 import (
+	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/georep/georep/internal/cluster"
 	"github.com/georep/georep/internal/store"
 	"github.com/georep/georep/internal/transport"
 )
@@ -148,6 +151,66 @@ func TestDecayOverWire(t *testing.T) {
 	}
 	if err := c.Decay(0); err == nil {
 		t.Error("factor 0 should fail remotely")
+	}
+}
+
+// TestDecayRefusesNaN: a NaN factor is refused over the wire and both the
+// node-wide and the per-object summaries keep their micro-clusters.
+func TestDecayRefusesNaN(t *testing.T) {
+	_, c := startNode(t, Config{ID: 1, MicroClusters: 4, Dims: 2, PerObjectSummaries: true})
+	if err := c.Put("o", []byte("abcd"), 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][]float64{{0, 0}, {50, 0}, {0, 50}, {50, 50}} {
+		if _, _, err := c.Get(1, p, "o"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	summaries := func() (node, obj []cluster.Micro) {
+		t.Helper()
+		node, _, err := c.Micros()
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, _, err = c.MicrosObjectCtx(context.Background(), "o")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node, obj
+	}
+	wantNode, wantObj := summaries()
+	if len(wantNode) != 4 || len(wantObj) != 4 {
+		t.Fatalf("%d node-wide and %d per-object micros before the decay, want 4 and 4", len(wantNode), len(wantObj))
+	}
+	var remote *transport.RemoteError
+	if err := c.Decay(math.NaN()); !errors.As(err, &remote) {
+		t.Fatalf("Decay(NaN) = %v, want a RemoteError", err)
+	}
+	if node, obj := summaries(); !reflect.DeepEqual(node, wantNode) || !reflect.DeepEqual(obj, wantObj) {
+		t.Fatalf("a refused NaN decay moved the summaries:\nnode-wide %+v\nper-object %+v", node, obj)
+	}
+}
+
+// TestIdempotentMethodsAreAllButDecay: every method the node serves is
+// marked safe to retry except decay, whose repeat would age the summary
+// twice.
+func TestIdempotentMethodsAreAllButDecay(t *testing.T) {
+	n, err := NewNode(Config{MicroClusters: 4, Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := make(map[string]bool)
+	for m := range n.handlers() {
+		missing[m] = true
+	}
+	for _, m := range IdempotentMethods() {
+		if !missing[m] {
+			t.Errorf("IdempotentMethods lists %q, which the node does not serve (or lists it twice)", m)
+		}
+		delete(missing, m)
+	}
+	if len(missing) != 1 || !missing[MethodDecay] {
+		t.Fatalf("methods left out of IdempotentMethods: %v, want only %s", missing, MethodDecay)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // The protocol bodies as a gob-era peer declares them: same fields, no
-// binary codec, so the transport gob-encodes them.
+// binary codec; gobEncode encodes them as such a peer did.
 type (
 	gobGetRequest struct {
 		Client      int
@@ -36,6 +36,10 @@ type (
 		From uint64
 		Max  int
 	}
+	gobExplainRequest struct {
+		Epoch    int
+		ObjectID string
+	}
 	// gobEnvelope is the request envelope a gob-era peer sends.
 	gobEnvelope struct {
 		ID     uint64
@@ -43,6 +47,15 @@ type (
 		Body   []byte
 	}
 )
+
+func gobEncode(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // rawBody is sent as it is: the body bytes of a call, whatever they are.
 type rawBody []byte
@@ -60,10 +73,7 @@ func TestGobEraClientAgainstNewNode(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	body, err := transport.Marshal(gobPutRequest{Object: "obj", Data: []byte("gob era"), Version: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := gobEncode(t, gobPutRequest{Object: "obj", Data: []byte("gob era"), Version: 1})
 	start := time.Now()
 	if err := gob.NewEncoder(conn).Encode(gobEnvelope{ID: 1, Method: MethodPut, Body: body}); err != nil {
 		t.Fatal(err)
@@ -87,10 +97,11 @@ func TestGobEraClientAgainstNewNode(t *testing.T) {
 	}
 }
 
-// TestHotMethodsRefuseForeignBodies: every binary method has one defined
-// outcome for a body it cannot decode — a gob body, an empty one, and
-// one that ends right after its marker: a RemoteError naming the decode
-// failure, no state change, and a node that answers the next call.
+// TestHotMethodsRefuseForeignBodies: every method with a request body
+// has one defined outcome for a body it cannot decode — a gob body, an
+// empty one, and one that ends right after its marker: a RemoteError
+// naming the decode failure, no state change, and a node that answers
+// the next call.
 func TestHotMethodsRefuseForeignBodies(t *testing.T) {
 	n, c := startNode(t, Config{ID: 1, MicroClusters: 4, Dims: 2, WriteRatio: 0.5})
 	if err := c.Put("obj", []byte("payload"), 1); err != nil {
@@ -103,13 +114,7 @@ func TestHotMethodsRefuseForeignBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobBody := func(v any) rawBody {
-		b, err := transport.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
+	gobBody := func(v any) rawBody { return gobEncode(t, v) }
 	for _, m := range []struct {
 		method, what string
 		marker       byte
@@ -121,6 +126,7 @@ func TestHotMethodsRefuseForeignBodies(t *testing.T) {
 		{MethodMicros, "micros request", wireMicrosRequest, gobBody(gobMicrosRequest{})},
 		{MethodDecay, "decay request", wireDecayRequest, gobBody(gobDecayRequest{Factor: 0.5})},
 		{MethodReplicate, "replicate request", wireReplicateRequest, gobBody(gobReplicateRequest{Max: 10})},
+		{MethodExplain, "explain request", wireExplainRequest, gobBody(gobExplainRequest{Epoch: -1})},
 	} {
 		for kind, body := range map[string]rawBody{"gob": m.gob, "empty": {}, "marker only": {m.marker}} {
 			_, err := c.c.Call(m.method, body, nil)
@@ -138,31 +144,6 @@ func TestHotMethodsRefuseForeignBodies(t *testing.T) {
 	}
 	if got := n.Snapshot().Counters["replog_appends_total"]; got != 1 {
 		t.Fatalf("write log took %d appends, want the one framed put", got)
-	}
-}
-
-// TestBinaryRepliesToBinaryRequests: the replies of the hot methods are
-// binary, which a gob-only response type cannot decode.
-func TestBinaryRepliesToBinaryRequests(t *testing.T) {
-	n, _ := startNode(t, Config{ID: 1, MicroClusters: 4, Dims: 2, WriteRatio: 0.5})
-	raw, err := transport.Dial(n.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if _, err := raw.Call(MethodPut, PutRequest{Object: "obj", Data: []byte("x"), Version: 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// A gob-only response type cannot decode a binary reply.
-	for method, req := range map[string]any{
-		MethodGet:       GetRequest{Object: "obj"},
-		MethodMicros:    MicrosRequest{},
-		MethodReplicate: ReplicateRequest{},
-	} {
-		var sink struct{ Data, Encoded, Frames []byte }
-		if _, err := raw.Call(method, req, &sink); err == nil {
-			t.Errorf("%s: a binary request was answered in gob", method)
-		}
 	}
 }
 

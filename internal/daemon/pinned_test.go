@@ -15,10 +15,11 @@ import (
 )
 
 // TestWireBytesPinned pins the exact bytes of every hand-rolled format a
-// node puts on a socket or a disk: the nine RPC bodies, the replication
-// frame, the micros and coordinates encodings, a ledger record payload
-// and the stream fingerprint encoding. The hex was generated before the
-// codecs moved onto internal/wire; a codec change that moves a byte fails
+// node puts on a socket or a disk: the thirteen RPC bodies, the
+// replication frame, the micros and coordinates encodings, a ledger
+// record payload and the stream fingerprint encoding. The hex was
+// generated before the codecs moved onto internal/wire (the last four
+// bodies' with their codecs); a codec change that moves a byte fails
 // here by name. (The three envelope frames are pinned by the test of the
 // same name in internal/transport, which owns them.)
 func TestWireBytesPinned(t *testing.T) {
@@ -43,6 +44,10 @@ func TestWireBytesPinned(t *testing.T) {
 		{"daemon/micros-response", body(MicrosResponse{Encoded: []byte{'m', 1, 0, 0, 0, 0}}), "87060000006d0100000000"},
 		{"daemon/replicate-request", body(ReplicateRequest{From: 1 << 33, Max: -1}), "880000000002000000ffffffffffffffff"},
 		{"daemon/replicate-response", body(ReplicateResponse{Snapshot: true, SnapSeq: 40, SnapTerm: 1, Last: 50, Frames: []byte{7, 7}}), "8901280000000000000001000000000000003200000000000000020000000707"},
+		{"daemon/coord-response", body(CoordResponse{Node: -2, Pos: []float64{1.5, -2.5}, Height: 0.5}), "8afeffffffffffffff000000000000e03f02000000000000000000f83f00000000000004c0"},
+		{"daemon/list-response", body(ListResponse{Objects: []string{"obj-1", ""}}), "8b02000000050000006f626a2d3100000000"},
+		{"daemon/stats-response", body(StatsResponse{Node: 1, Objects: 2, Bytes: 1 << 40, Accesses: -1}), "8c010000000000000002000000000000000000000000010000ffffffffffffffff"},
+		{"daemon/explain-request", body(ExplainRequest{Epoch: -1, ObjectID: "obj-1"}), "8dffffffffffffffff050000006f626a2d31"},
 		{"replog/frame", func() ([]byte, error) {
 			return replog.AppendFrame(nil, replog.Entry{Seq: 7, Term: 2, Client: -4, Object: 11, Bytes: 128.5}), nil
 		}, "20000000c11c508907000000000000000200000000000000fcffffff0b0000000000000000106040"},

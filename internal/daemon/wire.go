@@ -10,15 +10,12 @@ import (
 	"github.com/georep/georep/internal/wire"
 )
 
-// Binary body codec for the request/response types that cross the wire
-// in steady state. Gob bodies are encoded on a fresh stream per call, so
-// every get re-sent and re-compiled its type descriptors — about 30 µs
-// of a 43 µs loopback call. These bodies are fixed-width instead, in the
-// idiom of the ledger, replog and micros codecs: one marker byte naming
-// the type, little-endian fixed fields, u32 length-prefixed strings,
-// byte and float slices, decoded through wire.Reader (DESIGN §17: every
-// length checked against the bytes that remain before anything is
-// allocated).
+// Binary body codec for the request/response types of the daemon
+// protocol, in the idiom of the ledger, replog and micros codecs: one
+// marker byte naming the type, little-endian fixed fields, u32
+// length-prefixed strings, byte and float slices, decoded through
+// wire.Reader (DESIGN §17: every length checked against the bytes that
+// remain before anything is allocated).
 //
 //	GetRequest         0x81 | i64 Client | f64 Bytes | u32 n | f64×n ClientCoord | u32 n | Object
 //	GetResponse        0x82 | u64 Version | u32 n | Data
@@ -29,14 +26,19 @@ import (
 //	MicrosResponse     0x87 | u32 n | Encoded
 //	ReplicateRequest   0x88 | u64 From | i64 Max
 //	ReplicateResponse  0x89 | u8 Snapshot | u64 SnapSeq | u64 SnapTerm | u64 Last | u32 n | Frames
+//	CoordResponse      0x8a | i64 Node | f64 Height | u32 n | f64×n Pos
+//	ListResponse       0x8b | u32 n | n × (u32 n | Object)
+//	StatsResponse      0x8c | i64 Node | i64 Objects | i64 Bytes | i64 Accesses
+//	ExplainRequest     0x8d | i64 Epoch | u32 n | ObjectID
 //
-// The marker names the type: a body with another marker, a gob body or
-// an empty one is refused with the type's name (transport.Unmarshal and
-// the handlers call DecodeBody on every body these types receive). A
-// changed layout takes a new marker. Zero-length fields decode to nil,
-// as gob decodes them. Decoded byte slices alias the body: the transport
-// hands every decoder a per-message buffer (TestWireAliasing pins both
-// halves of that).
+// The marker names the type: a body with another marker or an empty one
+// is refused with the type's name (the handlers and the transport call
+// DecodeBody on every body these types receive). A changed layout takes
+// a new marker. Zero-length fields decode to nil. Decoded byte slices
+// alias the body: the transport hands every decoder a per-message buffer
+// (TestWireAliasing pins both halves of that). The metrics, slo, trace
+// and explain replies are no struct at all: their body is the view's
+// rendered bytes (see Node.MetricsJSON and the rest).
 const (
 	wireGetRequest byte = 0x81 + iota
 	wireGetResponse
@@ -47,6 +49,10 @@ const (
 	wireMicrosResponse
 	wireReplicateRequest
 	wireReplicateResponse
+	wireCoordResponse
+	wireListResponse
+	wireStatsResponse
+	wireExplainRequest
 )
 
 // errFieldTooLong rejects a field whose length does not fit the u32
@@ -254,3 +260,86 @@ func (p *ReplicateResponse) DecodeBody(b []byte) error {
 	v.Frames = r.Bytes()
 	return finishBody(&r, "replicate response", p, v)
 }
+
+// AppendBody implements transport.BodyAppender.
+func (p CoordResponse) AppendBody(dst []byte) ([]byte, error) {
+	if err := checkFieldLens(len(p.Pos)); err != nil {
+		return dst, err
+	}
+	dst = appendU64(append(dst, wireCoordResponse), uint64(p.Node))
+	dst = wire.AppendF64(dst, p.Height)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.Pos)))
+	return wire.AppendF64s(dst, p.Pos), nil
+}
+
+// DecodeBody implements transport.BodyDecoder.
+func (p *CoordResponse) DecodeBody(b []byte) error {
+	r := readBody(b, wireCoordResponse)
+	v := CoordResponse{Node: int(int64(r.U64())), Height: r.F64(), Pos: r.F64s(uint64(r.U32()))}
+	return finishBody(&r, "coord response", p, v)
+}
+
+// AppendBody implements transport.BodyAppender.
+func (p ListResponse) AppendBody(dst []byte) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint32(append(dst, wireListResponse), uint32(len(p.Objects)))
+	for _, o := range p.Objects {
+		if err := checkFieldLens(len(o)); err != nil {
+			return dst, err
+		}
+		dst = wire.AppendString(dst, o)
+	}
+	return dst, nil
+}
+
+// DecodeBody implements transport.BodyDecoder. The count is bounded by
+// the bytes that remain (every name takes at least its 4-byte length)
+// before the slice is made.
+func (p *ListResponse) DecodeBody(b []byte) error {
+	r := readBody(b, wireListResponse)
+	var v ListResponse
+	if n := r.Fit(uint64(r.U32()), 4); n > 0 {
+		v.Objects = make([]string, n)
+		for i := range v.Objects {
+			v.Objects[i] = r.Str()
+		}
+	}
+	return finishBody(&r, "list response", p, v)
+}
+
+// AppendBody implements transport.BodyAppender.
+func (p StatsResponse) AppendBody(dst []byte) ([]byte, error) {
+	dst = appendU64(append(dst, wireStatsResponse), uint64(p.Node))
+	dst = appendU64(dst, uint64(p.Objects))
+	dst = appendU64(dst, uint64(p.Bytes))
+	return appendU64(dst, uint64(p.Accesses)), nil
+}
+
+// DecodeBody implements transport.BodyDecoder.
+func (p *StatsResponse) DecodeBody(b []byte) error {
+	r := readBody(b, wireStatsResponse)
+	v := StatsResponse{Node: int(int64(r.U64())), Objects: int(int64(r.U64())), Bytes: int64(r.U64()), Accesses: int64(r.U64())}
+	return finishBody(&r, "stats response", p, v)
+}
+
+// AppendBody implements transport.BodyAppender.
+func (q ExplainRequest) AppendBody(dst []byte) ([]byte, error) {
+	if err := checkFieldLens(len(q.ObjectID)); err != nil {
+		return dst, err
+	}
+	dst = appendU64(append(dst, wireExplainRequest), uint64(q.Epoch))
+	return wire.AppendString(dst, q.ObjectID), nil
+}
+
+// DecodeBody implements transport.BodyDecoder.
+func (q *ExplainRequest) DecodeBody(b []byte) error {
+	r := readBody(b, wireExplainRequest)
+	v := ExplainRequest{Epoch: int(int64(r.U64())), ObjectID: r.Str()}
+	return finishBody(&r, "explain request", q, v)
+}
+
+// view receives a reply whose body is a view's rendered bytes, as they
+// are; it aliases the per-message body.
+type view []byte
+
+// DecodeBody implements transport.BodyDecoder.
+func (v *view) DecodeBody(b []byte) error { *v = b; return nil }

@@ -33,9 +33,14 @@ var (
 	micResp = func() transport.BodyDecoder { return new(MicrosResponse) }
 	repReq  = func() transport.BodyDecoder { return new(ReplicateRequest) }
 	repResp = func() transport.BodyDecoder { return new(ReplicateResponse) }
+	crdResp = func() transport.BodyDecoder { return new(CoordResponse) }
+	lstResp = func() transport.BodyDecoder { return new(ListResponse) }
+	staResp = func() transport.BodyDecoder { return new(StatsResponse) }
+	expReq  = func() transport.BodyDecoder { return new(ExplainRequest) }
 
 	wireDecoders = []func() transport.BodyDecoder{
 		getReq, getResp, putReq, delReq, decReq, micReq, micResp, repReq, repResp,
+		crdResp, lstResp, staResp, expReq,
 	}
 )
 
@@ -72,6 +77,16 @@ func wireCases() []wireCase {
 		{"replicateresp/zero", ReplicateResponse{}, repResp},
 		{"replicateresp/frames", ReplicateResponse{Frames: bytes.Repeat([]byte{7}, 80), Last: 12}, repResp},
 		{"replicateresp/snapshot", ReplicateResponse{Snapshot: true, SnapSeq: 40, SnapTerm: 1, Last: 50}, repResp},
+		{"coordresp/zero", CoordResponse{}, crdResp},
+		{"coordresp/typical", CoordResponse{Node: 2, Pos: []float64{100, -0.5, 40}, Height: 1.25}, crdResp},
+		{"coordresp/negative-node", CoordResponse{Node: math.MinInt, Pos: []float64{math.Inf(-1)}}, crdResp},
+		{"listresp/zero", ListResponse{}, lstResp},
+		{"listresp/typical", ListResponse{Objects: []string{"obj-000", "obj-001", "demo"}}, lstResp},
+		{"listresp/empty-name", ListResponse{Objects: []string{"", "x"}}, lstResp},
+		{"statsresp/zero", StatsResponse{}, staResp},
+		{"statsresp/typical", StatsResponse{Node: 1, Objects: 64, Bytes: 1 << 33, Accesses: -1}, staResp},
+		{"explain/latest", ExplainRequest{Epoch: -1}, expReq},
+		{"explain/object", ExplainRequest{Epoch: 5, ObjectID: "obj-001"}, expReq},
 	}
 }
 
@@ -198,6 +213,11 @@ func TestWireLengthLies(t *testing.T) {
 		{"micros object", cat([]byte{wireMicrosRequest}, u32(1<<30)), new(MicrosRequest)},
 		{"microsresp", cat([]byte{wireMicrosResponse}, u32(1<<30), make([]byte, 6)), new(MicrosResponse)},
 		{"replicateresp frames", cat([]byte{wireReplicateResponse, 0}, make([]byte, 24), u32(1<<30), make([]byte, 40)), new(ReplicateResponse)},
+		{"coordresp pos", cat([]byte{wireCoordResponse}, make([]byte, 16), u32(math.MaxUint32), make([]byte, 64)), new(CoordResponse)},
+		{"listresp names max", cat([]byte{wireListResponse}, u32(math.MaxUint32), u32(1), []byte("x")), new(ListResponse)},
+		{"listresp names", cat([]byte{wireListResponse}, u32(1<<28), make([]byte, 256)), new(ListResponse)},
+		{"listresp name", cat([]byte{wireListResponse}, u32(1), u32(1<<30), []byte("x")), new(ListResponse)},
+		{"explain object", cat([]byte{wireExplainRequest}, make([]byte, 8), u32(1<<30), []byte("obj")), new(ExplainRequest)},
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

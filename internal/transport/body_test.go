@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -44,21 +46,14 @@ func TestMarshalDispatch(t *testing.T) {
 	}
 
 	// A gob body into the same type is refused by the type's decoder:
-	// a binary type has one encoding.
-	g, err := gobEncode(binBody{P: []byte("old")})
-	if err != nil {
+	// a type has one encoding.
+	var g bytes.Buffer
+	if err := gob.NewEncoder(&g).Encode(binBody{P: []byte("old")}); err != nil {
 		t.Fatal(err)
 	}
 	back = binBody{}
-	if err := Unmarshal(g, &back); err == nil {
+	if err := Unmarshal(g.Bytes(), &back); err == nil {
 		t.Fatalf("Unmarshal(gob body) into a binary type = %+v", back)
-	}
-
-	// A binary body into a type without a decoder is an error, not a
-	// misread.
-	var plain echoReq
-	if err := Unmarshal(b, &plain); err == nil {
-		t.Error("a binary body gob-decoded into a plain struct")
 	}
 }
 
@@ -112,7 +107,7 @@ func TestBodyBuffersArePerMessage(t *testing.T) {
 func TestRequestBufferReuse(t *testing.T) {
 	s, addr := startServer(t)
 	if err := s.HandleTimed("len", func(body []byte) ([]byte, error) {
-		return Marshal(len(body))
+		return []byte(strconv.Itoa(len(body))), nil
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +117,12 @@ func TestRequestBufferReuse(t *testing.T) {
 	}
 	defer c.Close()
 	for _, n := range []int{10, 4096, 3, maxKeptReqBuf + 1, 7} {
-		var got int
+		var got raw
 		if _, err := c.Call("len", binBody{P: make([]byte, n)}, &got); err != nil {
 			t.Fatal(err)
 		}
-		if got != n+1 {
-			t.Fatalf("server saw %d body bytes, want %d", got, n+1)
+		if string(got) != strconv.Itoa(n+1) {
+			t.Fatalf("server saw %s body bytes, want %d", got, n+1)
 		}
 		if cap(c.reqBuf) > maxKeptReqBuf {
 			t.Fatalf("client kept a %d-byte request buffer", cap(c.reqBuf))

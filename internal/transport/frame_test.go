@@ -172,22 +172,22 @@ func TestIDLimitRefusedBeforeSend(t *testing.T) {
 	}
 	refused := func(when string) {
 		t.Helper()
-		if _, err := c.Call(strings.Repeat("m", 256), "x", nil); !errors.Is(err, errFrameSize) {
+		if _, err := c.Call(strings.Repeat("m", 256), raw("x"), nil); !errors.Is(err, errFrameSize) {
 			t.Fatalf("%s: 256-byte method = %v, want errFrameSize", when, err)
 		}
-		if _, err := c.CallContext(tracedWith(256), "echo", "x", nil); !errors.Is(err, errFrameSize) {
+		if _, err := c.CallContext(tracedWith(256), "echo", raw("x"), nil); !errors.Is(err, errFrameSize) {
 			t.Fatalf("%s: 256-byte trace id = %v, want errFrameSize", when, err)
 		}
 	}
 
 	refused("fresh connection")
 	wantServed(t, reg, 0, "refused calls")
-	var out string
-	if _, err := c.CallContext(tracedWith(255), "echo", "first", &out); err != nil || out != "first" {
+	var out raw
+	if _, err := c.CallContext(tracedWith(255), "echo", raw("first"), &out); err != nil || string(out) != "first" {
 		t.Fatalf("255-byte trace id on a fresh connection: %q, %v", out, err)
 	}
 	refused("used connection")
-	if _, err := c.CallContext(tracedWith(255), "echo", "second", &out); err != nil || out != "second" {
+	if _, err := c.CallContext(tracedWith(255), "echo", raw("second"), &out); err != nil || string(out) != "second" {
 		t.Fatalf("255-byte trace id after refusals: %q, %v", out, err)
 	}
 	wantServed(t, reg, 2, "two calls sent")

@@ -78,30 +78,30 @@ func FuzzTransportFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// Server under attack: write the raw bytes, close, then prove
 		// the server still answers a well-formed request.
-		raw, err := net.Dial("tcp", addr)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
-		raw.SetDeadline(time.Now().Add(2 * time.Second))
-		_, _ = raw.Write(in)
-		raw.(*net.TCPConn).CloseWrite()
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		_, _ = conn.Write(in)
+		conn.(*net.TCPConn).CloseWrite()
 		// The server closes or resets the connection; only a deadline
 		// means it held on.
-		reply, err := io.ReadAll(raw)
+		reply, err := io.ReadAll(conn)
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Fatalf("server held the connection after %q", in)
 		}
 		if len(in) > 0 && in[0] != frameRequest && len(reply) > 0 {
 			t.Fatalf("server answered %q with %q", in, reply)
 		}
-		raw.Close()
+		conn.Close()
 
 		c, err := Dial(addr, 2*time.Second, WithCallTimeout(2*time.Second))
 		if err != nil {
 			t.Fatalf("dial after garbage: %v", err)
 		}
-		var out []byte
-		if _, err := c.Call("echo", []byte("probe"), &out); err != nil {
+		var out raw
+		if _, err := c.Call("echo", raw("probe"), &out); err != nil {
 			t.Fatalf("server wedged by %q: %v", in, err)
 		}
 		c.Close()
@@ -133,8 +133,8 @@ func FuzzTransportFrame(f *testing.F) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			var resp []byte
-			_, _ = vc.Call("echo", []byte("probe"), &resp) // any outcome but a hang is fine
+			var resp raw
+			_, _ = vc.Call("echo", raw("probe"), &resp) // any outcome but a hang is fine
 		}()
 		select {
 		case <-done:

@@ -88,11 +88,7 @@ func TestGobEraClientAgainstFramingServer(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		body, err := Marshal([]byte("gob era"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := gobRequest{ID: 1, Method: "echo", Body: body}
+		req := gobRequest{ID: 1, Method: "echo", Body: []byte("gob era")}
 		if traced {
 			req.TraceID, req.SpanID = "0af7651916cd43dd8448eb211c80319c", "b7ad6b7169203331"
 		}
@@ -121,8 +117,8 @@ func TestGobEraClientAgainstFramingServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var out []byte
-	if _, err := c.Call("echo", []byte("framed"), &out); err != nil || string(out) != "framed" {
+	var out raw
+	if _, err := c.Call("echo", raw("framed"), &out); err != nil || string(out) != "framed" {
 		t.Fatalf("framed client after the gob-era ones: %q, %v", out, err)
 	}
 	wantServed(t, reg, 1, "one framed call")
@@ -189,9 +185,9 @@ func TestFramingClientAgainstGobEraServer(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	var out int
-	if _, err := c.Call("echo", 1, &out); err == nil {
-		t.Fatalf("a gob-era server answered a frame: %d", out)
+	var out raw
+	if _, err := c.Call("echo", raw("1"), &out); err == nil {
+		t.Fatalf("a gob-era server answered a frame: %q", out)
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("the failed call took %v; it waited for a deadline", d)
@@ -225,8 +221,8 @@ func TestFramedFromFirstExchange(t *testing.T) {
 	defer c.Close()
 	call := func(when string) {
 		t.Helper()
-		var out string
-		if _, err := c.Call("echo", when, &out); err != nil || out != when {
+		var out raw
+		if _, err := c.Call("echo", raw(when), &out); err != nil || string(out) != when {
 			t.Fatalf("%s: echo = %q, %v", when, out, err)
 		}
 	}
@@ -302,8 +298,8 @@ func TestMalformedFrameDropsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var out []byte
-	if _, err := c.Call("echo", []byte("still here"), &out); err != nil || string(out) != "still here" {
+	var out raw
+	if _, err := c.Call("echo", raw("still here"), &out); err != nil || string(out) != "still here" {
 		t.Fatalf("after malformed frames: %q, %v", out, err)
 	}
 }
@@ -349,18 +345,18 @@ func TestResponseIDMismatchBreaksFramedConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var out int
-	if _, err := c.Call("echo", 1, &out); err != nil || out != 1 {
-		t.Fatalf("first exchange = %d, %v", out, err)
+	var out raw
+	if _, err := c.Call("echo", raw("1"), &out); err != nil || string(out) != "1" {
+		t.Fatalf("first exchange = %q, %v", out, err)
 	}
-	if _, err := c.Call("echo", 2, &out); err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := c.Call("echo", raw("2"), &out); err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("a mismatched id = %v", err)
 	}
 	if !c.broken {
 		t.Fatal("the connection survived an id mismatch")
 	}
-	if _, err := c.Call("echo", 3, &out); err != nil || out != 3 {
-		t.Fatalf("after the re-dial = %d, %v", out, err)
+	if _, err := c.Call("echo", raw("3"), &out); err != nil || string(out) != "3" {
+		t.Fatalf("after the re-dial = %q, %v", out, err)
 	}
 }
 
@@ -381,8 +377,8 @@ func TestTracedCallSameTreeOverFrames(t *testing.T) {
 	tree := func(when string) []edge {
 		t.Helper()
 		root := cliTr.StartRoot("epoch", trace.KindEpoch)
-		var out []byte
-		if _, err := c.CallContext(trace.ContextWithSpan(context.Background(), root), "echo", []byte("x"), &out); err != nil {
+		var out raw
+		if _, err := c.CallContext(trace.ContextWithSpan(context.Background(), root), "echo", raw("x"), &out); err != nil {
 			t.Fatal(err)
 		}
 		root.End()
@@ -436,8 +432,8 @@ func TestTracedCallSameTreeOverFrames(t *testing.T) {
 
 	// An untraced call on the traced client builds no spans on either side.
 	before := cliRec.Len() + srvRec.Len()
-	var out []byte
-	if _, err := c.Call("echo", []byte("quiet"), &out); err != nil {
+	var out raw
+	if _, err := c.Call("echo", raw("quiet"), &out); err != nil {
 		t.Fatal(err)
 	}
 	if after := cliRec.Len() + srvRec.Len(); after != before {

@@ -68,7 +68,7 @@ func TestStalledServerCannotHangClient(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call("echo", "hello", nil)
+		_, err := c.Call("echo", raw("hello"), nil)
 		done <- err
 	}()
 	select {
@@ -116,8 +116,8 @@ func TestIdleGapLongerThanCallTimeout(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 3; i++ {
-		var out []byte
-		if _, err := c.Call("echo", []byte("ping"), &out); err != nil {
+		var out raw
+		if _, err := c.Call("echo", raw("ping"), &out); err != nil {
 			t.Fatalf("call %d after an idle gap: %v", i, err)
 		}
 		time.Sleep(3 * timeout)
@@ -146,11 +146,11 @@ func TestRetryAfterServerDrops(t *testing.T) {
 	}
 	defer c.Close()
 
-	var out string
-	if _, err := c.Call("echo", "payload", &out); err != nil {
+	var out raw
+	if _, err := c.Call("echo", raw("payload"), &out); err != nil {
 		t.Fatalf("call should have succeeded via retries: %v", err)
 	}
-	if out != "payload" {
+	if string(out) != "payload" {
 		t.Fatalf("echo returned %q", out)
 	}
 }
@@ -170,7 +170,7 @@ func TestNoRetryForUnmarkedMethod(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call("echo", "x", nil); err == nil {
+	if _, err := c.Call("echo", raw("x"), nil); err == nil {
 		t.Fatal("unmarked method must not be retried")
 	}
 	if n := served.Load(); n != 1 {
@@ -220,7 +220,7 @@ func TestRedialAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call("echo", "a", nil); err != nil {
+	if _, err := c.Call("echo", raw("a"), nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -244,12 +244,12 @@ func TestRedialAfterServerRestart(t *testing.T) {
 		close(restarted)
 	}()
 
-	var out string
-	if _, err := c.Call("echo", "b", &out); err != nil {
+	var out raw
+	if _, err := c.Call("echo", raw("b"), &out); err != nil {
 		t.Fatalf("call across restart failed: %v", err)
 	}
 	<-restarted
-	if out != "b" {
+	if string(out) != "b" {
 		t.Fatalf("echo returned %q", out)
 	}
 }
@@ -280,7 +280,7 @@ func TestCloseDuringInFlightCall(t *testing.T) {
 	callErr := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		_, err := c.Call("echo", "x", nil)
+		_, err := c.Call("echo", raw("x"), nil)
 		callErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the call block in receive
@@ -292,7 +292,7 @@ func TestCloseDuringInFlightCall(t *testing.T) {
 		t.Fatalf("in-flight call after Close returned %v, want ErrClientClosed", err)
 	}
 	// Subsequent calls fail the same way, and Close stays idempotent.
-	if _, err := c.Call("echo", "x", nil); !errors.Is(err, ErrClientClosed) {
+	if _, err := c.Call("echo", raw("x"), nil); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("call after Close returned %v", err)
 	}
 	if err := c.Close(); err != nil {
@@ -361,11 +361,11 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	defer c.Close()
 	retries := 0
 	c.sleep = func(time.Duration) { retries++ }
-	_, _ = c.Call("echo", "x", nil) // burns budget: 1 attempt + 3 retries
+	_, _ = c.Call("echo", raw("x"), nil) // burns budget: 1 attempt + 3 retries
 	if retries != 3 {
 		t.Fatalf("first call used %d retries, want 3 (budget)", retries)
 	}
-	_, _ = c.Call("echo", "x", nil) // budget gone: single attempt
+	_, _ = c.Call("echo", raw("x"), nil) // budget gone: single attempt
 	if retries != 3 {
 		t.Fatalf("second call retried despite exhausted budget (%d)", retries)
 	}
@@ -392,13 +392,13 @@ func TestCircuitBreaker(t *testing.T) {
 
 	// Two timeouts open the circuit.
 	for i := 0; i < 2; i++ {
-		if _, err := c.Call("echo", "x", nil); err == nil {
+		if _, err := c.Call("echo", raw("x"), nil); err == nil {
 			t.Fatal("call against dropping server succeeded")
 		}
 	}
 	// Inside the cooldown: fail fast, no network involved.
 	start := time.Now()
-	_, err = c.Call("echo", "x", nil)
+	_, err = c.Call("echo", raw("x"), nil)
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("want ErrCircuitOpen, got %v", err)
 	}
@@ -413,10 +413,10 @@ func TestCircuitBreaker(t *testing.T) {
 	// the circuit again.
 	healthy.Store(true)
 	now = now.Add(2 * time.Minute)
-	if _, err := c.Call("echo", "x", nil); err != nil {
+	if _, err := c.Call("echo", raw("x"), nil); err != nil {
 		t.Fatalf("probe after cooldown failed: %v", err)
 	}
-	if _, err := c.Call("echo", "x", nil); err != nil {
+	if _, err := c.Call("echo", raw("x"), nil); err != nil {
 		t.Fatalf("circuit did not close after probe: %v", err)
 	}
 }
@@ -438,7 +438,7 @@ func TestClientFaultMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call("echo", "x", nil); err != nil {
+	if _, err := c.Call("echo", raw("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

@@ -47,8 +47,8 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 
 	root := cliTr.StartRoot("epoch", trace.KindEpoch)
 	ctx := trace.ContextWithSpan(context.Background(), root)
-	var out []byte
-	if _, err := c.CallContext(ctx, "echo", []byte("x"), &out); err != nil {
+	var out raw
+	if _, err := c.CallContext(ctx, "echo", raw("x"), &out); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -101,8 +101,8 @@ func TestUntracedCallRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var out []byte
-	if _, err := c.Call("echo", []byte("x"), &out); err != nil {
+	var out raw
+	if _, err := c.Call("echo", raw("x"), &out); err != nil {
 		t.Fatal(err)
 	}
 	if cliRec.Len() != 0 || srvRec.Len() != 0 {
@@ -135,8 +135,8 @@ func TestRetryVisibleAsAttemptSpans(t *testing.T) {
 
 	root := cliTr.StartRoot("epoch", trace.KindEpoch)
 	ctx := trace.ContextWithSpan(context.Background(), root)
-	var out []byte
-	if _, err := c.CallContext(ctx, "echo", []byte("x"), &out); err != nil {
+	var out raw
+	if _, err := c.CallContext(ctx, "echo", raw("x"), &out); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -201,8 +201,8 @@ func TestConcurrentTracedClients(t *testing.T) {
 			for j := 0; j < 10; j++ {
 				root := tr.StartRoot("epoch", trace.KindEpoch)
 				ctx := trace.ContextWithSpan(context.Background(), root)
-				var out []byte
-				if _, err := c.CallContext(ctx, "echo", []byte("x"), &out); err != nil {
+				var out raw
+				if _, err := c.CallContext(ctx, "echo", raw("x"), &out); err != nil {
 					t.Error(err)
 				}
 				root.End()

@@ -1,12 +1,11 @@
 // Package transport is a minimal stdlib-only RPC layer so the
 // replica-placement system also runs as real networked processes, not
 // only inside the discrete-event simulator: TCP, fixed-width frames as
-// envelope (frame.go), and bodies that are either fixed-width binary (the
-// hot daemon methods) or nested gob (see body.go). Servers can inject
-// artificial per-request delays, which lets the examples reproduce
-// wide-area RTTs between processes on one machine; clients measure the
-// observed RTT of every call, which is exactly the measurement stream the
-// coordinate system consumes.
+// envelope (frame.go), and bodies each type encodes itself (body.go).
+// Servers can inject artificial per-request delays, which lets the
+// examples reproduce wide-area RTTs between processes on one machine;
+// clients measure the observed RTT of every call, which is exactly the
+// measurement stream the coordinate system consumes.
 package transport
 
 import (
@@ -553,13 +552,13 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote %s: %s", e.Method, e.Message)
 }
 
-// Call invokes a method: req is encoded as Marshal encodes it, resp (if
-// non-nil) decoded from the reply as Unmarshal decodes it. It returns
+// Call invokes a method: req (if non-nil) is encoded by its AppendBody,
+// resp (if non-nil) decoded from the reply by its DecodeBody. It returns
 // the measured round-trip time, the signal the coordinate system feeds
 // on. With a retry policy installed, the RTT is that of the successful
 // (or final) attempt. Call is never traced; use CallContext with a
 // span-carrying context to propagate a trace.
-func (c *Client) Call(method string, req, resp any) (time.Duration, error) {
+func (c *Client) Call(method string, req BodyAppender, resp BodyDecoder) (time.Duration, error) {
 	return c.CallContext(context.Background(), method, req, resp)
 }
 
@@ -570,7 +569,7 @@ func (c *Client) Call(method string, req, resp any) (time.Duration, error) {
 // travels in the request frame so the server's span joins the same
 // tree. The ctx is not consulted for cancellation — per-attempt
 // deadlines already bound every call (see WithCallTimeout).
-func (c *Client) CallContext(ctx context.Context, method string, req, resp any) (time.Duration, error) {
+func (c *Client) CallContext(ctx context.Context, method string, req BodyAppender, resp BodyDecoder) (time.Duration, error) {
 	c.met.calls.Inc()
 	// The frame's length-byte rule, applied before anything is encoded or
 	// sent, so a refused call leaves the connection usable. Method and the
@@ -585,23 +584,18 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	encStart := time.Now()
-	var (
-		body []byte
-		err  error
-	)
-	if a, ok := req.(BodyAppender); ok {
-		// Encoded in place behind the frame's headroom; the body is on the
-		// wire before the next call reuses the buffer.
-		body, err = a.AppendBody(c.reqBuf[:headroom])
-		if err == nil && cap(body) <= maxKeptReqBuf {
+	// Encoded in place behind the frame's headroom; the body is on the
+	// wire before the next call reuses the buffer.
+	body := c.reqBuf[:headroom]
+	if req != nil {
+		var err error
+		if body, err = req.AppendBody(body); err != nil {
+			c.met.errors.Inc()
+			return 0, fmt.Errorf("transport: encode %s request: %w", method, err)
+		}
+		if cap(body) <= maxKeptReqBuf {
 			c.reqBuf = body
 		}
-	} else if body, err = gobEncode(req); err == nil {
-		body = append(c.reqBuf[:headroom], body...)
-	}
-	if err != nil {
-		c.met.errors.Inc()
-		return 0, fmt.Errorf("transport: encode %s request: %w", method, err)
 	}
 	// The end of the encode is the start of the first attempt's send.
 	sendStart := time.Now()
@@ -681,7 +675,7 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 // fresh connection. buf is the request body behind its headroom; start,
 // unless zero or a re-dial came after it, is the clock the caller just
 // read.
-func (c *Client) attempt(method string, buf []byte, resp any, wire trace.SpanContext, parentID string, start time.Time) (time.Duration, error) {
+func (c *Client) attempt(method string, buf []byte, resp BodyDecoder, wire trace.SpanContext, parentID string, start time.Time) (time.Duration, error) {
 	w, fresh, err := c.liveConn()
 	if err != nil {
 		return 0, err
@@ -727,7 +721,7 @@ func (c *Client) attempt(method string, buf []byte, resp any, wire trace.SpanCon
 		return rtt, &RemoteError{Method: method, Message: r.Err}
 	}
 	if resp != nil {
-		if err := Unmarshal(r.Body, resp); err != nil {
+		if err := resp.DecodeBody(r.Body); err != nil {
 			return rtt, fmt.Errorf("transport: decode %s response: %w", method, err)
 		}
 		// The decode began where the round trip ended.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -25,6 +26,13 @@ func startServer(t *testing.T, opts ...ServerOption) (*Server, string) {
 	return s, s.Addr().String()
 }
 
+// raw is the tests' body: its bytes as they are, both ways.
+type raw []byte
+
+func (b raw) AppendBody(dst []byte) ([]byte, error) { return append(dst, b...), nil }
+func (b *raw) DecodeBody(p []byte) error            { *b = p; return nil }
+
+// echoReq and echoResp travel as an i64 N and then the text.
 type echoReq struct {
 	Text string
 	N    int
@@ -33,6 +41,30 @@ type echoReq struct {
 type echoResp struct {
 	Text string
 	N    int
+}
+
+func appendEcho(dst []byte, text string, n int) []byte {
+	return append(binary.LittleEndian.AppendUint64(dst, uint64(n)), text...)
+}
+
+func decodeEcho(b []byte) (string, int, error) {
+	if len(b) < 8 {
+		return "", 0, fmt.Errorf("echo body of %d bytes", len(b))
+	}
+	return string(b[8:]), int(int64(binary.LittleEndian.Uint64(b))), nil
+}
+
+func (q echoReq) AppendBody(dst []byte) ([]byte, error)  { return appendEcho(dst, q.Text, q.N), nil }
+func (p echoResp) AppendBody(dst []byte) ([]byte, error) { return appendEcho(dst, p.Text, p.N), nil }
+
+func (q *echoReq) DecodeBody(b []byte) (err error) {
+	q.Text, q.N, err = decodeEcho(b)
+	return err
+}
+
+func (p *echoResp) DecodeBody(b []byte) (err error) {
+	p.Text, p.N, err = decodeEcho(b)
+	return err
 }
 
 func registerEcho(t *testing.T, s *Server) {
